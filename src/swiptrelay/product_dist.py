@@ -13,8 +13,9 @@ survival tail keeps relative accuracy instead of rounding to 1.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -117,11 +118,19 @@ class ClosedFormCoefficients:
         # NB: the capacity prefactor is 2^(2m-2) B / (zeta^(2m) ln 2); see
         # swipt_metrics.adjudicate_closed_forms for the convention report.
         D = 2.0 ** (2 * m - 2) * B / (zeta ** (2 * m) * math.log(2.0))
+        for arr in (a, b, c, d, q, t, w, z):
+            arr.flags.writeable = False
         return cls(m=m, snr_scale=g, B=B, zeta=zeta, a=a, b=b, c=c, d=d, q=q, t=t, w=w, z=z, D=D)
 
 
-def _coefficients(model: EndToEndSnrModel) -> ClosedFormCoefficients:
-    return ClosedFormCoefficients.build(model._closed_form_m(), model.snr_scale)
+@functools.lru_cache(maxsize=256)
+def closed_form_coefficients(m: int, snr_scale: float) -> ClosedFormCoefficients:
+    """``ClosedFormCoefficients.build`` memoized on (m, snr_scale).
+
+    Quadrature over the closed-form density asks for the same model hundreds
+    of times; the coefficient arrays are read-only, so sharing them is safe.
+    """
+    return ClosedFormCoefficients.build(m, snr_scale)
 
 
 def product_cdf_general(model: EndToEndSnrModel, y: float, tol: float = 1e-10) -> float:
@@ -167,7 +176,7 @@ def snr_survival_closed(model: EndToEndSnrModel, y: float) -> float:
         raise ValueError("SNR threshold must be non-negative")
     if y == 0.0:
         return 1.0
-    cf = _coefficients(model)
+    cf = closed_form_coefficients(model._closed_form_m(), model.snr_scale)
     th = model.copula.effective_theta
     m = cf.m
     sq = math.sqrt(y)
@@ -218,7 +227,7 @@ def snr_pdf_closed(model: EndToEndSnrModel, y: float) -> float:
     """Closed-form density of the end-to-end SNR at y > 0."""
     if y <= 0.0:
         raise ValueError("density defined for y > 0")
-    cf = _coefficients(model)
+    cf = closed_form_coefficients(model._closed_form_m(), model.snr_scale)
     th = model.copula.effective_theta
     m = cf.m
     z1 = cf.zeta * math.sqrt(y)

@@ -1,21 +1,23 @@
 """Scalar special functions used by the closed-form link metrics.
 
-Everything here is reentrant and free of global state.  The gamma-family
-helpers are thin and classical; the modified Bessel function of the second
-kind is evaluated from its cosh integral representation on a trapezoidal
-(double-exponentially decaying) grid, and the restricted Meijer G evaluator
-integrates the Mellin-Barnes contour numerically for the three shapes the
-capacity expressions need.
+Everything here is reentrant and free of global state.  The gamma family and
+the modified Bessel function of the second kind are thin wrappers over
+``scipy.special`` that add domain checks and return Python floats.  scipy has
+no Meijer G, so the restricted evaluator here integrates the Mellin-Barnes
+contour numerically for the three shapes the capacity expressions need.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import beta as _beta
+from scipy.special import gamma, gammaincc, gammaln, kv, kve, psi
 from scipy.special import loggamma as _loggamma_complex
 
 
@@ -31,147 +33,45 @@ class ContourSeparationError(RuntimeError):
     """No vertical contour separates the left and right pole sets."""
 
 
-_EULER_GAMMA = 0.5772156649015328606
-
-
 def ln_gamma(x: float) -> float:
     """Natural log of the gamma function for x > 0."""
     if x <= 0.0:
         raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
-# Asymptotic series coefficients B_2n / 2n for psi(x) ~ ln x - 1/2x - sum c_n x^-2n.
-_DIGAMMA_ASY = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
+    return float(gammaln(x))
 
 
 def digamma(x: float) -> float:
-    """psi(x) for x > 0, via upward recurrence into the asymptotic regime."""
+    """psi(x) for x > 0."""
     if x <= 0.0:
         raise DomainError(f"digamma requires x > 0, got {x}")
-    acc = 0.0
-    while x < 12.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    tail = 0.0
-    p = inv2
-    for c in _DIGAMMA_ASY:
-        tail += c * p
-        p *= inv2
-    return acc + math.log(x) - 0.5 / x - tail
+    return float(psi(x))
 
 
 def beta(a: float, b: float) -> float:
     """Beta function B(a, b) for positive arguments."""
     if a <= 0.0 or b <= 0.0:
         raise DomainError(f"beta requires positive arguments, got ({a}, {b})")
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-
-
-def _lower_gamma_series(a: float, x: float, eps: float = 1e-16) -> float:
-    # Regularized lower incomplete gamma P(a, x) by power series; x <= a + 1.
-    if x == 0.0:
-        return 0.0
-    ap = a
-    term = 1.0 / a
-    total = term
-    for _ in range(500):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * eps:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _upper_gamma_cf(a: float, x: float, eps: float = 1e-16) -> float:
-    # Regularized upper incomplete gamma Q(a, x) by Lentz continued fraction; x > a + 1.
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 500):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    return float(_beta(a, b))
 
 
 def regularized_upper_gamma(a: float, x: float) -> float:
-    """Q(a, x) = Gamma(a, x) / Gamma(a), series below x = a + 1, CF above."""
+    """Q(a, x) = Gamma(a, x) / Gamma(a)."""
     if a <= 0.0:
         raise DomainError(f"incomplete gamma requires a > 0, got a={a}")
     if x < 0.0:
         raise DomainError(f"incomplete gamma requires x >= 0, got x={x}")
-    if x < a + 1.0:
-        return 1.0 - _lower_gamma_series(a, x)
-    return _upper_gamma_cf(a, x)
+    return float(gammaincc(a, x))
 
 
 def upper_incomplete_gamma(a: float, x: float) -> float:
     """Unregularized Gamma(a, x) = integral_x^inf t^(a-1) e^(-t) dt."""
-    return regularized_upper_gamma(a, x) * math.exp(math.lgamma(a))
+    return regularized_upper_gamma(a, x) * float(gamma(a))
 
 
-def _ln_cosh(y: np.ndarray) -> np.ndarray:
-    ay = np.abs(y)
-    return ay + np.log1p(np.exp(-2.0 * ay)) - math.log(2.0)
-
-
-def _ln_bessel_k(v: float, x: float) -> float:
-    # ln K_v(x) from K_v(x) = int_0^inf exp(-x cosh t) cosh(v t) dt.
-    # The integrand decays double-exponentially, so the trapezoidal rule on an
-    # even extension converges geometrically in the step size.
-    v = abs(v)
-
-    def ln_f(t: np.ndarray) -> np.ndarray:
-        return -x * np.cosh(t) + _ln_cosh(v * t)
-
-    # Locate the cutoff where the integrand has dropped ~50 nats below its peak.
-    t_hi = 1.0
-    peak = ln_f(np.array([0.0]))[0]
-    while True:
-        grid = np.linspace(0.0, t_hi, 257)
-        vals = ln_f(grid)
-        peak = max(peak, float(vals.max()))
-        if vals[-1] < peak - 50.0 or t_hi > 750.0:
-            break
-        t_hi *= 2.0
-
-    h = 0.25
-    prev = None
-    result = math.nan
-    for _ in range(14):
-        t = np.arange(0.0, t_hi + h, h)
-        lf = ln_f(t) - peak
-        w = np.exp(lf)
-        w[0] *= 0.5
-        result = peak + math.log(h * float(w.sum()))
-        if prev is not None and abs(result - prev) < 1e-13:
-            break
-        prev = result
-        h *= 0.5
-    return result
+def _order(v: float) -> float:
+    # scipy's kv/kve return nan for subnormal orders; K_v is even and smooth
+    # in v, so such an order is as good as 0.
+    return 0.0 if abs(v) < sys.float_info.min else v
 
 
 def bessel_k(v: float, x: float) -> float:
@@ -181,20 +81,14 @@ def bessel_k(v: float, x: float) -> float:
     """
     if x <= 0.0:
         raise DomainError(f"bessel_k requires x > 0, got {x}")
-    ln_k = _ln_bessel_k(v, x)
-    if ln_k > 709.0:
-        return math.inf
-    return math.exp(ln_k)
+    return float(kv(_order(v), x))
 
 
 def bessel_k_scaled(v: float, x: float) -> float:
     """exp(x) * K_v(x); stays representable far into the large-x tail."""
     if x <= 0.0:
         raise DomainError(f"bessel_k_scaled requires x > 0, got {x}")
-    ln_k = _ln_bessel_k(v, x) + x
-    if ln_k > 709.0:
-        return math.inf
-    return math.exp(ln_k)
+    return float(kve(_order(v), x))
 
 
 @dataclass(frozen=True)

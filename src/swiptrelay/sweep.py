@@ -12,7 +12,7 @@ import os
 import tempfile
 from dataclasses import replace
 
-from .product_dist import mean_snr_factor, product_cdf_general
+from .product_dist import mean_snr_factor
 from .swipt_metrics import (
     OutOfRegimeError,
     OutageQuery,
@@ -22,14 +22,12 @@ from .swipt_metrics import (
     capacity_rd_meijer,
     capacity_sr_meijer,
     derive_snr_scales,
-    destination_snr_model,
     ergodic_capacity_rd,
     ergodic_capacity_sr,
     outage_probability,
     outage_probability_quadrature,
-    snr_survival_closed,
 )
-from .montecarlo import McConfig, simulate_metrics
+from .montecarlo import simulate_metrics
 from .sweepcfg import CSV_HEADER, SweepSpec, fmt, resolve_point
 
 _MC_METRIC_NAMES = {

@@ -9,10 +9,10 @@ in the CSV.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .montecarlo import McConfig
-from .swipt_metrics import OutageQuery, SwiptSystem
+from .swipt_metrics import SwiptSystem
 
 
 class ConfigError(ValueError):
@@ -97,9 +97,10 @@ def _parse_sections(text: str) -> dict[str, dict[str, str]]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        key = key.lower()
         if key in sections[current]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        sections[current][key.lower()] = value
+        sections[current][key] = value
     return sections
 
 
@@ -149,7 +150,11 @@ def parse_config(text: str) -> SweepSpec:
     if "noise_power_db" in top:
         sys_kwargs["noise_power"] = 10.0 ** (float(top["noise_power_db"]) / 10.0)
 
-    ms = tuple(int(v) for v in _floats(top.get("m", "1")))
+    ms = _floats(top.get("m", "1"))
+    for v in ms:
+        if not v.is_integer() or v < 1:
+            raise ConfigError(f"m must be an integer >= 1, got {v!r}")
+    ms = tuple(int(v) for v in ms)
     thetas = _floats(top.get("theta", "0"))
     try:
         base = SwiptSystem(fading_m=ms[0], theta=thetas[0], **sys_kwargs)
@@ -161,8 +166,8 @@ def parse_config(text: str) -> SweepSpec:
         threshold = float(top["threshold"])
     elif "threshold_db" in top:
         threshold = 10.0 ** (float(top["threshold_db"]) / 10.0)
-    if threshold is not None and threshold < 0:
-        raise ConfigError("threshold must be non-negative")
+    if threshold is not None and not 0.0 <= threshold < math.inf:
+        raise ConfigError(f"threshold must be finite and non-negative, got {threshold!r}")
 
     modes = tuple(v.strip() for v in top.get("modes", "closed_form,quadrature,monte_carlo").split(","))
 

@@ -16,9 +16,10 @@ from scipy.integrate import quad
 
 from . import specfun
 from .copula import copula_cdf, fgm_copula
+from .fading import NakagamiPower, power_cdf
 from .product_dist import (
-    ClosedFormCoefficients,
     EndToEndSnrModel,
+    closed_form_coefficients,
     closed_form_model,
     product_cdf_general,
     snr_pdf_closed,
@@ -99,10 +100,10 @@ def destination_snr_model(sys: SwiptSystem) -> EndToEndSnrModel:
 
 
 def relay_snr_cdf(gamma_hat_r: float, m: int, gamma: float) -> float:
-    """CDF of the relay SNR: regularized lower incomplete gamma."""
+    """CDF of the relay SNR: the Nakagami-m power law with mean gamma_hat_r."""
     if gamma < 0.0:
         raise ValueError("SNR must be non-negative")
-    return 1.0 - specfun.regularized_upper_gamma(m, m * gamma / gamma_hat_r)
+    return power_cdf(NakagamiPower(m, gamma_hat_r), gamma)
 
 
 def ergodic_capacity_sr(gamma_hat_r: float, m: int) -> float:
@@ -163,7 +164,7 @@ def capacity_rd_meijer(
     pi in its denominator; the reading without it matches quadrature, and is
     the default.
     """
-    cf = ClosedFormCoefficients.build(m, gamma_hat_d)
+    cf = closed_form_coefficients(m, gamma_hat_d)
     zeta2 = cf.zeta * cf.zeta
 
     def g142(a: tuple, x: float) -> float:

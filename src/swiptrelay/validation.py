@@ -23,7 +23,7 @@ import numpy as np
 
 from .copula import fgm_copula, sample_pair
 from .fading import NakagamiPower, power_quantile
-from .montecarlo import McConfig, McEstimate, batch_stream, simulate_outage_survival_law
+from .montecarlo import McConfig, batch_stream, simulate_outage_survival_law
 from .product_dist import closed_form_model, product_cdf_general, snr_cdf_closed
 from .swipt_metrics import (
     OutageQuery,

@@ -68,6 +68,14 @@ def test_parse_config_errors():
         parse_config("not a key value line\n")
     with pytest.raises(ConfigError):
         parse_config("[weird]\nx = 1\n")
+    for dup in ("rho = 0.3\nRho = 0.9\n", "Rho = 0.3\nRho = 0.9\n"):
+        with pytest.raises(ConfigError, match="duplicate key 'rho'"):
+            parse_config(dup + "[sweep]\nvariable = rho\ngrid = 0.5\n")
+    with pytest.raises(ConfigError, match="1.5"):
+        parse_config("m = 1,1.5\n[sweep]\nvariable = rho\ngrid = 0.5\n")
+    for bad in ("threshold = nan\n", "threshold = inf\n", "threshold_db = nan\n"):
+        with pytest.raises(ConfigError, match="threshold.*(nan|inf)"):
+            parse_config(bad + "[sweep]\nvariable = rho\ngrid = 0.5\n")
 
 
 def test_parse_log_spacing():

@@ -13,6 +13,7 @@ from swiptrelay.product_dist import (
     ClosedFormCoefficients,
     EndToEndSnrModel,
     UnsupportedClosedFormError,
+    closed_form_coefficients,
     closed_form_model,
     mean_snr_factor,
     product_cdf_general,
@@ -41,6 +42,14 @@ def test_coefficient_validation():
         ClosedFormCoefficients.build(0, 1.0)
     with pytest.raises(ValueError):
         ClosedFormCoefficients.build(2, -1.0)
+
+
+def test_cached_coefficients_are_shared_and_read_only():
+    cf = closed_form_coefficients(3, 7.5)
+    assert closed_form_coefficients(3, 7.5) is cf
+    for name in ("a", "b", "c", "d", "q", "t", "w", "z"):
+        with pytest.raises(ValueError):
+            getattr(cf, name)[0] = 1.0
 
 
 def test_cdf_boundaries():
