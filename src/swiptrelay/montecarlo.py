@@ -1,5 +1,10 @@
 """Seeded, reproducible Monte-Carlo estimation of the link metrics.
 
+``simulate_metrics`` draws its FGM-coupled fading powers exactly from order
+statistics of Gamma draws (``sample_fgm_powers``), with no quantile
+inversion; ``sample_joint_powers`` keeps the copula conditional-inversion
+route as an independent oracle for the tests and ``validate``.
+
 Randomness comes from counter-based Philox streams: batch i draws from
 ``Philox(key=seed).jumped(i)``, so sub-streams are provably non-overlapping
 and the estimates are bit-identical for a fixed (seed, samples, batch size)
@@ -15,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copula import CopulaModel, sample_pair
+from .copula import CopulaModel, fgm_copula, sample_pair
 from .fading import NakagamiPower, power_quantile
-from .swipt_metrics import OutageQuery, SwiptSystem, derive_snr_scales
+from .swipt_metrics import OutageQuery, SwiptSystem, derive_snr_scales, relay_snr_cdf
 
 
 @dataclass(frozen=True)
@@ -90,20 +95,46 @@ def sample_joint_powers(
     return g1, g2
 
 
+def sample_fgm_powers(
+    copula: CopulaModel,
+    marg: NakagamiPower,
+    rng: np.random.Generator,
+    size: int,
+):
+    """Exact FGM-coupled pair of ``marg`` powers from order statistics.
+
+    The FGM density 1 + theta (1-2u1)(1-2u2) equals the mixture
+    (1+theta)/4 (f_min f_min + f_max f_max) + (1-theta)/4 (f_min f_max +
+    f_max f_min), where f_min and f_max are the densities of the min and the
+    max of two iid draws.  So a fair coin makes g1 the min or the max of its
+    own pair of Gamma draws, and g2 takes the same order statistic of its
+    pair with probability (1+theta)/2.  Exact for any m, with no inversion.
+    """
+    g = rng.gamma(marg.m, marg.mean_power / marg.m, size=(4, size))
+    u = rng.random((2, size))
+    take_max1 = u[0] < 0.5
+    take_max2 = take_max1 == (u[1] < 0.5 * (1.0 + copula.effective_theta))
+    # Picking the first draw exactly when "take the max" agrees with "the
+    # first draw is the larger" selects the wanted order statistic.
+    g1 = np.where(take_max1 == (g[0] > g[1]), g[0], g[1])
+    g2 = np.where(take_max2 == (g[2] > g[3]), g[2], g[3])
+    return g1, g2
+
+
 _METRICS = ("cap_sr", "cap_rd", "cap_min", "outage", "mean_snr_d")
 
 
 def simulate_metrics(sys: SwiptSystem, q: OutageQuery, cfg: McConfig) -> dict[str, McEstimate]:
     """Estimate capacities, outage and mean destination SNR from joint draws.
 
-    Per draw: gamma_r = ghat_r * g_sr and gamma_d = ghat_d * g_sr * g_rd share
-    the same g_sr draw, the dependence the physical model induces between the
-    hops.  Note the analytic outage composes the two marginals through the
-    FGM survival copula instead; the gap between the two joint laws is a
-    reported finding, not an estimator defect.
+    Each batch draws its fading-power pairs with ``sample_fgm_powers`` from
+    its own Philox sub-stream.  Per draw: gamma_r = ghat_r * g_sr and
+    gamma_d = ghat_d * g_sr * g_rd share the same g_sr draw, the dependence
+    the physical model induces between the hops.  Note the analytic outage
+    composes the two marginals through the FGM survival copula instead; the
+    gap between the two joint laws is a reported finding, not an estimator
+    defect.
     """
-    from .copula import fgm_copula
-
     scales = derive_snr_scales(sys)
     marg = NakagamiPower(float(sys.fading_m), 1.0)
     cop = fgm_copula(sys.theta)
@@ -112,7 +143,7 @@ def simulate_metrics(sys: SwiptSystem, q: OutageQuery, cfg: McConfig) -> dict[st
     def run_batch(i: int) -> dict[str, tuple[int, float, float]]:
         n_b = min(cfg.batch_size, cfg.samples - i * cfg.batch_size)
         rng = batch_stream(cfg.seed, i)
-        g_sr, g_rd = sample_joint_powers(cop, marg, marg, rng, size=n_b)
+        g_sr, g_rd = sample_fgm_powers(cop, marg, rng, n_b)
         gamma_r = scales.gamma_hat_r * g_sr
         gamma_d = scales.gamma_hat_d * g_sr * g_rd
         cap_sr = 0.5 * np.log2(1.0 + gamma_r)
@@ -154,9 +185,6 @@ def simulate_outage_survival_law(
     from the general product-CDF quadrature) so this estimator stays
     independent of the Bessel closed form it validates.
     """
-    from .copula import fgm_copula
-    from .swipt_metrics import relay_snr_cdf
-
     scales = derive_snr_scales(sys)
     u_r = relay_snr_cdf(scales.gamma_hat_r, sys.fading_m, q.threshold)
     u_d = destination_cdf_at_threshold

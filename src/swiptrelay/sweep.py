@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import replace
 
 from .product_dist import mean_snr_factor
 from .swipt_metrics import (
@@ -37,24 +36,6 @@ _MC_METRIC_NAMES = {
     "outage": "outage",
     "mean_snr_d": "mean_snr_d",
 }
-
-
-def _apply_scale_overrides(sys: SwiptSystem, overrides: dict) -> SwiptSystem:
-    """Retarget the derived SNR scales by adjusting the hop distances.
-
-    dist_sr sets gamma_hat_r alone once dist_rd is re-solved to keep
-    gamma_hat_d at its requested (or baseline) value, so a direct sweep of
-    either scale leaves the other fixed.
-    """
-    if not overrides:
-        return sys
-    base = derive_snr_scales(sys)
-    ghr = overrides.get("gamma_hat_r", base.gamma_hat_r)
-    ghd = overrides.get("gamma_hat_d", base.gamma_hat_d)
-    alpha = sys.pathloss_exp
-    pl_sr = (1.0 - sys.ps_factor) * sys.source_power / (sys.noise_power * ghr)
-    pl_rd = sys.eh_efficiency * sys.ps_factor * sys.source_power / (pl_sr * sys.noise_power * ghd)
-    return replace(sys, dist_sr=pl_sr ** (1.0 / alpha), dist_rd=pl_rd ** (1.0 / alpha))
 
 
 def _param_rows(var: str, value: float, sys: SwiptSystem, threshold) -> list[list[str]]:
@@ -145,8 +126,7 @@ def run_sweep(spec: SweepSpec) -> list[list[str]]:
         ms = (int(value),) if spec.variable == "m" else spec.ms
         for th in thetas:
             for m in ms:
-                sys, threshold, overrides = resolve_point(spec, value, th, m)
-                sys = _apply_scale_overrides(sys, overrides)
+                sys, threshold = resolve_point(spec, value, th, m)
                 rows.extend(_param_rows(spec.variable, value, sys, threshold))
                 for mode in spec.modes:
                     rows.extend(_mode_rows(spec, spec.variable, value, sys, threshold, mode))

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .montecarlo import McConfig
-from .swipt_metrics import SwiptSystem
+from .swipt_metrics import SwiptSystem, derive_snr_scales
 
 
 class ConfigError(ValueError):
@@ -104,6 +104,21 @@ def _parse_sections(text: str) -> dict[str, dict[str, str]]:
     return sections
 
 
+def _number(key: str, text: str, conv=float):
+    try:
+        return conv(text)
+    except ValueError:
+        kind = "an integer" if conv is int else "a number"
+        raise ConfigError(f"{key} must be {kind}, got {text!r}") from None
+
+
+def _db_to_linear(name: str, db: float) -> float:
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ConfigError(f"{name} = {db!r} dB overflows as a linear value") from None
+
+
 def _floats(value: str) -> tuple[float, ...]:
     try:
         return tuple(float(v) for v in value.split(","))
@@ -146,9 +161,12 @@ def parse_config(text: str) -> SweepSpec:
     for key, conv in _SYSTEM_KEYS.items():
         if key in top:
             target = "ps_factor" if key == "rho" else key
-            sys_kwargs[target] = conv(top[key])
+            sys_kwargs[target] = _number(key, top[key], conv)
     if "noise_power_db" in top:
-        sys_kwargs["noise_power"] = 10.0 ** (float(top["noise_power_db"]) / 10.0)
+        sys_kwargs["noise_power"] = _db_to_linear("noise_power_db", _number("noise_power_db", top["noise_power_db"]))
+    for key, value in sys_kwargs.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
 
     ms = _floats(top.get("m", "1"))
     for v in ms:
@@ -163,9 +181,9 @@ def parse_config(text: str) -> SweepSpec:
 
     threshold = None
     if "threshold" in top:
-        threshold = float(top["threshold"])
+        threshold = _number("threshold", top["threshold"])
     elif "threshold_db" in top:
-        threshold = 10.0 ** (float(top["threshold_db"]) / 10.0)
+        threshold = _db_to_linear("threshold_db", _number("threshold_db", top["threshold_db"]))
     if threshold is not None and not 0.0 <= threshold < math.inf:
         raise ConfigError(f"threshold must be finite and non-negative, got {threshold!r}")
 
@@ -177,8 +195,8 @@ def parse_config(text: str) -> SweepSpec:
         missing = {"start", "stop", "count"} - set(sweep)
         if missing:
             raise ConfigError(f"[sweep] needs 'grid' or start/stop/count; missing {sorted(missing)}")
-        start, stop = float(sweep["start"]), float(sweep["stop"])
-        count = int(sweep["count"])
+        start, stop = _number("start", sweep["start"]), _number("stop", sweep["stop"])
+        count = _number("count", sweep["count"], int)
         if count < 1:
             raise ConfigError("count must be >= 1")
         spacing = sweep.get("spacing", "linear")
@@ -192,14 +210,15 @@ def parse_config(text: str) -> SweepSpec:
         else:
             raise ConfigError(f"spacing must be linear or log, got {spacing!r}")
 
-    mc = McConfig(
-        samples=int(mc_sec.get("samples", "1000000")),
-        seed=int(mc_sec.get("seed", "12345")),
-        workers=int(mc_sec.get("workers", "1")),
-        batch_size=min(int(mc_sec.get("batch_size", "1000000")), int(mc_sec.get("samples", "1000000"))),
-    )
+    mc_ints = {key: _number(key, mc_sec.get(key, default), int) for key, default in (
+        ("samples", "1000000"), ("seed", "12345"), ("workers", "1"), ("batch_size", "1000000"))}
+    mc_ints["batch_size"] = min(mc_ints["batch_size"], mc_ints["samples"])
+    try:
+        mc = McConfig(**mc_ints)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
-    rd_total = float(sweep["rd_total"]) if "rd_total" in sweep else None
+    rd_total = _number("rd_total", sweep["rd_total"]) if "rd_total" in sweep else None
 
     spec = SweepSpec(
         variable=sweep["variable"],
@@ -230,22 +249,23 @@ def _validate_grid(spec: SweepSpec) -> None:
         "theta": lambda v: -1.0 <= v <= 1.0,
         "m": lambda v: v >= 1 and v == int(v),
     }
-    bad = [v for v in spec.grid if not checks[spec.variable](v)]
+    bad = [v for v in spec.grid if not (math.isfinite(v) and checks[spec.variable](v))]
     if bad:
         raise ConfigError(f"grid values {bad} outside the domain of {spec.variable!r}")
 
 
 def resolve_point(spec: SweepSpec, value: float, theta: float, m: int):
-    """System, threshold and scale overrides for one grid point.
+    """System and linear threshold (or None) for one grid point.
 
-    Returns (system, threshold_linear_or_None, scale_overrides) where
-    scale_overrides maps 'gamma_hat_r'/'gamma_hat_d' past the physical
-    parameterization for the direct-scale sweeps.
+    The direct-scale sweeps (gamma_hat_r, gamma_hat_d) bypass the physical
+    parameterization: the hop distances are re-solved so that the swept
+    scale takes the grid value and the other keeps its baseline value.  A
+    point whose derived SNR scales are not finite and positive is refused.
     """
     sys = replace(spec.base, fading_m=m, theta=theta)
     threshold = spec.threshold
-    overrides: dict[str, float] = {}
     v = spec.variable
+    point = f"grid point {v} = {fmt(value)} (theta = {fmt(theta)}, m = {m})"
     if v == "rho":
         sys = replace(sys, ps_factor=value)
     elif v == "source_power":
@@ -258,14 +278,38 @@ def resolve_point(spec: SweepSpec, value: float, theta: float, m: int):
         rd = spec.rd_total - value if spec.rd_total is not None else sys.dist_rd
         sys = replace(sys, dist_sr=value, dist_rd=rd)
     elif v == "threshold_db":
-        threshold = 10.0 ** (value / 10.0)
+        threshold = _db_to_linear(f"{point}: threshold_db", value)
     elif v == "theta":
         sys = replace(sys, theta=value)
     elif v == "m":
         sys = replace(sys, fading_m=int(value))
-    elif v in ("gamma_hat_r", "gamma_hat_d"):
-        overrides[v] = value
-    return sys, threshold, overrides
+    try:
+        if v in ("gamma_hat_r", "gamma_hat_d"):
+            sys = _retarget_scale(sys, v, value)
+        scales = derive_snr_scales(sys)
+    except ArithmeticError as exc:  # float ** overflow, or a path loss that underflows to 0
+        raise ConfigError(f"{point}: the SNR scales are not finite ({exc})") from None
+    for name in ("gamma_hat_r", "gamma_hat_d"):
+        scale = getattr(scales, name)
+        if not 0.0 < scale < math.inf:
+            raise ConfigError(f"{point}: {name} = {scale!r} is not finite and positive")
+    return sys, threshold
+
+
+def _retarget_scale(sys: SwiptSystem, name: str, value: float) -> SwiptSystem:
+    """Set one derived SNR scale by adjusting the hop distances.
+
+    dist_sr sets gamma_hat_r alone once dist_rd is re-solved to keep
+    gamma_hat_d at its requested (or baseline) value, so a direct sweep of
+    either scale leaves the other fixed.
+    """
+    base = derive_snr_scales(sys)
+    ghr = value if name == "gamma_hat_r" else base.gamma_hat_r
+    ghd = value if name == "gamma_hat_d" else base.gamma_hat_d
+    alpha = sys.pathloss_exp
+    pl_sr = (1.0 - sys.ps_factor) * sys.source_power / (sys.noise_power * ghr)
+    pl_rd = sys.eh_efficiency * sys.ps_factor * sys.source_power / (pl_sr * sys.noise_power * ghd)
+    return replace(sys, dist_sr=pl_sr ** (1.0 / alpha), dist_rd=pl_rd ** (1.0 / alpha))
 
 
 # Presets hard-coding the published figure parameter sets.  fig9 and fig10

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .copula import fgm_copula, sample_pair
-from .fading import NakagamiPower, power_quantile
-from .montecarlo import McConfig, batch_stream, simulate_outage_survival_law
+from .copula import fgm_copula
+from .fading import NakagamiPower
+from .montecarlo import McConfig, batch_stream, sample_joint_powers, simulate_outage_survival_law
 from .product_dist import closed_form_model, product_cdf_general, snr_cdf_closed
 from .swipt_metrics import (
     OutageQuery,
@@ -95,15 +95,6 @@ def dkw_epsilon(n: int, confidence: float = DKW_CONFIDENCE) -> float:
     return math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * n))
 
 
-def _sample_cell(sys: SwiptSystem, n: int, seed: int):
-    """One seeded joint draw reused by every stochastic check of a cell."""
-    rng = batch_stream(seed, 0)
-    cop = fgm_copula(sys.theta)
-    u1, u2 = sample_pair(cop, rng, size=n)
-    marg = NakagamiPower(float(sys.fading_m), 1.0)
-    return power_quantile(marg, np.asarray(u1)), power_quantile(marg, np.asarray(u2))
-
-
 def run_validation(
     ms=(1, 2, 3),
     thetas=(-1.0, -0.5, 0.0, 0.5, 1.0),
@@ -131,7 +122,8 @@ def run_validation(
                 theta=theta,
             )
             scales = derive_snr_scales(sys)
-            model = closed_form_model(scales.gamma_hat_d, m, fgm_copula(theta))
+            cop = fgm_copula(theta)
+            model = closed_form_model(scales.gamma_hat_d, m, cop)
             grid = _threshold_grid(scales.gamma_hat_d, grid_points)
 
             closed = np.array([err_factor * snr_cdf_closed(model, y) for y in grid])
@@ -139,7 +131,11 @@ def run_validation(
             report.add(cell, "cdf_supnorm_closed_vs_quadrature",
                        float(np.max(np.abs(closed - quad_cdf))), SUPNORM_TOL)
 
-            g1, g2 = _sample_cell(sys, samples, seed)
+            # One seeded joint draw by conditional inversion, the route
+            # independent of the order-statistic sampler in simulate_metrics,
+            # reused by every stochastic check of the cell.
+            marg = NakagamiPower(float(m), 1.0)
+            g1, g2 = sample_joint_powers(cop, marg, marg, batch_stream(seed, 0), size=samples)
             snr = scales.gamma_hat_d * g1 * g2
             snr_sorted = np.sort(snr)
             emp = np.searchsorted(snr_sorted, grid, side="right") / samples

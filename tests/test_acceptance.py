@@ -183,7 +183,7 @@ def test_criterion_5_capacity_agreement():
         spec = preset_spec(preset)
         for theta in (-1.0, 0.0, 1.0):
             for m in (1, 2):
-                sys, _, _ = resolve_point(spec, var_value, theta, m)
+                sys, _ = resolve_point(spec, var_value, theta, m)
                 cells.append(sys)
     for i, sys in enumerate(cells):
         scales = derive_snr_scales(sys)

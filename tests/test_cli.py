@@ -76,6 +76,39 @@ def test_parse_config_errors():
     for bad in ("threshold = nan\n", "threshold = inf\n", "threshold_db = nan\n"):
         with pytest.raises(ConfigError, match="threshold.*(nan|inf)"):
             parse_config(bad + "[sweep]\nvariable = rho\ngrid = 0.5\n")
+    for bad in ("source_power = inf\n", "dist_rd = nan\n", "pathloss_exp = -inf\n"):
+        with pytest.raises(ConfigError, match="must be finite"):
+            parse_config(bad + "[sweep]\nvariable = rho\ngrid = 0.5\n")
+    for bad in ("noise_power_db = 4000\n", "threshold_db = 4000\n"):
+        with pytest.raises(ConfigError, match="overflows"):
+            parse_config(bad + "[sweep]\nvariable = rho\ngrid = 0.5\n")
+    for bad, message in (
+        ("source_power = abc\n[sweep]\nvariable = rho\ngrid = 0.5\n", "source_power must be a number"),
+        ("[sweep]\nvariable = rho\nstart = 0.1\nstop = 0.9\ncount = two\n", "count must be an integer"),
+        ("[sweep]\nvariable = rho\ngrid = 0.5\n[mc]\nsamples = 1e6\n", "samples must be an integer"),
+        ("[sweep]\nvariable = rho\ngrid = 0.5\n[mc]\nsamples = 0\n", "samples must be >= 1"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(bad)
+    for variable in ("source_power", "gamma_hat_d", "threshold_db"):
+        with pytest.raises(ConfigError, match="outside the domain"):
+            parse_config(f"[sweep]\nvariable = {variable}\ngrid = 1,inf\n")
+
+
+@pytest.mark.parametrize("line", [
+    "dist_sr = 1e-300\n",     # zero path loss: the relay SNR scale divides by zero
+    "source_power = 1e308\n",  # finite input, infinite derived SNR scale
+    "[sweep]\nvariable = gamma_hat_d\ngrid = 1e-320\n",  # scale underflows to 0
+    "[sweep]\nvariable = threshold_db\ngrid = 0,4000\n",
+])
+def test_degenerate_grid_point_exits_2(tmp_path, capsys, line):
+    text = line if line.startswith("[sweep]") else line + "[sweep]\nvariable = rho\ngrid = 0.5\n"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("modes = closed_form\n" + text)
+    out = tmp_path / "out.csv"
+    assert main(["sweep", str(cfg), "-o", str(out)]) == 2
+    assert "error: grid point" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parse_log_spacing():

@@ -85,6 +85,36 @@ def test_quantile_edge_cases():
         power_quantile(d, 1.0)
     with pytest.raises(ValueError):
         power_quantile(d, -0.1)
+    with pytest.raises(ValueError):
+        power_quantile(d, math.nan)
+
+
+@pytest.mark.parametrize("m", [0.5, 2.5, 12.0])
+def test_quantile_matches_mpmath(m):
+    mpmath = pytest.importorskip("mpmath")
+    ps = [1e-300, 5e-320, 1e-100, 1e-30, 1e-8, 1e-3, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-12]
+    d = NakagamiPower(m, 0.8)
+    tiny = np.finfo(float).tiny
+    with mpmath.workdps(50):
+        mp_m, scale = mpmath.mpf(m), mpmath.mpf(d.mean_power) / m
+
+        def cdf(x):
+            return mpmath.gammainc(mp_m, 0, x / scale, regularized=True)
+
+        for p in ps:
+            x = power_quantile(d, p)
+            mp_p = mpmath.mpf(p)
+            if cdf(mpmath.mpf(tiny)) >= mp_p:
+                # The true quantile is not a normal double.
+                assert 0.0 <= x <= tiny
+                continue
+            # Newton on log F(x) = log p from the double result, in 50 digits.
+            t = mpmath.mpf(x)
+            for _ in range(4):
+                dens = (t / scale) ** (mp_m - 1) * mpmath.exp(-t / scale) / (
+                    scale * mpmath.gamma(mp_m))
+                t -= (mpmath.log(cdf(t)) - mpmath.log(mp_p)) * cdf(t) / dens
+            assert abs(x - t) <= 1e-12 * t
 
 
 def test_quantile_monotone():

@@ -6,23 +6,25 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from swiptrelay.copula import fgm_copula
-from swiptrelay.fading import NakagamiPower
+from swiptrelay.copula import copula_cdf, fgm_copula
+from swiptrelay.fading import NakagamiPower, power_cdf
 from swiptrelay.montecarlo import (
     McConfig,
     McEstimate,
     batch_stream,
+    sample_fgm_powers,
     sample_joint_powers,
     simulate_metrics,
     simulate_outage_survival_law,
 )
-from swiptrelay.product_dist import product_cdf_general
+from swiptrelay.product_dist import mean_snr_factor, product_cdf_general
 from swiptrelay.swipt_metrics import (
     OutageQuery,
     SwiptSystem,
     destination_snr_model,
     outage_probability,
 )
+from swiptrelay.validation import dkw_epsilon
 
 FIG8 = SwiptSystem(
     source_power=10.0,
@@ -76,6 +78,47 @@ def test_joint_powers_scalar_mode():
     g1, g2 = sample_joint_powers(fgm_copula(0.5), marg, marg, rng)
     assert isinstance(g1, float) and isinstance(g2, float)
     assert g1 >= 0.0 and g2 >= 0.0
+
+
+@pytest.mark.parametrize("m", [1.0, 2.5])
+@pytest.mark.parametrize("theta", [-1.0, 0.5, 1.0])
+def test_fgm_powers_follow_copula_and_margins(theta, m):
+    n = 200_000
+    marg = NakagamiPower(m, 1.3)
+    cop = fgm_copula(theta)
+    g1, g2 = sample_fgm_powers(cop, marg, batch_stream(53, 0), n)
+    u1, u2 = power_cdf(marg, g1), power_cdf(marg, g2)
+    for a in (0.2, 0.5, 0.8):
+        for b in (0.2, 0.5, 0.8):
+            c = copula_cdf(cop, a, b)
+            emp = np.mean((u1 <= a) & (u2 <= b))
+            assert abs(emp - c) < 4.0 * math.sqrt(c * (1.0 - c) / n)
+    # Each margin, mapped through its CDF, is uniform inside the 99% DKW band.
+    ranks = np.arange(1, n + 1) / n
+    for u in (u1, u2):
+        s = np.sort(u)
+        assert max(np.max(ranks - s), np.max(s - (ranks - 1.0 / n))) <= dkw_epsilon(n)
+
+
+@pytest.mark.parametrize("m, theta", [(1, 1.0), (3, -1.0)])
+def test_fgm_powers_product_mean(m, theta):
+    # m=1, theta=1: E[g1 g2] = 1.25; in general the closed mean_snr_factor.
+    n = 2_000_000
+    marg = NakagamiPower(float(m))
+    g1, g2 = sample_fgm_powers(fgm_copula(theta), marg, batch_stream(59, 0), n)
+    prod = g1 * g2
+    stderr = prod.std(ddof=1) / math.sqrt(n)
+    assert abs(prod.mean() - mean_snr_factor(m, theta)) < 4.0 * stderr
+
+
+def test_fgm_powers_agree_with_conditional_inversion():
+    n = 1_000_000
+    marg = NakagamiPower(2.5)
+    cop = fgm_copula(0.7)
+    a = np.multiply(*sample_fgm_powers(cop, marg, batch_stream(61, 0), n))
+    b = np.multiply(*sample_joint_powers(cop, marg, marg, batch_stream(61, 1), size=n))
+    combined = math.sqrt((a.var(ddof=1) + b.var(ddof=1)) / n)
+    assert abs(a.mean() - b.mean()) < 4.0 * combined
 
 
 def _physical_outage_quadrature(sys, threshold):
