@@ -2,14 +2,17 @@
 
 Subcommands:
 
-* ``sweep <config> -o <csv>``     run a sweep described by a config file
-* ``preset <name> -o <csv>``      run a built-in parameter sweep (fig3..fig10)
-* ``validate -o <csv>``           cross-validate closed forms; nonzero exit on FAIL
-* ``asymptotic <config> -o <csv>`` exact vs high-SNR forms over the config's grid
+* ``sweep <config> -o <csv>``      run a sweep described by a config file
+* ``preset <name> -o <csv>``       run a built-in parameter sweep (fig3..fig10)
+* ``asymptotic <config> -o <csv>`` ``sweep`` whose ``--modes`` default to quadrature,asymptotic
+* ``validate -o <csv>``            cross-validate closed forms; exit code 1 on FAIL
 
-Common flags ``--seed/--samples/--workers`` override the [mc] section,
-``--modes`` overrides the mode list and ``--emit-gnuplot`` writes a plot
-script next to the CSV.
+``--seed/--samples/--workers`` override the [mc] section of a sweep; for
+``validate``, ``--seed/--samples`` set its Monte-Carlo draw and ``--workers``
+is accepted but unused.  The sweep commands also take ``--modes``, which
+overrides the mode list, and ``--emit-gnuplot``, which writes a plot script
+next to the CSV.  Refused input (a bad config, override or ``validate``
+argument) prints ``error: ...``, writes no CSV and exits with code 2.
 """
 
 from __future__ import annotations
@@ -18,19 +21,18 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .montecarlo import McConfig
 from .sweep import gnuplot_sidecar, run_sweep, write_csv
-from .sweepcfg import MODES, PRESETS, ConfigError, SweepSpec, parse_config, preset_spec
+from .sweepcfg import (
+    MODES, PRESETS, ConfigError, SweepSpec, parse_config, parse_ms, parse_thetas, preset_spec,
+)
 from .validation import run_validation
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("-o", "--output", required=True, help="output CSV path")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed override (u64)")
-    p.add_argument("--samples", type=int, default=None, help="Monte-Carlo sample override")
-    p.add_argument("--workers", type=int, default=None, help="worker thread override")
-    p.add_argument("--modes", default=None, help="comma list drawn from " + ",".join(MODES))
-    p.add_argument("--emit-gnuplot", action="store_true", help="write a .gp sidecar")
+    p.add_argument("--seed", type=int, help="RNG seed override, in [0, 2**128)")
+    p.add_argument("--samples", type=int, help="Monte-Carlo sample override")
+    p.add_argument("--workers", type=int, help="worker thread override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,40 +41,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a sweep from a config file")
     p_sweep.add_argument("config", help="path to a key=value config file")
-    _add_common(p_sweep)
-
     p_preset = sub.add_parser("preset", help="run a built-in sweep")
     p_preset.add_argument("name", choices=PRESETS, help="preset name")
-    _add_common(p_preset)
-
-    p_val = sub.add_parser("validate", help="cross-validate closed forms")
-    _add_common(p_val)
-    p_val.add_argument("--grid-points", type=int, default=60,
-                       help="threshold grid size for the CDF sup-norm check")
-    p_val.add_argument("--m", default="1,2,3", help="comma list of shapes")
-    p_val.add_argument("--theta", default="-1,-0.5,0,0.5,1", help="comma list of dependence values")
-    p_val.add_argument("--inject-coefficient-error", action="store_true",
-                       help=argparse.SUPPRESS)
-
     p_asym = sub.add_parser("asymptotic", help="exact vs high-SNR forms over a config grid")
     p_asym.add_argument("config", help="path to a key=value config file")
-    _add_common(p_asym)
+    p_asym.set_defaults(modes="quadrature,asymptotic")
+    for p in (p_sweep, p_preset, p_asym):
+        _add_run_options(p)
+        p.add_argument("--modes", help="comma list drawn from " + ",".join(MODES))
+        p.add_argument("--emit-gnuplot", action="store_true", help="write a .gp sidecar")
+
+    # Arguments left out are left out of the run_validation call, so its
+    # signature holds the defaults.
+    p_val = sub.add_parser("validate", help="cross-validate closed forms",
+                           argument_default=argparse.SUPPRESS)
+    _add_run_options(p_val)
+    p_val.add_argument("--grid-points", type=int,
+                       help="threshold grid size for the CDF sup-norm check")
+    p_val.add_argument("--m", help="comma list of shapes")
+    p_val.add_argument("--theta", help="comma list of dependence values")
+    p_val.add_argument("--inject-coefficient-error", action="store_true",
+                       help=argparse.SUPPRESS)
     return parser
 
 
 def _apply_overrides(spec: SweepSpec, args: argparse.Namespace) -> SweepSpec:
-    mc = spec.mc
-    if args.samples is not None:
-        mc = McConfig(samples=args.samples,
-                      seed=mc.seed if args.seed is None else args.seed,
-                      workers=mc.workers if args.workers is None else args.workers,
-                      batch_size=min(mc.batch_size, args.samples))
-    elif args.seed is not None or args.workers is not None:
-        mc = McConfig(samples=mc.samples,
-                      seed=mc.seed if args.seed is None else args.seed,
-                      workers=mc.workers if args.workers is None else args.workers,
-                      batch_size=mc.batch_size)
-    spec = replace(spec, mc=mc)
+    mc = {key: getattr(args, key) for key in ("seed", "samples", "workers")
+          if getattr(args, key) is not None}
+    if "samples" in mc:
+        mc["batch_size"] = min(spec.mc.batch_size, mc["samples"])
+    try:
+        spec = replace(spec, mc=replace(spec.mc, **mc))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if args.modes is not None:
         spec = replace(spec, modes=tuple(v.strip() for v in args.modes.split(",")))
     return spec
@@ -93,41 +94,34 @@ def _finish(args: argparse.Namespace, spec: SweepSpec, rows) -> None:
     print(f"wrote {args.output} ({len(rows)} rows)")
 
 
+def _validate(args: argparse.Namespace) -> int:
+    given = vars(args)
+    kwargs = {key: given[key] for key in ("samples", "seed", "grid_points", "inject_coefficient_error")
+              if key in given}
+    if "m" in given:
+        kwargs["ms"] = parse_ms(given["m"])
+    if "theta" in given:
+        kwargs["thetas"] = parse_thetas(given["theta"])
+    report = run_validation(**kwargs)
+    for check in report.checks:
+        print(check.line())
+    write_csv(args.output, report.csv_rows())
+    print(f"wrote {args.output} ({len(report.checks)} checks)")
+    if not report.passed:
+        print("validation FAILED", file=sys.stderr)
+        return 1
+    print("validation passed")
+    return 0
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command in ("sweep", "preset", "asymptotic"):
-            if args.command == "preset":
-                spec = preset_spec(args.name)
-            else:
-                spec = _load_spec(args.config)
-            if args.command == "asymptotic":
-                modes = ("quadrature", "asymptotic") if args.modes is None else tuple(
-                    v.strip() for v in args.modes.split(","))
-                spec = replace(spec, modes=modes)
-            spec = _apply_overrides(spec, args)
-            _finish(args, spec, run_sweep(spec))
-            return 0
-
-        # validate
-        ms = tuple(int(v) for v in args.m.split(","))
-        thetas = tuple(float(v) for v in args.theta.split(","))
-        report = run_validation(
-            ms=ms,
-            thetas=thetas,
-            samples=args.samples if args.samples is not None else 1_000_000,
-            seed=args.seed if args.seed is not None else 12345,
-            grid_points=args.grid_points,
-            inject_coefficient_error=args.inject_coefficient_error,
-        )
-        for check in report.checks:
-            print(check.line())
-        write_csv(args.output, report.csv_rows())
-        print(f"wrote {args.output} ({len(report.checks)} checks)")
-        if not report.passed:
-            print("validation FAILED", file=sys.stderr)
-            return 1
-        print("validation passed")
+        if args.command == "validate":
+            return _validate(args)
+        spec = preset_spec(args.name) if args.command == "preset" else _load_spec(args.config)
+        spec = _apply_overrides(spec, args)
+        _finish(args, spec, run_sweep(spec))
         return 0
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,6 +35,8 @@ class McConfig:
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if not 0 <= self.seed < 2**128:  # the Philox key range
+            raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
         if self.batch_size is None:
             object.__setattr__(self, "batch_size", min(1_000_000, self.samples))
         if self.batch_size < 1 or self.batch_size > self.samples:

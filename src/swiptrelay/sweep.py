@@ -26,96 +26,75 @@ from .swipt_metrics import (
     outage_probability,
     outage_probability_quadrature,
 )
-from .montecarlo import simulate_metrics
-from .sweepcfg import CSV_HEADER, SweepSpec, fmt, resolve_point
-
-_MC_METRIC_NAMES = {
-    "cap_sr": "capacity_sr",
-    "cap_rd": "capacity_rd",
-    "cap_min": "capacity_min",
-    "outage": "outage",
-    "mean_snr_d": "mean_snr_d",
-}
+from .montecarlo import McEstimate, simulate_metrics
+from .sweepcfg import CSV_HEADER, SYSTEM_FIELDS, SweepSpec, fmt, resolve_point
 
 
-def _param_rows(var: str, value: float, sys: SwiptSystem, threshold) -> list[list[str]]:
+def _row(var: str, value: float, sys: SwiptSystem, mode: str, metric: str, estimate, seed: int) -> list[str]:
+    """One CSV row; an McEstimate fills the uncertainty columns, a float leaves them empty."""
+    head = [var, fmt(value), fmt(sys.theta), str(sys.fading_m), mode, metric]
+    if isinstance(estimate, McEstimate):
+        return head + [fmt(estimate.mean), fmt(estimate.stderr), fmt(estimate.ci95_low),
+                       fmt(estimate.ci95_high), str(seed), str(estimate.n)]
+    return head + [fmt(estimate) if estimate == estimate else "nan", "", "", "", "", ""]
+
+
+def _params(sys: SwiptSystem, threshold) -> dict[str, float]:
     scales = derive_snr_scales(sys)
-    params = {
-        "param.source_power": sys.source_power,
-        "param.noise_power": sys.noise_power,
-        "param.rho": sys.ps_factor,
-        "param.eh_efficiency": sys.eh_efficiency,
-        "param.dist_sr": sys.dist_sr,
-        "param.dist_rd": sys.dist_rd,
-        "param.pathloss_exp": sys.pathloss_exp,
-        "param.gamma_hat_r": scales.gamma_hat_r,
-        "param.gamma_hat_d": scales.gamma_hat_d,
-    }
+    params = {f"param.{key}": getattr(sys, field) for key, field in SYSTEM_FIELDS.items()}
+    params["param.gamma_hat_r"] = scales.gamma_hat_r
+    params["param.gamma_hat_d"] = scales.gamma_hat_d
     if threshold is not None:
         params["param.threshold"] = threshold
-    return [
-        [var, fmt(value), fmt(sys.theta), str(sys.fading_m), "params", name, fmt(v), "", "", "", "", ""]
-        for name, v in params.items()
-    ]
+    return params
 
 
-def _det_rows(var, value, sys, mode, metrics: dict) -> list[list[str]]:
-    return [
-        [var, fmt(value), fmt(sys.theta), str(sys.fading_m), mode, name,
-         fmt(est) if est == est else "nan", "", "", "", "", ""]
-        for name, est in metrics.items()
-    ]
-
-
-def _mode_rows(spec: SweepSpec, var, value, sys, threshold, mode) -> list[list[str]]:
+def _exact(sys: SwiptSystem, threshold, capacity_sr, capacity_rd, outage, mean_snr: bool) -> dict[str, float]:
+    """Closed-form and quadrature metrics; the two modes differ only in the functions passed."""
     scales = derive_snr_scales(sys)
     m, th = sys.fading_m, sys.theta
-    if mode == "closed_form":
-        c_sr = capacity_sr_meijer(scales.gamma_hat_r, m)
-        c_rd = capacity_rd_meijer(scales.gamma_hat_d, m, th)
-        metrics = {
-            "capacity_sr": c_sr,
-            "capacity_rd": c_rd,
-            "capacity_min": min(c_sr, c_rd),
-            "mean_snr_d": scales.gamma_hat_d * mean_snr_factor(m, th),
-        }
-        if threshold is not None:
-            metrics["outage"] = outage_probability(sys, OutageQuery(threshold))
-        return _det_rows(var, value, sys, mode, metrics)
-    if mode == "quadrature":
-        c_sr = ergodic_capacity_sr(scales.gamma_hat_r, m)
-        c_rd = ergodic_capacity_rd(scales.gamma_hat_d, m, th)
-        metrics = {
-            "capacity_sr": c_sr,
-            "capacity_rd": c_rd,
-            "capacity_min": min(c_sr, c_rd),
-        }
-        if threshold is not None:
-            metrics["outage"] = outage_probability_quadrature(sys, OutageQuery(threshold))
-        return _det_rows(var, value, sys, mode, metrics)
-    if mode == "asymptotic":
-        metrics = {"capacity_sr": asymptotic_capacity_sr(scales.gamma_hat_r, m)}
-        if threshold is not None:
-            try:
-                metrics["outage"] = asymptotic_outage(sys, OutageQuery(threshold))
-            except OutOfRegimeError:
-                metrics["outage"] = math.nan
-        return _det_rows(var, value, sys, mode, metrics)
-    if mode == "monte_carlo":
-        q = OutageQuery(threshold if threshold is not None else 1.0)
-        est = simulate_metrics(sys, q, spec.mc)
-        rows = []
-        for key, name in _MC_METRIC_NAMES.items():
-            if name == "outage" and threshold is None:
-                continue
-            e = est[key]
-            rows.append([
-                var, fmt(value), fmt(th), str(m), mode, name,
-                fmt(e.mean), fmt(e.stderr), fmt(e.ci95_low), fmt(e.ci95_high),
-                str(spec.mc.seed), str(e.n),
-            ])
-        return rows
-    raise ValueError(f"unknown mode {mode!r}")
+    c_sr = capacity_sr(scales.gamma_hat_r, m)
+    c_rd = capacity_rd(scales.gamma_hat_d, m, th)
+    metrics = {"capacity_sr": c_sr, "capacity_rd": c_rd, "capacity_min": min(c_sr, c_rd)}
+    if mean_snr:
+        metrics["mean_snr_d"] = scales.gamma_hat_d * mean_snr_factor(m, th)
+    if threshold is not None:
+        metrics["outage"] = outage(sys, OutageQuery(threshold))
+    return metrics
+
+
+def _asymptotic(spec: SweepSpec, sys: SwiptSystem, threshold) -> dict[str, float]:
+    metrics = {"capacity_sr": asymptotic_capacity_sr(derive_snr_scales(sys).gamma_hat_r, sys.fading_m)}
+    if threshold is not None:
+        try:
+            metrics["outage"] = asymptotic_outage(sys, OutageQuery(threshold))
+        except OutOfRegimeError:
+            metrics["outage"] = math.nan
+    return metrics
+
+
+def _monte_carlo(spec: SweepSpec, sys: SwiptSystem, threshold) -> dict[str, McEstimate]:
+    est = simulate_metrics(sys, OutageQuery(threshold if threshold is not None else 1.0), spec.mc)
+    metrics = {"capacity_sr": est["cap_sr"], "capacity_rd": est["cap_rd"], "capacity_min": est["cap_min"]}
+    if threshold is not None:
+        metrics["outage"] = est["outage"]
+    metrics["mean_snr_d"] = est["mean_snr_d"]
+    return metrics
+
+
+# Mode -> route(spec, system, threshold) giving the mode's ordered
+# {metric: estimate}.  The lambdas look the metric functions up in this
+# module when called, so a wrapper set on the module attribute sees the call.
+ROUTES = {
+    "closed_form": lambda spec, sys, threshold: _exact(
+        sys, threshold, capacity_sr_meijer, capacity_rd_meijer, outage_probability,
+        mean_snr=True),
+    "quadrature": lambda spec, sys, threshold: _exact(
+        sys, threshold, ergodic_capacity_sr, ergodic_capacity_rd, outage_probability_quadrature,
+        mean_snr=False),
+    "monte_carlo": _monte_carlo,
+    "asymptotic": _asymptotic,
+}
 
 
 def run_sweep(spec: SweepSpec) -> list[list[str]]:
@@ -127,9 +106,10 @@ def run_sweep(spec: SweepSpec) -> list[list[str]]:
         for th in thetas:
             for m in ms:
                 sys, threshold = resolve_point(spec, value, th, m)
-                rows.extend(_param_rows(spec.variable, value, sys, threshold))
-                for mode in spec.modes:
-                    rows.extend(_mode_rows(spec, spec.variable, value, sys, threshold, mode))
+                blocks = [("params", _params(sys, threshold))]
+                blocks += [(mode, ROUTES[mode](spec, sys, threshold)) for mode in spec.modes]
+                rows.extend(_row(spec.variable, value, sys, mode, metric, est, spec.mc.seed)
+                            for mode, metrics in blocks for metric, est in metrics.items())
     return rows
 
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .montecarlo import McConfig
-from .swipt_metrics import SwiptSystem, derive_snr_scales
+from .swipt_metrics import BASELINE, SwiptSystem, derive_snr_scales
 
 
 class ConfigError(ValueError):
@@ -67,16 +67,17 @@ def fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-_SYSTEM_KEYS = {
-    "source_power": float,
-    "noise_power": float,
-    "rho": float,
-    "eh_efficiency": float,
-    "dist_sr": float,
-    "dist_rd": float,
-    "pathloss_exp": float,
+# Config key (and sweep variable) -> SwiptSystem field, in the CSV's param.* order.
+SYSTEM_FIELDS = {
+    "source_power": "source_power",
+    "noise_power": "noise_power",
+    "rho": "ps_factor",
+    "eh_efficiency": "eh_efficiency",
+    "dist_sr": "dist_sr",
+    "dist_rd": "dist_rd",
+    "pathloss_exp": "pathloss_exp",
 }
-_TOP_KEYS = set(_SYSTEM_KEYS) | {"m", "theta", "threshold", "threshold_db", "modes", "noise_power_db", "name"}
+_TOP_KEYS = set(SYSTEM_FIELDS) | {"m", "theta", "threshold", "threshold_db", "modes", "noise_power_db", "name"}
 _SWEEP_KEYS = {"variable", "start", "stop", "count", "spacing", "grid", "rd_total"}
 _MC_KEYS = {"samples", "seed", "workers", "batch_size"}
 
@@ -126,6 +127,31 @@ def _floats(value: str) -> tuple[float, ...]:
         raise ConfigError(f"bad numeric list {value!r}") from exc
 
 
+def _system(base: SwiptSystem, **fields) -> SwiptSystem:
+    """``replace(base, **fields)``, with SwiptSystem's domain errors as ConfigError."""
+    try:
+        return replace(base, **fields)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def parse_ms(value: str) -> tuple[int, ...]:
+    """A comma list of fading shapes, each an integer >= 1."""
+    ms = _floats(value)
+    for v in ms:
+        if not v.is_integer() or v < 1:
+            raise ConfigError(f"m must be an integer >= 1, got {v!r}")
+    return tuple(int(v) for v in ms)
+
+
+def parse_thetas(value: str) -> tuple[float, ...]:
+    """A comma list of FGM dependence values, each in SwiptSystem's range."""
+    thetas = _floats(value)
+    for theta in thetas:
+        _system(BASELINE, theta=theta)
+    return thetas
+
+
 def parse_config(text: str) -> SweepSpec:
     """Parse a sweep config; raises ConfigError with a line-numbered message."""
     sections = _parse_sections(text)
@@ -149,35 +175,16 @@ def parse_config(text: str) -> SweepSpec:
     if "noise_power" in top and "noise_power_db" in top:
         raise ConfigError("give either 'noise_power' or 'noise_power_db', not both")
 
-    sys_kwargs = {
-        "source_power": 10.0,
-        "noise_power": 1e-2,
-        "ps_factor": 0.3,
-        "eh_efficiency": 0.7,
-        "dist_sr": 2.0,
-        "dist_rd": 2.0,
-        "pathloss_exp": 2.5,
-    }
-    for key, conv in _SYSTEM_KEYS.items():
-        if key in top:
-            target = "ps_factor" if key == "rho" else key
-            sys_kwargs[target] = _number(key, top[key], conv)
+    fields = {field: _number(key, top[key]) for key, field in SYSTEM_FIELDS.items() if key in top}
     if "noise_power_db" in top:
-        sys_kwargs["noise_power"] = _db_to_linear("noise_power_db", _number("noise_power_db", top["noise_power_db"]))
-    for key, value in sys_kwargs.items():
+        fields["noise_power"] = _db_to_linear("noise_power_db", _number("noise_power_db", top["noise_power_db"]))
+    for field, value in fields.items():
         if not math.isfinite(value):
-            raise ConfigError(f"{key} must be finite, got {value!r}")
+            raise ConfigError(f"{field} must be finite, got {value!r}")
 
-    ms = _floats(top.get("m", "1"))
-    for v in ms:
-        if not v.is_integer() or v < 1:
-            raise ConfigError(f"m must be an integer >= 1, got {v!r}")
-    ms = tuple(int(v) for v in ms)
-    thetas = _floats(top.get("theta", "0"))
-    try:
-        base = SwiptSystem(fading_m=ms[0], theta=thetas[0], **sys_kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    ms = parse_ms(top.get("m", "1"))
+    thetas = parse_thetas(top.get("theta", "0"))
+    base = _system(BASELINE, fading_m=ms[0], theta=thetas[0], **fields)
 
     threshold = None
     if "threshold" in top:
@@ -210,9 +217,10 @@ def parse_config(text: str) -> SweepSpec:
         else:
             raise ConfigError(f"spacing must be linear or log, got {spacing!r}")
 
-    mc_ints = {key: _number(key, mc_sec.get(key, default), int) for key, default in (
-        ("samples", "1000000"), ("seed", "12345"), ("workers", "1"), ("batch_size", "1000000"))}
-    mc_ints["batch_size"] = min(mc_ints["batch_size"], mc_ints["samples"])
+    mc_ints = {key: _number(key, value, int) for key, value in mc_sec.items()}
+    mc_ints.setdefault("samples", 1_000_000)
+    if "batch_size" in mc_ints:
+        mc_ints["batch_size"] = min(mc_ints["batch_size"], mc_ints["samples"])
     try:
         mc = McConfig(**mc_ints)
     except ValueError as exc:
@@ -236,20 +244,37 @@ def parse_config(text: str) -> SweepSpec:
     return spec
 
 
+def _system_fields(spec: SweepSpec, value: float) -> dict[str, float]:
+    """The SwiptSystem fields a grid value sets; rd_total makes dist_sr move dist_rd too."""
+    if spec.variable not in SYSTEM_FIELDS:
+        return {}
+    fields = {SYSTEM_FIELDS[spec.variable]: value}
+    if spec.rd_total is not None:
+        fields["dist_rd"] = spec.rd_total - value
+    return fields
+
+
+def _inside(spec: SweepSpec, value: float) -> bool:
+    """Finite, and inside SwiptSystem's domain or, for a direct SNR scale, positive."""
+    if not math.isfinite(value):
+        return False
+    if spec.variable in ("gamma_hat_r", "gamma_hat_d"):
+        return value > 0
+    if spec.variable == "m":
+        fields = {"fading_m": value}
+    elif spec.variable == "theta":
+        fields = {"theta": value}
+    else:
+        fields = _system_fields(spec, value)
+    try:
+        replace(spec.base, **fields)
+    except ValueError:
+        return False
+    return True
+
+
 def _validate_grid(spec: SweepSpec) -> None:
-    checks = {
-        "rho": lambda v: 0.0 < v < 1.0,
-        "source_power": lambda v: v > 0,
-        "eh_efficiency": lambda v: 0.0 < v <= 1.0,
-        "noise_power": lambda v: v > 0,
-        "dist_sr": lambda v: v > 0 and (spec.rd_total is None or spec.rd_total - v > 0),
-        "gamma_hat_d": lambda v: v > 0,
-        "gamma_hat_r": lambda v: v > 0,
-        "threshold_db": lambda v: True,
-        "theta": lambda v: -1.0 <= v <= 1.0,
-        "m": lambda v: v >= 1 and v == int(v),
-    }
-    bad = [v for v in spec.grid if not (math.isfinite(v) and checks[spec.variable](v))]
+    bad = [v for v in spec.grid if not _inside(spec, v)]
     if bad:
         raise ConfigError(f"grid values {bad} outside the domain of {spec.variable!r}")
 
@@ -257,32 +282,18 @@ def _validate_grid(spec: SweepSpec) -> None:
 def resolve_point(spec: SweepSpec, value: float, theta: float, m: int):
     """System and linear threshold (or None) for one grid point.
 
-    The direct-scale sweeps (gamma_hat_r, gamma_hat_d) bypass the physical
+    A theta or m sweep passes its grid value as ``theta`` or ``m``.  The
+    direct-scale sweeps (gamma_hat_r, gamma_hat_d) bypass the physical
     parameterization: the hop distances are re-solved so that the swept
     scale takes the grid value and the other keeps its baseline value.  A
     point whose derived SNR scales are not finite and positive is refused.
     """
-    sys = replace(spec.base, fading_m=m, theta=theta)
+    sys = replace(spec.base, fading_m=m, theta=theta, **_system_fields(spec, value))
     threshold = spec.threshold
     v = spec.variable
     point = f"grid point {v} = {fmt(value)} (theta = {fmt(theta)}, m = {m})"
-    if v == "rho":
-        sys = replace(sys, ps_factor=value)
-    elif v == "source_power":
-        sys = replace(sys, source_power=value)
-    elif v == "eh_efficiency":
-        sys = replace(sys, eh_efficiency=value)
-    elif v == "noise_power":
-        sys = replace(sys, noise_power=value)
-    elif v == "dist_sr":
-        rd = spec.rd_total - value if spec.rd_total is not None else sys.dist_rd
-        sys = replace(sys, dist_sr=value, dist_rd=rd)
-    elif v == "threshold_db":
+    if v == "threshold_db":
         threshold = _db_to_linear(f"{point}: threshold_db", value)
-    elif v == "theta":
-        sys = replace(sys, theta=value)
-    elif v == "m":
-        sys = replace(sys, fading_m=int(value))
     try:
         if v in ("gamma_hat_r", "gamma_hat_d"):
             sys = _retarget_scale(sys, v, value)

@@ -62,6 +62,19 @@ class SwiptSystem:
             raise ValueError(f"theta must lie in [-1, 1], got {self.theta}")
 
 
+# The reference operating point: config files start from it, ``validate``
+# runs its (m, theta) matrix on it and the tests build their cases from it.
+BASELINE = SwiptSystem(
+    source_power=10.0,
+    noise_power=1e-2,
+    ps_factor=0.3,
+    eh_efficiency=0.7,
+    dist_sr=2.0,
+    dist_rd=2.0,
+    pathloss_exp=2.5,
+)
+
+
 @dataclass(frozen=True)
 class DerivedSnrScales:
     """Deterministic SNR scale factors at relay and destination."""

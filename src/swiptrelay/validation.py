@@ -17,7 +17,7 @@ must make the harness fail; it exists as a negative control.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from .fading import NakagamiPower
 from .montecarlo import McConfig, batch_stream, sample_joint_powers, simulate_outage_survival_law
 from .product_dist import closed_form_model, product_cdf_general, snr_cdf_closed
 from .swipt_metrics import (
+    BASELINE,
     OutageQuery,
-    SwiptSystem,
     adjudicate_closed_forms,
     derive_snr_scales,
     ergodic_capacity_rd,
@@ -35,22 +35,11 @@ from .swipt_metrics import (
     outage_probability,
     outage_probability_quadrature,
 )
-from .sweepcfg import fmt
+from .sweepcfg import ConfigError, fmt
 
 SUPNORM_TOL = 1e-6
 QUAD_OUTAGE_TOL = 1e-9
 DKW_CONFIDENCE = 0.99
-
-_BASE_SYSTEM = SwiptSystem(
-    source_power=10.0,
-    noise_power=1e-2,
-    ps_factor=0.3,
-    eh_efficiency=0.7,
-    dist_sr=2.0,
-    dist_rd=2.0,
-    pathloss_exp=2.5,
-)
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -99,28 +88,24 @@ def run_validation(
     ms=(1, 2, 3),
     thetas=(-1.0, -0.5, 0.0, 0.5, 1.0),
     samples: int = 1_000_000,
-    seed: int = 12345,
+    seed: int = McConfig.seed,
     grid_points: int = 60,
     threshold: float = 1.0,
     inject_coefficient_error: bool = False,
 ) -> ValidationReport:
+    try:
+        cfg = McConfig(samples=samples, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if grid_points < 1:
+        raise ConfigError(f"grid_points must be >= 1, got {grid_points}")
     report = ValidationReport()
     err_factor = 1.0 + 1e-3 if inject_coefficient_error else 1.0
 
     for m in ms:
         for theta in thetas:
             cell = f"m={m},theta={fmt(theta)}"
-            sys = SwiptSystem(
-                source_power=_BASE_SYSTEM.source_power,
-                noise_power=_BASE_SYSTEM.noise_power,
-                ps_factor=_BASE_SYSTEM.ps_factor,
-                eh_efficiency=_BASE_SYSTEM.eh_efficiency,
-                dist_sr=_BASE_SYSTEM.dist_sr,
-                dist_rd=_BASE_SYSTEM.dist_rd,
-                pathloss_exp=_BASE_SYSTEM.pathloss_exp,
-                fading_m=m,
-                theta=theta,
-            )
+            sys = replace(BASELINE, fading_m=m, theta=theta)
             scales = derive_snr_scales(sys)
             cop = fgm_copula(theta)
             model = closed_form_model(scales.gamma_hat_d, m, cop)
@@ -161,7 +146,6 @@ def run_validation(
             p_quad = outage_probability_quadrature(sys, q)
             report.add(cell, "outage_closed_vs_quadrature",
                        p_closed - p_quad, QUAD_OUTAGE_TOL)
-            cfg = McConfig(samples=samples, seed=seed, batch_size=min(samples, 1_000_000))
             mc = simulate_outage_survival_law(
                 sys, q, cfg, product_cdf_general(model, q.threshold)
             )
@@ -171,7 +155,7 @@ def run_validation(
 
     # Convention adjudication of the two ambiguous closed forms, reported
     # once at the baseline scales.
-    scales = derive_snr_scales(_BASE_SYSTEM)
+    scales = derive_snr_scales(BASELINE)
     for m in ms:
         adj = adjudicate_closed_forms(scales.gamma_hat_r, scales.gamma_hat_d, m, 0.5)
         cell = f"adjudication,m={m}"

@@ -33,8 +33,8 @@ from swiptrelay.product_dist import (
     snr_cdf_closed,
 )
 from swiptrelay.swipt_metrics import (
+    BASELINE as BASE,
     OutageQuery,
-    SwiptSystem,
     adjudicate_closed_forms,
     asymptotic_capacity_sr,
     asymptotic_outage,
@@ -51,15 +51,6 @@ from swiptrelay.validation import dkw_epsilon, run_validation
 
 THETAS5 = (-1.0, -0.5, 0.0, 0.5, 1.0)
 
-BASE = SwiptSystem(
-    source_power=10.0,
-    noise_power=1e-2,
-    ps_factor=0.3,
-    eh_efficiency=0.7,
-    dist_sr=2.0,
-    dist_rd=2.0,
-    pathloss_exp=2.5,
-)
 FIG8 = replace(BASE, noise_power=1e-3)
 
 

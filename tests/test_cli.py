@@ -5,8 +5,10 @@ import math
 import pytest
 
 from swiptrelay.cli import main
+from swiptrelay.sweep import ROUTES
 from swiptrelay.sweepcfg import (
     CSV_HEADER,
+    MODES,
     ConfigError,
     PRESETS,
     parse_config,
@@ -87,6 +89,8 @@ def test_parse_config_errors():
         ("[sweep]\nvariable = rho\nstart = 0.1\nstop = 0.9\ncount = two\n", "count must be an integer"),
         ("[sweep]\nvariable = rho\ngrid = 0.5\n[mc]\nsamples = 1e6\n", "samples must be an integer"),
         ("[sweep]\nvariable = rho\ngrid = 0.5\n[mc]\nsamples = 0\n", "samples must be >= 1"),
+        ("[sweep]\nvariable = rho\ngrid = 0.5\n[mc]\nseed = -1\n", "seed must lie in"),
+        ("theta = 0,2\n[sweep]\nvariable = rho\ngrid = 0.5\n", "theta must lie in"),
     ):
         with pytest.raises(ConfigError, match=message):
             parse_config(bad)
@@ -109,6 +113,39 @@ def test_degenerate_grid_point_exits_2(tmp_path, capsys, line):
     assert main(["sweep", str(cfg), "-o", str(out)]) == 2
     assert "error: grid point" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "{cfg}", "--seed", "-1"],
+    ["sweep", "{cfg}", "--seed", str(2**128)],
+    ["preset", "fig8", "--samples", "0"],
+    ["asymptotic", "{cfg}", "--workers", "0"],
+    ["validate", "--m", "1.5"],
+    ["validate", "--m", "x"],
+    ["validate", "--theta", "2"],
+    ["validate", "--samples", "0"],
+    ["validate", "--grid-points", "0"],
+    ["validate", "--seed", "-1"],
+])
+def test_refused_argument_exits_2(tmp_path, capsys, args):
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text("modes = closed_form\n[sweep]\nvariable = rho\ngrid = 0.5\n")
+    out = tmp_path / "out.csv"
+    argv = [a.replace("{cfg}", str(cfg)) for a in args] + ["-o", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_validate_refuses_sweep_only_flags(tmp_path):
+    for flag in (["--modes", "closed_form"], ["--emit-gnuplot"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "-o", str(tmp_path / "v.csv")] + flag)
+        assert exc.value.code == 2
+
+
+def test_routes_cover_every_mode():
+    assert tuple(ROUTES) == MODES
 
 
 def test_parse_log_spacing():
@@ -204,6 +241,10 @@ def test_asymptotic_command(tmp_path):
     lines = _read(out)
     assert any(",asymptotic,capacity_sr," in l for l in lines)
     assert any(",quadrature,capacity_sr," in l for l in lines)
+    # asymptotic is sweep with its own default modes.
+    as_sweep = tmp_path / "sweep.csv"
+    assert main(["sweep", str(cfg), "-o", str(as_sweep), "--modes", "quadrature,asymptotic"]) == 0
+    assert as_sweep.read_bytes() == out.read_bytes()
 
 
 def test_validate_pass_and_negative_control(tmp_path):

@@ -19,22 +19,14 @@ from swiptrelay.montecarlo import (
 )
 from swiptrelay.product_dist import mean_snr_factor, product_cdf_general
 from swiptrelay.swipt_metrics import (
+    BASELINE,
     OutageQuery,
-    SwiptSystem,
     destination_snr_model,
     outage_probability,
 )
 from swiptrelay.validation import dkw_epsilon
 
-FIG8 = SwiptSystem(
-    source_power=10.0,
-    noise_power=1e-3,
-    ps_factor=0.3,
-    eh_efficiency=0.7,
-    dist_sr=2.0,
-    dist_rd=2.0,
-    pathloss_exp=2.5,
-)
+FIG8 = replace(BASELINE, noise_power=1e-3)
 
 
 def test_config_validation():
@@ -44,6 +36,10 @@ def test_config_validation():
         McConfig(samples=10, batch_size=11)
     with pytest.raises(ValueError):
         McConfig(samples=10, workers=0)
+    for seed in (-1, 2**128):
+        with pytest.raises(ValueError, match="seed"):
+            McConfig(samples=10, seed=seed)
+    assert McConfig(samples=10, seed=0).seed == 0
 
 
 def test_estimate_from_moments():

@@ -13,8 +13,8 @@ from swiptrelay.fading import NakagamiPower
 from swiptrelay.product_dist import snr_survival_closed
 from swiptrelay.swipt_metrics import (
     OutOfRegimeError,
+    BASELINE as BASE,
     OutageQuery,
-    SwiptSystem,
     adjudicate_closed_forms,
     asymptotic_capacity_sr,
     asymptotic_outage,
@@ -30,15 +30,6 @@ from swiptrelay.swipt_metrics import (
     relay_snr_cdf,
 )
 
-BASE = SwiptSystem(
-    source_power=10.0,
-    noise_power=1e-2,
-    ps_factor=0.3,
-    eh_efficiency=0.7,
-    dist_sr=2.0,
-    dist_rd=2.0,
-    pathloss_exp=2.5,
-)
 
 FIG8 = replace(BASE, noise_power=1e-3)
 
