@@ -1,4 +1,4 @@
-"""Bivariate copula models: product (independence) and FGM.
+"""The Farlie-Gumbel-Morgenstern (FGM) copula; theta = 0 is independence.
 
 All evaluation functions accept scalars or numpy arrays and are pure.
 Sampling uses conditional inversion with an explicit generator passed by
@@ -8,42 +8,28 @@ the caller; the module never owns random state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 
-class CopulaFamily(Enum):
-    PRODUCT = "product"
-    FGM = "fgm"
-
-
 @dataclass(frozen=True)
 class CopulaModel:
-    """Dependence structure on the unit square.
+    """FGM copula on the unit square with dependence ``theta`` in [-1, 1]."""
 
-    ``theta`` is the FGM dependence parameter in [-1, 1]; the product family
-    ignores it (and behaves identically to FGM with theta = 0).
-    """
-
-    family: CopulaFamily = CopulaFamily.FGM
     theta: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.family is CopulaFamily.FGM and not -1.0 <= self.theta <= 1.0:
+        if not -1.0 <= self.theta <= 1.0:
             raise ValueError(f"FGM theta must lie in [-1, 1], got {self.theta}")
-
-    @property
-    def effective_theta(self) -> float:
-        return 0.0 if self.family is CopulaFamily.PRODUCT else self.theta
 
 
 def product_copula() -> CopulaModel:
-    return CopulaModel(CopulaFamily.PRODUCT, 0.0)
+    """Independence: the FGM copula at theta = 0."""
+    return CopulaModel(0.0)
 
 
 def fgm_copula(theta: float) -> CopulaModel:
-    return CopulaModel(CopulaFamily.FGM, theta)
+    return CopulaModel(theta)
 
 
 def _check_unit(name, u) -> np.ndarray:
@@ -64,7 +50,7 @@ def copula_cdf(c: CopulaModel, u1, u2):
     """C(u1, u2) = u1 u2 (1 + theta (1-u1)(1-u2))."""
     u1 = _check_unit("u1", u1)
     u2 = _check_unit("u2", u2)
-    th = c.effective_theta
+    th = c.theta
     out = u1 * u2 * (1.0 + th * (1.0 - u1) * (1.0 - u2))
     return out if out.ndim else float(out)
 
@@ -73,7 +59,7 @@ def copula_density(c: CopulaModel, u1, u2):
     """Mixed partial of the copula: 1 + theta (1-2u1)(1-2u2)."""
     u1 = _check_unit("u1", u1)
     u2 = _check_unit("u2", u2)
-    th = c.effective_theta
+    th = c.theta
     out = 1.0 + th * (1.0 - 2.0 * u1) * (1.0 - 2.0 * u2)
     return out if out.ndim else float(out)
 
@@ -82,7 +68,7 @@ def conditional_cdf(c: CopulaModel, u2, u1):
     """dC/du1 at (u1, u2), i.e. P(U2 <= u2 | U1 = u1)."""
     u1 = _check_open_unit("u1", u1)
     u2 = _check_unit("u2", u2)
-    th = c.effective_theta
+    th = c.theta
     out = u2 * (1.0 + th * (1.0 - 2.0 * u1) * (1.0 - u2))
     return out if out.ndim else float(out)
 
@@ -95,7 +81,7 @@ def conditional_quantile(c: CopulaModel, t, u1):
     """
     u1 = _check_open_unit("u1", u1)
     t = _check_unit("t", t)
-    a = c.effective_theta * (1.0 - 2.0 * u1)
+    a = c.theta * (1.0 - 2.0 * u1)
     one_plus_a = 1.0 + a
     disc = np.sqrt(one_plus_a * one_plus_a - 4.0 * a * t)
     denom = one_plus_a + disc
@@ -112,18 +98,13 @@ def survival_copula_cdf(c: CopulaModel, u1, u2):
     return out if out.ndim else float(out)
 
 
-def sample_pair(c: CopulaModel, rng: np.random.Generator, size: int | None = None):
-    """Draw (u1, u2) with joint CDF ``copula_cdf`` by conditional inversion.
+def sample_pair(c: CopulaModel, rng: np.random.Generator, size: int):
+    """Draw two arrays (u1, u2) of length ``size`` with joint CDF ``copula_cdf``.
 
-    ``size=None`` gives a scalar pair; otherwise two arrays of length size.
-    Uniform draws are taken from the open interval to keep the conditional
-    operations within their domain.
+    Conditional inversion; uniform draws are taken from the open interval to
+    keep the conditional operations within their domain.
     """
-    n = 1 if size is None else size
-    u = rng.random((2, n))
+    u = rng.random((2, size))
     u1 = np.nextafter(u[0], 1.0)  # map 0.0 into (0, 1)
-    t = u[1]
-    u2 = conditional_quantile(c, t, u1)
-    if size is None:
-        return float(u1[0]), float(np.asarray(u2).reshape(-1)[0])
+    u2 = conditional_quantile(c, u[1], u1)
     return u1, np.asarray(u2)

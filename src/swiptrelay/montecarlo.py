@@ -5,11 +5,13 @@ statistics of Gamma draws (``sample_fgm_powers``), with no quantile
 inversion; ``sample_joint_powers`` keeps the copula conditional-inversion
 route as an independent oracle for the tests and ``validate``.
 
-Randomness comes from counter-based Philox streams: batch i draws from
-``Philox(key=seed).jumped(i)``, so sub-streams are provably non-overlapping
-and the estimates are bit-identical for a fixed (seed, samples, batch size)
-regardless of how many workers process the batches.  Batch moments are
-merged in batch order with Chan/Welford combination.
+Both estimators, ``simulate_metrics`` and ``simulate_outage_survival_law``,
+run on one batch engine.  Randomness comes from counter-based Philox
+streams: batch i draws from ``Philox(key=seed).jumped(i)``, so sub-streams
+are provably non-overlapping and the estimates are bit-identical for a fixed
+(seed, samples, batch size) regardless of how many workers process the
+batches.  Batch moments are merged in batch order with Chan/Welford
+combination.
 """
 
 from __future__ import annotations
@@ -81,20 +83,44 @@ def _batch_moments(x: np.ndarray) -> tuple[int, float, float]:
     return x.size, mean, m2
 
 
+def _estimate(cfg: McConfig, draw) -> dict[str, McEstimate]:
+    """Mean estimates of the named arrays ``draw(rng, n)`` returns per batch.
+
+    Batch i draws its n = min(batch_size, samples left) values from
+    ``batch_stream(cfg.seed, i)``; batches run on ``cfg.workers`` threads and
+    their moments merge strictly in batch order.
+    """
+    n_batches = (cfg.samples + cfg.batch_size - 1) // cfg.batch_size
+
+    def run_batch(i: int) -> dict[str, tuple[int, float, float]]:
+        n_b = min(cfg.batch_size, cfg.samples - i * cfg.batch_size)
+        return {k: _batch_moments(v) for k, v in draw(batch_stream(cfg.seed, i), n_b).items()}
+
+    if cfg.workers == 1:
+        results = [run_batch(i) for i in range(n_batches)]
+    else:
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            results = list(pool.map(run_batch, range(n_batches)))
+
+    out: dict[str, McEstimate] = {}
+    for key in results[0]:
+        acc = (0, 0.0, 0.0)
+        for res in results:
+            acc = _combine(acc, *res[key])
+        out[key] = McEstimate.from_moments(*acc)
+    return out
+
+
 def sample_joint_powers(
     copula: CopulaModel,
     m1: NakagamiPower,
     m2: NakagamiPower,
     rng: np.random.Generator,
-    size: int | None = None,
+    size: int,
 ):
-    """Dependent fading-power pair by copula conditional inversion."""
-    u1, u2 = sample_pair(copula, rng, size=1 if size is None else size)
-    g1 = power_quantile(m1, np.asarray(u1))
-    g2 = power_quantile(m2, np.asarray(u2))
-    if size is None:
-        return float(g1[0]), float(g2[0])
-    return g1, g2
+    """Dependent fading-power arrays of length ``size`` by copula conditional inversion."""
+    u1, u2 = sample_pair(copula, rng, size=size)
+    return power_quantile(m1, u1), power_quantile(m2, u2)
 
 
 def sample_fgm_powers(
@@ -115,7 +141,7 @@ def sample_fgm_powers(
     g = rng.gamma(marg.m, marg.mean_power / marg.m, size=(4, size))
     u = rng.random((2, size))
     take_max1 = u[0] < 0.5
-    take_max2 = take_max1 == (u[1] < 0.5 * (1.0 + copula.effective_theta))
+    take_max2 = take_max1 == (u[1] < 0.5 * (1.0 + copula.theta))
     # Picking the first draw exactly when "take the max" agrees with "the
     # first draw is the larger" selects the wanted order statistic.
     g1 = np.where(take_max1 == (g[0] > g[1]), g[0], g[1])
@@ -123,55 +149,35 @@ def sample_fgm_powers(
     return g1, g2
 
 
-_METRICS = ("cap_sr", "cap_rd", "cap_min", "outage", "mean_snr_d")
-
-
 def simulate_metrics(sys: SwiptSystem, q: OutageQuery, cfg: McConfig) -> dict[str, McEstimate]:
     """Estimate capacities, outage and mean destination SNR from joint draws.
 
-    Each batch draws its fading-power pairs with ``sample_fgm_powers`` from
-    its own Philox sub-stream.  Per draw: gamma_r = ghat_r * g_sr and
-    gamma_d = ghat_d * g_sr * g_rd share the same g_sr draw, the dependence
-    the physical model induces between the hops.  Note the analytic outage
-    composes the two marginals through the FGM survival copula instead; the
-    gap between the two joint laws is a reported finding, not an estimator
-    defect.
+    Each batch draws its fading-power pairs with ``sample_fgm_powers``.  Per
+    draw: gamma_r = ghat_r * g_sr and gamma_d = ghat_d * g_sr * g_rd share
+    the same g_sr draw, the dependence the physical model induces between
+    the hops.  Note the analytic outage composes the two marginals through
+    the FGM survival copula instead; the gap between the two joint laws is a
+    reported finding, not an estimator defect.
     """
     scales = derive_snr_scales(sys)
     marg = NakagamiPower(float(sys.fading_m), 1.0)
     cop = fgm_copula(sys.theta)
-    n_batches = (cfg.samples + cfg.batch_size - 1) // cfg.batch_size
 
-    def run_batch(i: int) -> dict[str, tuple[int, float, float]]:
-        n_b = min(cfg.batch_size, cfg.samples - i * cfg.batch_size)
-        rng = batch_stream(cfg.seed, i)
-        g_sr, g_rd = sample_fgm_powers(cop, marg, rng, n_b)
+    def draw(rng: np.random.Generator, n: int) -> dict[str, np.ndarray]:
+        g_sr, g_rd = sample_fgm_powers(cop, marg, rng, n)
         gamma_r = scales.gamma_hat_r * g_sr
         gamma_d = scales.gamma_hat_d * g_sr * g_rd
         cap_sr = 0.5 * np.log2(1.0 + gamma_r)
         cap_rd = 0.5 * np.log2(1.0 + gamma_d)
-        vals = {
+        return {
             "cap_sr": cap_sr,
             "cap_rd": cap_rd,
             "cap_min": np.minimum(cap_sr, cap_rd),
             "outage": (np.minimum(gamma_r, gamma_d) <= q.threshold).astype(float),
             "mean_snr_d": gamma_d,
         }
-        return {k: _batch_moments(v) for k, v in vals.items()}
 
-    if cfg.workers == 1:
-        results = [run_batch(i) for i in range(n_batches)]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(run_batch, range(n_batches)))
-
-    out: dict[str, McEstimate] = {}
-    for key in _METRICS:
-        acc = (0, 0.0, 0.0)
-        for res in results:  # merge strictly in batch order
-            acc = _combine(acc, *res[key])
-        out[key] = McEstimate.from_moments(*acc)
-    return out
+    return _estimate(cfg, draw)
 
 
 def simulate_outage_survival_law(
@@ -191,12 +197,9 @@ def simulate_outage_survival_law(
     u_r = relay_snr_cdf(scales.gamma_hat_r, sys.fading_m, q.threshold)
     u_d = destination_cdf_at_threshold
     cop = fgm_copula(sys.theta)
-    n_batches = (cfg.samples + cfg.batch_size - 1) // cfg.batch_size
-    acc = (0, 0.0, 0.0)
-    for i in range(n_batches):
-        n_b = min(cfg.batch_size, cfg.samples - i * cfg.batch_size)
-        rng = batch_stream(cfg.seed, i)
-        v1, v2 = sample_pair(cop, rng, size=n_b)
-        hit = ((v1 <= u_r) | (v2 <= u_d)).astype(float)
-        acc = _combine(acc, *_batch_moments(hit))
-    return McEstimate.from_moments(*acc)
+
+    def draw(rng: np.random.Generator, n: int) -> dict[str, np.ndarray]:
+        v1, v2 = sample_pair(cop, rng, size=n)
+        return {"outage": ((v1 <= u_r) | (v2 <= u_d)).astype(float)}
+
+    return _estimate(cfg, draw)["outage"]

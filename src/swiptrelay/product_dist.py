@@ -3,7 +3,7 @@
 Two routes are provided and cross-checked against each other:
 
 * ``product_cdf_general`` — numerical integral of the copula-weighted
-  product CDF; valid for any copula and any shape m >= 0.5.
+  product CDF; valid for any FGM theta and any shape m >= 0.5.
 * ``snr_cdf_closed`` / ``snr_pdf_closed`` — Bessel-K closed forms for the
   FGM copula with a common integer shape m and unit mean powers.
 
@@ -133,11 +133,11 @@ def closed_form_coefficients(m: int, snr_scale: float) -> ClosedFormCoefficients
     return ClosedFormCoefficients.build(m, snr_scale)
 
 
-def product_cdf_general(model: EndToEndSnrModel, y: float, tol: float = 1e-10) -> float:
+def product_cdf_general(model: EndToEndSnrModel, y: float) -> float:
     """CDF of the scaled product by adaptive quadrature over the SR power.
 
     Integrates f_sr(g) * dC/du(F_sr(g), F_rd(y'/g)) over g in (0, inf) with
-    y' = y / snr_scale.  Valid for any copula and any m >= 0.5.
+    y' = y / snr_scale.  Valid for any FGM theta and any m >= 0.5.
     """
     if y < 0.0:
         raise ValueError("SNR threshold must be non-negative")
@@ -158,7 +158,7 @@ def product_cdf_general(model: EndToEndSnrModel, y: float, tol: float = 1e-10) -
     total = 0.0
     errs = 0.0
     for lo, hi in ((0.0, split), (split, np.inf)):
-        val, err = quad(integrand, lo, hi, epsabs=tol / 2, epsrel=1e-10, limit=400)
+        val, err = quad(integrand, lo, hi, epsabs=5e-11, epsrel=1e-10, limit=400)
         total += val
         errs += err
     if errs > 1e-6:
@@ -177,7 +177,7 @@ def snr_survival_closed(model: EndToEndSnrModel, y: float) -> float:
     if y == 0.0:
         return 1.0
     cf = closed_form_coefficients(model._closed_form_m(), model.snr_scale)
-    th = model.copula.effective_theta
+    th = model.copula.theta
     m = cf.m
     sq = math.sqrt(y)
     z1 = cf.zeta * sq
@@ -228,7 +228,7 @@ def snr_pdf_closed(model: EndToEndSnrModel, y: float) -> float:
     if y <= 0.0:
         raise ValueError("density defined for y > 0")
     cf = closed_form_coefficients(model._closed_form_m(), model.snr_scale)
-    th = model.copula.effective_theta
+    th = model.copula.theta
     m = cf.m
     z1 = cf.zeta * math.sqrt(y)
     z2 = cf.zeta * math.sqrt(2.0 * y)

@@ -85,17 +85,13 @@ class DerivedSnrScales:
 
 @dataclass(frozen=True)
 class OutageQuery:
-    """Linear SNR threshold; use ``from_db`` for a dB input."""
+    """Linear SNR threshold."""
 
     threshold: float
 
     def __post_init__(self) -> None:
         if self.threshold < 0.0:
             raise ValueError(f"threshold must be non-negative, got {self.threshold}")
-
-    @classmethod
-    def from_db(cls, threshold_db: float) -> "OutageQuery":
-        return cls(10.0 ** (threshold_db / 10.0))
 
 
 def derive_snr_scales(sys: SwiptSystem) -> DerivedSnrScales:
@@ -161,21 +157,23 @@ def ergodic_capacity_rd(gamma_hat_d: float, m: int, theta: float) -> float:
         y = s * s
         return 2.0 * s * math.log1p(y) * snr_pdf_closed(model, y)
 
-    hi = math.sqrt(gamma_hat_d) * 40.0 / m + 40.0
-    val, err = quad(integrand, 0.0, hi, epsabs=1e-11, epsrel=1e-10, limit=400)
+    # Below gamma_hat_d = 1 the density's mass sits at s ~ sqrt(gamma_hat_d):
+    # the interval and the absolute tolerance shrink with it, or QUADPACK
+    # never samples the mass and returns about 0 with a tiny error estimate.
+    small = min(1.0, gamma_hat_d)
+    hi = math.sqrt(gamma_hat_d) * 40.0 / m + 40.0 * math.sqrt(small)
+    val, err = quad(integrand, 0.0, hi, epsabs=1e-11 * small, epsrel=1e-10, limit=400)
     if err > 1e-7 * max(abs(val), 1.0):
         raise RuntimeError(f"RD capacity quadrature error {err:.2e}")
     return val / (2.0 * _LN2)
 
 
-def capacity_rd_meijer(
-    gamma_hat_d: float, m: int, theta: float, pi_in_prefactor: bool = False
-) -> float:
+def capacity_rd_meijer(gamma_hat_d: float, m: int, theta: float) -> float:
     """RD capacity via the G^{1,4}_{4,2} closed form.
 
     The prefactor multiplies the whole bracket.  The printed prefactor has a
-    pi in its denominator; the reading without it matches quadrature, and is
-    the default.
+    pi in its denominator; the reading without it matches quadrature and is
+    the one computed here (the printed reading is this value divided by pi).
     """
     cf = closed_form_coefficients(m, gamma_hat_d)
     zeta2 = cf.zeta * cf.zeta
@@ -193,47 +191,43 @@ def capacity_rd_meijer(
                 total += theta * cf.z[k, n] * g142(
                     (1.0 - (m + n), 1.0 - (m + k), 1.0, 1.0), 1.0 / zeta2
                 )
-    pref = cf.D / math.pi if pi_in_prefactor else cf.D
-    return pref * total
+    return cf.D * total
 
 
-def ergodic_capacity_system(sys: SwiptSystem, mc_mean_of_min=None) -> dict:
-    """min(E C_sr, E C_rd), optionally alongside a Monte-Carlo E[min] estimate.
+def ergodic_capacity_system(sys: SwiptSystem) -> dict:
+    """Both hop capacities by quadrature and their minimum, min(E C_sr, E C_rd).
 
-    The two orderings of min and expectation differ unless one hop strictly
-    dominates; both are reported when an MC estimate is supplied.
+    This is the minimum of the means; the Monte-Carlo ``cap_min`` estimates
+    E[min(C_sr, C_rd)] instead, and the two differ unless one hop strictly
+    dominates.
     """
     scales = derive_snr_scales(sys)
     c_sr = ergodic_capacity_sr(scales.gamma_hat_r, sys.fading_m)
     c_rd = ergodic_capacity_rd(scales.gamma_hat_d, sys.fading_m, sys.theta)
-    out = {
-        "capacity_sr": c_sr,
-        "capacity_rd": c_rd,
-        "min_of_means": min(c_sr, c_rd),
-        "mean_of_min_mc": mc_mean_of_min,
-    }
-    return out
+    return {"capacity_sr": c_sr, "capacity_rd": c_rd, "min_of_means": min(c_sr, c_rd)}
 
 
-def outage_probability(sys: SwiptSystem, q: OutageQuery) -> float:
-    """P(min(gamma_r, gamma_d) <= threshold) via the FGM survival-copula composition."""
+def _outage(sys: SwiptSystem, q: OutageQuery, destination_survival) -> float:
+    # P(min(gamma_r, gamma_d) <= t) = 1 - C(S_r(t), S_d(t)): the FGM survival
+    # copula coincides with the FGM copula itself.
     if q.threshold == 0.0:
         return 0.0
     scales = derive_snr_scales(sys)
     surv_r = 1.0 - relay_snr_cdf(scales.gamma_hat_r, sys.fading_m, q.threshold)
-    surv_d = snr_survival_closed(destination_snr_model(sys), q.threshold)
-    # FGM survival copula coincides with the FGM copula itself.
+    surv_d = destination_survival(destination_snr_model(sys), q.threshold)
     return 1.0 - copula_cdf(fgm_copula(sys.theta), surv_r, surv_d)
+
+
+# The lambdas look the survival functions up at call time, so a wrapper
+# installed on this module's attributes (the benchmark tracer) sees each call.
+def outage_probability(sys: SwiptSystem, q: OutageQuery) -> float:
+    """P(min(gamma_r, gamma_d) <= threshold) via the FGM survival-copula composition."""
+    return _outage(sys, q, lambda model, y: snr_survival_closed(model, y))
 
 
 def outage_probability_quadrature(sys: SwiptSystem, q: OutageQuery) -> float:
     """Same composition with the destination CDF from the general product integral."""
-    if q.threshold == 0.0:
-        return 0.0
-    scales = derive_snr_scales(sys)
-    surv_r = 1.0 - relay_snr_cdf(scales.gamma_hat_r, sys.fading_m, q.threshold)
-    surv_d = 1.0 - product_cdf_general(destination_snr_model(sys), q.threshold)
-    return 1.0 - copula_cdf(fgm_copula(sys.theta), surv_r, surv_d)
+    return _outage(sys, q, lambda model, y: 1.0 - product_cdf_general(model, y))
 
 
 def asymptotic_capacity_sr(gamma_hat_r: float, m: int) -> float:
@@ -281,8 +275,8 @@ def adjudicate_closed_forms(gamma_hat_r: float, gamma_hat_d: float, m: int, thet
     sr_std = capacity_sr_meijer(gamma_hat_r, m, printed_variant=False)
     sr_printed = capacity_sr_meijer(gamma_hat_r, m, printed_variant=True)
     rd_quad = ergodic_capacity_rd(gamma_hat_d, m, theta)
-    rd_no_pi = capacity_rd_meijer(gamma_hat_d, m, theta, pi_in_prefactor=False)
-    rd_pi = capacity_rd_meijer(gamma_hat_d, m, theta, pi_in_prefactor=True)
+    rd_no_pi = capacity_rd_meijer(gamma_hat_d, m, theta)
+    rd_pi = rd_no_pi / math.pi
     return {
         "sr_quadrature": sr_quad,
         "sr_upper_param_1_minus_m": sr_std,

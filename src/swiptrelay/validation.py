@@ -40,6 +40,7 @@ from .sweepcfg import ConfigError, fmt
 SUPNORM_TOL = 1e-6
 QUAD_OUTAGE_TOL = 1e-9
 DKW_CONFIDENCE = 0.99
+OUTAGE_THRESHOLD = 1.0  # linear SNR threshold of the outage checks
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -80,8 +81,9 @@ def _threshold_grid(gamma_hat_d: float, count: int) -> np.ndarray:
     return np.geomspace(1e-3 * gamma_hat_d, 1e2 * gamma_hat_d, count)
 
 
-def dkw_epsilon(n: int, confidence: float = DKW_CONFIDENCE) -> float:
-    return math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * n))
+def dkw_epsilon(n: int) -> float:
+    """Half-width of the DKW band for n samples at ``DKW_CONFIDENCE``."""
+    return math.sqrt(math.log(2.0 / (1.0 - DKW_CONFIDENCE)) / (2.0 * n))
 
 
 def run_validation(
@@ -90,7 +92,6 @@ def run_validation(
     samples: int = 1_000_000,
     seed: int = McConfig.seed,
     grid_points: int = 60,
-    threshold: float = 1.0,
     inject_coefficient_error: bool = False,
 ) -> ValidationReport:
     try:
@@ -141,7 +142,7 @@ def run_validation(
                 report.add(cell, f"{name}_quadrature_vs_mc_stderr_units",
                            (analytic - mean) / stderr, 3.0)
 
-            q = OutageQuery(threshold)
+            q = OutageQuery(OUTAGE_THRESHOLD)
             p_closed = err_factor * outage_probability(sys, q)
             p_quad = outage_probability_quadrature(sys, q)
             report.add(cell, "outage_closed_vs_quadrature",

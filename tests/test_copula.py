@@ -171,9 +171,3 @@ def test_sampling_empirical_cdf_negative_dependence():
     stderr = np.sqrt(p * (1.0 - p) / n)
     assert abs(hits - p) < 3.0 * stderr
 
-
-def test_sample_pair_scalar_mode():
-    rng = np.random.Generator(np.random.Philox(key=17))
-    u1, u2 = sample_pair(fgm_copula(0.5), rng)
-    assert isinstance(u1, float) and isinstance(u2, float)
-    assert 0.0 < u1 < 1.0 and 0.0 <= u2 <= 1.0

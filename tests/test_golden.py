@@ -36,3 +36,21 @@ def test_sweep_matches_golden_csv(tmp_path, name):
     out = tmp_path / f"{name}.csv"
     assert main(["sweep", str(DATA / f"{name}.cfg"), "-o", str(out)]) == 0
     assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
+
+
+# One small validate matrix, pinned the same way: the printed report (its
+# "wrote ..." line names the output path, so it is left out) and the CSV.
+# The .txt/.csv names keep these files out of the *.cfg glob above; a
+# deliberate change regenerates them by running VALIDATE_ARGS with
+# "-o tests/data/validate_small.csv" and saving the report without that line.
+VALIDATE_ARGS = ["validate", "--m", "1,2", "--theta=-0.6,1", "--samples", "20000",
+                 "--grid-points", "6"]
+
+
+def test_validate_matches_golden_report_and_csv(tmp_path, capsys):
+    out = tmp_path / "validate_small.csv"
+    assert main(VALIDATE_ARGS + ["-o", str(out)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines(keepends=True)
+             if not line.startswith("wrote ")]
+    assert "".join(lines) == (DATA / "validate_small.txt").read_text()
+    assert out.read_bytes() == (DATA / "validate_small.csv").read_bytes()

@@ -68,14 +68,6 @@ def test_joint_powers_positive_dependence_mean():
     assert abs(prod.mean() - 1.25) < 4.0 * stderr
 
 
-def test_joint_powers_scalar_mode():
-    rng = batch_stream(47, 0)
-    marg = NakagamiPower(1.0)
-    g1, g2 = sample_joint_powers(fgm_copula(0.5), marg, marg, rng)
-    assert isinstance(g1, float) and isinstance(g2, float)
-    assert g1 >= 0.0 and g2 >= 0.0
-
-
 @pytest.mark.parametrize("m", [1.0, 2.5])
 @pytest.mark.parametrize("theta", [-1.0, 0.5, 1.0])
 def test_fgm_powers_follow_copula_and_margins(theta, m):
@@ -186,6 +178,17 @@ def test_worker_count_does_not_change_estimates():
     b = simulate_metrics(FIG8, q, McConfig(samples=400_000, seed=9, workers=8, batch_size=50_000))
     for key in a:
         assert a[key] == b[key]
+
+
+def test_outage_law_worker_count_does_not_change_estimate():
+    sys = replace(FIG8, theta=-0.5)
+    q = OutageQuery(1.0)
+    f_d = product_cdf_general(destination_snr_model(sys), q.threshold)
+    a, b = (simulate_outage_survival_law(
+        sys, q, McConfig(samples=40_000, seed=9, workers=w, batch_size=5_000), f_d)
+        for w in (1, 4))
+    assert a == b
+    assert a.n == 40_000
 
 
 def test_same_seed_reproduces_different_seed_differs():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import exp1
 
-from swiptrelay.montecarlo import batch_stream, sample_joint_powers
+from swiptrelay.montecarlo import McConfig, batch_stream, sample_joint_powers, simulate_metrics
 from swiptrelay.copula import copula_cdf, fgm_copula
 from swiptrelay.fading import NakagamiPower
 from swiptrelay.product_dist import snr_survival_closed
@@ -57,8 +57,8 @@ def test_derive_snr_scales_reference_point():
 
 
 def test_outage_query_from_db():
-    assert OutageQuery.from_db(0.0).threshold == pytest.approx(1.0)
-    assert OutageQuery.from_db(10.0).threshold == pytest.approx(10.0)
+    # A dB threshold reaches OutageQuery already converted (sweepcfg); the
+    # query itself only refuses a negative linear threshold.
     with pytest.raises(ValueError):
         OutageQuery(-1.0)
 
@@ -98,6 +98,17 @@ def test_rd_capacity_meijer_matches_quadrature():
         )
 
 
+@pytest.mark.parametrize("ghd", [1e-4, 1e-5, 1e-6, 1e-8])
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("theta", [-1.0, 1.0])
+def test_rd_capacity_quadrature_at_small_scale(ghd, m, theta):
+    # The capacity is about ghd * mean_snr_factor / (2 ln 2) here; an
+    # integration interval that ignores the scale returned ~1e-53 instead.
+    assert ergodic_capacity_rd(ghd, m, theta) == pytest.approx(
+        capacity_rd_meijer(ghd, m, theta), rel=1e-9
+    )
+
+
 def test_rd_capacity_mc_oracle():
     sys = replace(BASE, fading_m=1, theta=0.0)
     scales = derive_snr_scales(sys)
@@ -118,9 +129,13 @@ def test_rd_capacity_increases_with_theta():
 
 
 def test_system_capacity_reports_both_orderings():
-    out = ergodic_capacity_system(replace(BASE, theta=1.0), mc_mean_of_min=0.5)
+    sys = replace(BASE, theta=1.0)
+    out = ergodic_capacity_system(sys)
     assert out["min_of_means"] == min(out["capacity_sr"], out["capacity_rd"])
-    assert out["mean_of_min_mc"] == 0.5
+    # The other ordering, E[min], is the Monte-Carlo cap_min; it cannot
+    # exceed the minimum of the means.
+    mc = simulate_metrics(sys, OutageQuery(1.0), McConfig(samples=20_000, seed=61))
+    assert mc["cap_min"].mean <= out["min_of_means"] + 3.0 * mc["cap_min"].stderr
 
 
 def test_outage_zero_threshold():
@@ -208,3 +223,4 @@ def test_adjudication_report():
     # The rejected readings really are discrepant, not just slightly worse.
     assert abs(adj["sr_upper_param_printed"] - adj["sr_quadrature"]) > 1e-3
     assert abs(adj["rd_prefactor_printed_pi"] - adj["rd_quadrature"]) > 1e-3
+    assert adj["rd_prefactor_printed_pi"] == adj["rd_prefactor_no_pi"] / math.pi
