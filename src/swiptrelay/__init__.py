@@ -6,6 +6,7 @@ from .copula import CopulaModel, fgm_copula, product_copula
 from .fading import NakagamiPower
 from .montecarlo import McConfig, McEstimate, simulate_metrics
 from .product_dist import EndToEndSnrModel, closed_form_model, snr_cdf_closed, snr_pdf_closed
+from .specfun import QuadratureError
 from .swipt_metrics import (
     OutageQuery,
     SwiptSystem,
@@ -21,6 +22,7 @@ __all__ = [
     "McEstimate",
     "NakagamiPower",
     "OutageQuery",
+    "QuadratureError",
     "SwiptSystem",
     "closed_form_model",
     "derive_snr_scales",

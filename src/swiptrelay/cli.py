@@ -12,7 +12,9 @@ Subcommands:
 is accepted but unused.  The sweep commands also take ``--modes``, which
 overrides the mode list, and ``--emit-gnuplot``, which writes a plot script
 next to the CSV.  Refused input (a bad config, override or ``validate``
-argument) prints ``error: ...``, writes no CSV and exits with code 2.
+argument) prints ``error: ...``, writes no CSV and exits with code 2; so
+does a quadrature whose error guard fails, and the message names the grid
+point or ``validate`` cell.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import argparse
 import sys
 from dataclasses import replace
 
+from .specfun import QuadratureError
 from .sweep import gnuplot_sidecar, run_sweep, write_csv
 from .sweepcfg import (
     MODES, PRESETS, ConfigError, SweepSpec, parse_config, parse_ms, parse_thetas, preset_spec,
@@ -123,7 +126,7 @@ def main(argv=None) -> int:
         spec = _apply_overrides(spec, args)
         _finish(args, spec, run_sweep(spec))
         return 0
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

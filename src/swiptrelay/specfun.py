@@ -33,6 +33,10 @@ class ContourSeparationError(RuntimeError):
     """No vertical contour separates the left and right pole sets."""
 
 
+class QuadratureError(RuntimeError):
+    """A numerical integral failed its error-estimate or finiteness guard."""
+
+
 def ln_gamma(x: float) -> float:
     """Natural log of the gamma function for x > 0."""
     if x <= 0.0:
@@ -171,5 +175,5 @@ def meijer_g(spec: MeijerGSpec, x: float) -> float:
         limit=500,
     )
     if not math.isfinite(val):
-        raise RuntimeError("Mellin-Barnes quadrature did not converge")
+        raise QuadratureError("Mellin-Barnes quadrature did not converge")
     return val / math.pi

@@ -12,6 +12,7 @@ import os
 import tempfile
 
 from .product_dist import mean_snr_factor
+from .specfun import QuadratureError
 from .swipt_metrics import (
     OutOfRegimeError,
     OutageQuery,
@@ -107,7 +108,13 @@ def run_sweep(spec: SweepSpec) -> list[list[str]]:
             for m in ms:
                 sys, threshold = resolve_point(spec, value, th, m)
                 blocks = [("params", _params(sys, threshold))]
-                blocks += [(mode, ROUTES[mode](spec, sys, threshold)) for mode in spec.modes]
+                for mode in spec.modes:
+                    try:
+                        blocks.append((mode, ROUTES[mode](spec, sys, threshold)))
+                    except QuadratureError as exc:
+                        raise QuadratureError(
+                            f"{mode} at {spec.variable} = {fmt(value)}, theta = {fmt(th)}, "
+                            f"m = {m}: {exc}") from None
                 rows.extend(_row(spec.variable, value, sys, mode, metric, est, spec.mc.seed)
                             for mode, metrics in blocks for metric, est in metrics.items())
     return rows

@@ -130,7 +130,7 @@ def ergodic_capacity_sr(gamma_hat_r: float, m: int) -> float:
 
     val, err = quad(integrand, 0.0, np.inf, epsabs=1e-12, epsrel=1e-11, limit=300)
     if err > 1e-8 * max(abs(val), 1.0):
-        raise RuntimeError(f"SR capacity quadrature error {err:.2e}")
+        raise specfun.QuadratureError(f"SR capacity quadrature error {err:.2e}")
     return val / (2.0 * _LN2 * math.exp(specfun.ln_gamma(m)))
 
 
@@ -164,7 +164,7 @@ def ergodic_capacity_rd(gamma_hat_d: float, m: int, theta: float) -> float:
     hi = math.sqrt(gamma_hat_d) * 40.0 / m + 40.0 * math.sqrt(small)
     val, err = quad(integrand, 0.0, hi, epsabs=1e-11 * small, epsrel=1e-10, limit=400)
     if err > 1e-7 * max(abs(val), 1.0):
-        raise RuntimeError(f"RD capacity quadrature error {err:.2e}")
+        raise specfun.QuadratureError(f"RD capacity quadrature error {err:.2e}")
     return val / (2.0 * _LN2)
 
 

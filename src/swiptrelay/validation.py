@@ -25,6 +25,7 @@ from .copula import fgm_copula
 from .fading import NakagamiPower
 from .montecarlo import McConfig, batch_stream, sample_joint_powers, simulate_outage_survival_law
 from .product_dist import closed_form_model, product_cdf_general, snr_cdf_closed
+from .specfun import QuadratureError
 from .swipt_metrics import (
     BASELINE,
     OutageQuery,
@@ -103,66 +104,69 @@ def run_validation(
     report = ValidationReport()
     err_factor = 1.0 + 1e-3 if inject_coefficient_error else 1.0
 
-    for m in ms:
-        for theta in thetas:
-            cell = f"m={m},theta={fmt(theta)}"
-            sys = replace(BASELINE, fading_m=m, theta=theta)
-            scales = derive_snr_scales(sys)
-            cop = fgm_copula(theta)
-            model = closed_form_model(scales.gamma_hat_d, m, cop)
-            grid = _threshold_grid(scales.gamma_hat_d, grid_points)
+    try:
+        for m in ms:
+            for theta in thetas:
+                cell = f"m={m},theta={fmt(theta)}"
+                sys = replace(BASELINE, fading_m=m, theta=theta)
+                scales = derive_snr_scales(sys)
+                cop = fgm_copula(theta)
+                model = closed_form_model(scales.gamma_hat_d, m, cop)
+                grid = _threshold_grid(scales.gamma_hat_d, grid_points)
 
-            closed = np.array([err_factor * snr_cdf_closed(model, y) for y in grid])
-            quad_cdf = np.array([product_cdf_general(model, y) for y in grid])
-            report.add(cell, "cdf_supnorm_closed_vs_quadrature",
-                       float(np.max(np.abs(closed - quad_cdf))), SUPNORM_TOL)
+                closed = np.array([err_factor * snr_cdf_closed(model, y) for y in grid])
+                # One vector quadrature for the grid and, last, the outage threshold.
+                quad_cdf = product_cdf_general(model, np.append(grid, OUTAGE_THRESHOLD))
+                report.add(cell, "cdf_supnorm_closed_vs_quadrature",
+                           float(np.max(np.abs(closed - quad_cdf[:-1]))), SUPNORM_TOL)
 
-            # One seeded joint draw by conditional inversion, the route
-            # independent of the order-statistic sampler in simulate_metrics,
-            # reused by every stochastic check of the cell.
-            marg = NakagamiPower(float(m), 1.0)
-            g1, g2 = sample_joint_powers(cop, marg, marg, batch_stream(seed, 0), size=samples)
-            snr = scales.gamma_hat_d * g1 * g2
-            snr_sorted = np.sort(snr)
-            emp = np.searchsorted(snr_sorted, grid, side="right") / samples
-            report.add(cell, "cdf_dkw_gap_minus_band",
-                       float(np.max(np.abs(emp - closed))) - dkw_epsilon(samples),
-                       0.0, ok=float(np.max(np.abs(emp - closed))) <= dkw_epsilon(samples))
+                # One seeded joint draw by conditional inversion, the route
+                # independent of the order-statistic sampler in simulate_metrics,
+                # reused by every stochastic check of the cell.
+                marg = NakagamiPower(float(m), 1.0)
+                g1, g2 = sample_joint_powers(cop, marg, marg, batch_stream(seed, 0), size=samples)
+                snr = scales.gamma_hat_d * g1 * g2
+                snr_sorted = np.sort(snr)
+                emp = np.searchsorted(snr_sorted, grid, side="right") / samples
+                report.add(cell, "cdf_dkw_gap_minus_band",
+                           float(np.max(np.abs(emp - closed))) - dkw_epsilon(samples),
+                           0.0, ok=float(np.max(np.abs(emp - closed))) <= dkw_epsilon(samples))
 
-            # Capacities: quadrature vs the sample means at 3 standard errors.
-            gamma_r = scales.gamma_hat_r * g1
-            for name, sample_vals, analytic in (
-                ("capacity_sr", 0.5 * np.log2(1.0 + gamma_r),
-                 ergodic_capacity_sr(scales.gamma_hat_r, m)),
-                ("capacity_rd", 0.5 * np.log2(1.0 + snr),
-                 ergodic_capacity_rd(scales.gamma_hat_d, m, theta)),
-            ):
-                mean = float(sample_vals.mean())
-                stderr = float(sample_vals.std(ddof=1)) / math.sqrt(samples)
-                report.add(cell, f"{name}_quadrature_vs_mc_stderr_units",
-                           (analytic - mean) / stderr, 3.0)
+                # Capacities: quadrature vs the sample means at 3 standard errors.
+                gamma_r = scales.gamma_hat_r * g1
+                for name, sample_vals, analytic in (
+                    ("capacity_sr", 0.5 * np.log2(1.0 + gamma_r),
+                     ergodic_capacity_sr(scales.gamma_hat_r, m)),
+                    ("capacity_rd", 0.5 * np.log2(1.0 + snr),
+                     ergodic_capacity_rd(scales.gamma_hat_d, m, theta)),
+                ):
+                    mean = float(sample_vals.mean())
+                    stderr = float(sample_vals.std(ddof=1)) / math.sqrt(samples)
+                    report.add(cell, f"{name}_quadrature_vs_mc_stderr_units",
+                               (analytic - mean) / stderr, 3.0)
 
-            q = OutageQuery(OUTAGE_THRESHOLD)
-            p_closed = err_factor * outage_probability(sys, q)
-            p_quad = outage_probability_quadrature(sys, q)
-            report.add(cell, "outage_closed_vs_quadrature",
-                       p_closed - p_quad, QUAD_OUTAGE_TOL)
-            mc = simulate_outage_survival_law(
-                sys, q, cfg, product_cdf_general(model, q.threshold)
-            )
-            stderr = max(mc.stderr, 1e-12)
-            report.add(cell, "outage_closed_vs_mc_stderr_units",
-                       (p_closed - mc.mean) / stderr, 3.0)
+                q = OutageQuery(OUTAGE_THRESHOLD)
+                p_closed = err_factor * outage_probability(sys, q)
+                p_quad = outage_probability_quadrature(sys, q)
+                report.add(cell, "outage_closed_vs_quadrature",
+                           p_closed - p_quad, QUAD_OUTAGE_TOL)
+                mc = simulate_outage_survival_law(sys, q, cfg, quad_cdf[-1])
+                stderr = max(mc.stderr, 1e-12)
+                report.add(cell, "outage_closed_vs_mc_stderr_units",
+                           (p_closed - mc.mean) / stderr, 3.0)
 
-    # Convention adjudication of the two ambiguous closed forms, reported
-    # once at the baseline scales.
-    scales = derive_snr_scales(BASELINE)
-    for m in ms:
-        adj = adjudicate_closed_forms(scales.gamma_hat_r, scales.gamma_hat_d, m, 0.5)
-        cell = f"adjudication,m={m}"
-        report.add(cell, "sr_upper_param_is_1_minus_m", adj["sr_match_abs_error"],
-                   1e-9, ok=adj["sr_matching_variant"] == "1-m" and adj["sr_match_abs_error"] < 1e-9)
-        report.add(cell, "rd_prefactor_has_no_pi", adj["rd_match_abs_error"],
-                   1e-9, ok=adj["rd_matching_variant"] == "prefactor-times-bracket-no-pi"
-                   and adj["rd_match_abs_error"] < 1e-9)
+        # Convention adjudication of the two ambiguous closed forms, reported
+        # once at the baseline scales.
+        scales = derive_snr_scales(BASELINE)
+        for m in ms:
+            cell = f"adjudication,m={m}"
+            adj = adjudicate_closed_forms(scales.gamma_hat_r, scales.gamma_hat_d, m, 0.5)
+            report.add(cell, "sr_upper_param_is_1_minus_m", adj["sr_match_abs_error"],
+                       1e-9, ok=adj["sr_matching_variant"] == "1-m"
+                       and adj["sr_match_abs_error"] < 1e-9)
+            report.add(cell, "rd_prefactor_has_no_pi", adj["rd_match_abs_error"],
+                       1e-9, ok=adj["rd_matching_variant"] == "prefactor-times-bracket-no-pi"
+                       and adj["rd_match_abs_error"] < 1e-9)
+    except QuadratureError as exc:
+        raise QuadratureError(f"validate cell {cell}: {exc}") from None
     return report

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from swiptrelay.cli import main
+from swiptrelay.specfun import QuadratureError
 from swiptrelay.sweep import ROUTES
 from swiptrelay.sweepcfg import (
     CSV_HEADER,
@@ -142,6 +143,54 @@ def test_validate_refuses_sweep_only_flags(tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["validate", "-o", str(tmp_path / "v.csv")] + flag)
         assert exc.value.code == 2
+
+
+def _raise_quadrature_error(*args):
+    raise QuadratureError("RD capacity quadrature error 1.00e-03")
+
+
+def test_quadrature_error_exits_2_naming_the_point(tmp_path, capsys, monkeypatch):
+    import swiptrelay.sweep as sweep_mod
+
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text("m = 2\ntheta = 0.5\nmodes = closed_form,quadrature\n"
+                   "[sweep]\nvariable = rho\ngrid = 0.5\n")
+    out = tmp_path / "out.csv"
+    monkeypatch.setattr(sweep_mod, "ergodic_capacity_rd", _raise_quadrature_error)
+    assert main(["sweep", str(cfg), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: quadrature at rho = 0.5, theta = 0.5, m = 2: "
+        "RD capacity quadrature error 1.00e-03\n")
+    assert not out.exists()
+
+
+def test_validate_quadrature_error_exits_2_naming_the_cell(tmp_path, capsys, monkeypatch):
+    import swiptrelay.validation as validation_mod
+
+    out = tmp_path / "v.csv"
+    monkeypatch.setattr(validation_mod, "product_cdf_general", _raise_quadrature_error)
+    argv = ["validate", "--m", "1", "--theta=-0.5", "--samples", "1000", "-o", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: validate cell m=1,theta=-0.5: RD capacity quadrature error 1.00e-03\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_tiny_gamma_hat_d_quadrature_outage_matches_closed_form(tmp_path, m):
+    # At gamma_hat_d = 1e-12 the destination SNR almost never reaches 1, so
+    # both routes must give an outage of 1.
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(f"m = {m}\ntheta = -1,1\nthreshold = 1\nmodes = closed_form,quadrature\n"
+                   "[sweep]\nvariable = gamma_hat_d\ngrid = 1e-12\n")
+    out = tmp_path / "tiny.csv"
+    assert main(["sweep", str(cfg), "-o", str(out)]) == 0
+    outage = {tuple(r[2:5]): float(r[6]) for r in (line.split(",") for line in _read(out)[1:])
+              if r[5] == "outage"}
+    assert sorted(outage) == [(th, str(m), mode) for th in ("-1", "1")
+                              for mode in ("closed_form", "quadrature")]
+    for th in ("-1", "1"):
+        assert outage[(th, str(m), "quadrature")] == outage[(th, str(m), "closed_form")] == 1.0
 
 
 def test_routes_cover_every_mode():

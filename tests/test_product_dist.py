@@ -7,8 +7,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import kv
 
-from swiptrelay.copula import fgm_copula, product_copula, sample_pair
-from swiptrelay.fading import NakagamiPower, power_quantile
+from swiptrelay.copula import conditional_cdf, fgm_copula, product_copula, sample_pair
+from swiptrelay.fading import NakagamiPower, power_cdf, power_pdf, power_quantile
 from swiptrelay.product_dist import (
     ClosedFormCoefficients,
     EndToEndSnrModel,
@@ -21,6 +21,30 @@ from swiptrelay.product_dist import (
     snr_pdf_closed,
     snr_survival_closed,
 )
+
+
+def scalar_oracle_cdf(model, y):
+    """The product CDF at one threshold by two scalar ``quad`` calls.
+
+    The route ``product_cdf_general`` replaced, kept as its oracle: it
+    integrates f_sr(g) C_{2|1}(F_rd(y'/g) | F_sr(g)) over g in (0, inf) with
+    y' = y / snr_scale, split at g = sqrt(y'), through the checked
+    ``power_cdf``/``power_pdf``/``conditional_cdf`` evaluators.  It is right
+    at moderate y'; far above y' = 1e6 its first interval is so wide that
+    QUADPACK misses the mass near g ~ 1 and returns about 0.
+    """
+    yp = y / model.snr_scale
+    msr, mrd, cop = model.marginal_sr, model.marginal_rd, model.copula
+
+    def integrand(g):
+        u1 = power_cdf(msr, g)
+        if u1 <= 0.0 or u1 >= 1.0:
+            return 0.0
+        return power_pdf(msr, g) * conditional_cdf(cop, power_cdf(mrd, yp / g), u1)
+
+    split = math.sqrt(yp)
+    return sum(quad(integrand, lo, hi, epsabs=5e-11, epsrel=1e-10, limit=400)[0]
+               for lo, hi in ((0.0, split), (split, np.inf)))
 
 
 def test_closed_form_guard():
@@ -86,10 +110,52 @@ def test_closed_vs_quadrature_supnorm_one_cell():
     scale = 6.5625
     model = closed_form_model(scale, 2, fgm_copula(0.5))
     grid = np.geomspace(1e-3 * scale, 1e2 * scale, 25)
-    gap = max(
-        abs(snr_cdf_closed(model, y) - product_cdf_general(model, y)) for y in grid
-    )
-    assert gap < 1e-6
+    closed = np.array([snr_cdf_closed(model, y) for y in grid])
+    assert np.max(np.abs(closed - product_cdf_general(model, grid))) < 1e-6
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("theta", [-1.0, 1.0])
+def test_general_cdf_at_large_scaled_threshold(m, theta):
+    # y / snr_scale from 1e6 to 1e14, where the scalar oracle returns 0.
+    scale = 2.5
+    model = closed_form_model(scale, m, fgm_copula(theta))
+    ys = scale * np.geomspace(1e6, 1e14, 9)
+    closed = np.array([snr_cdf_closed(model, y) for y in ys])
+    assert np.max(np.abs(product_cdf_general(model, ys) - closed)) < 1e-9
+    for y, c in zip(ys, closed):
+        assert abs(product_cdf_general(model, y) - c) < 1e-9
+
+
+@pytest.mark.parametrize("m", [0.5, 1.5, 2.5, 3.0])
+@pytest.mark.parametrize("theta", [-1.0, 0.0, 1.0])
+def test_vector_route_matches_scalar_oracle(m, theta):
+    marg = NakagamiPower(m)
+    model = EndToEndSnrModel(2.0, marg, marg, fgm_copula(theta))
+    ys = 2.0 * np.geomspace(1e-3, 1e2, 8)
+    oracle = np.array([scalar_oracle_cdf(model, y) for y in ys])
+    assert np.max(np.abs(product_cdf_general(model, ys) - oracle)) < 1e-9
+
+
+def test_general_cdf_array_contract():
+    model = closed_form_model(3.0, 2, fgm_copula(-0.5))
+    ys = np.array([[0.0, 0.3, 3.0], [30.0, 300.0, 1.0]])
+    out = product_cdf_general(model, ys)
+    assert isinstance(out, np.ndarray) and out.shape == ys.shape
+    assert out[0, 0] == 0.0
+    for y, v in zip(ys.ravel(), out.ravel()):
+        assert abs(v - snr_cdf_closed(model, y)) < 1e-9
+    assert product_cdf_general(model, np.empty((0,))).shape == (0,)
+    for y in (1.0, np.float64(1.0), np.array(1.0)):
+        assert type(product_cdf_general(model, y)) is float
+    assert product_cdf_general(model, 0.0) == 0.0
+    assert type(product_cdf_general(model, 0.0)) is float
+    for bad in (-1.0, math.nan, [1.0, -2.0], [0.5, math.nan], math.inf):
+        with pytest.raises(ValueError):
+            product_cdf_general(model, bad)
+    tiny = closed_form_model(1e-300, 1, fgm_copula(0.0))
+    with pytest.raises(ValueError):
+        product_cdf_general(tiny, 1e10)  # y / snr_scale overflows
 
 
 def test_quadrature_supports_non_integer_shape():
