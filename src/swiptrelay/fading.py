@@ -1,8 +1,9 @@
 """Nakagami-m fading power marginal: a Gamma law with shape m and mean g-bar.
 
-Vectorized over the power argument; the quantile is scipy's inverse of the
-regularized incomplete gamma function, cheap enough for multi-million-sample
-inverse-transform runs.
+Vectorized over the power argument.  The quantile is scipy's inverse of the
+regularized incomplete gamma function; the library's samplers draw Gamma
+variates directly and never invert, and the tests use the quantile for their
+conditional-inversion oracle.
 """
 
 from __future__ import annotations

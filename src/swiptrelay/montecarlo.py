@@ -1,9 +1,9 @@
 """Seeded, reproducible Monte-Carlo estimation of the link metrics.
 
-``simulate_metrics`` draws its FGM-coupled fading powers exactly from order
-statistics of Gamma draws (``sample_fgm_powers``), with no quantile
-inversion; ``sample_joint_powers`` keeps the copula conditional-inversion
-route as an independent oracle for the tests and ``validate``.
+``simulate_metrics`` and ``validate`` draw their FGM-coupled fading powers
+exactly from order statistics of Gamma draws (``sample_fgm_powers``), with no
+quantile inversion; the tests keep copula conditional inversion
+(``copula.sample_pair`` then ``fading.power_quantile``) as its oracle.
 
 Both estimators, ``simulate_metrics`` and ``simulate_outage_survival_law``,
 run on one batch engine.  Randomness comes from counter-based Philox
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copula import CopulaModel, fgm_copula, sample_pair
-from .fading import NakagamiPower, power_quantile
+from .fading import NakagamiPower
 from .swipt_metrics import OutageQuery, SwiptSystem, derive_snr_scales, relay_snr_cdf
 
 
@@ -109,18 +109,6 @@ def _estimate(cfg: McConfig, draw) -> dict[str, McEstimate]:
             acc = _combine(acc, *res[key])
         out[key] = McEstimate.from_moments(*acc)
     return out
-
-
-def sample_joint_powers(
-    copula: CopulaModel,
-    m1: NakagamiPower,
-    m2: NakagamiPower,
-    rng: np.random.Generator,
-    size: int,
-):
-    """Dependent fading-power arrays of length ``size`` by copula conditional inversion."""
-    u1, u2 = sample_pair(copula, rng, size=size)
-    return power_quantile(m1, u1), power_quantile(m2, u2)
 
 
 def sample_fgm_powers(

@@ -27,7 +27,7 @@ from scipy.special import gammainc, gammaincinv, gammainccinv, gammaln
 
 from .copula import CopulaModel
 from .fading import NakagamiPower
-from .specfun import QuadratureError, bessel_k_scaled, beta, ln_gamma
+from .specfun import NumericalGuardError, QuadratureError, bessel_k_scaled, beta, ln_gamma
 
 # SR-marginal mass left out of the product-CDF quadrature at each end.
 _TAIL = 1e-17
@@ -35,6 +35,10 @@ _TAIL = 1e-17
 
 class UnsupportedClosedFormError(ValueError):
     """Closed form requested outside its integer-m / FGM validity region."""
+
+
+class ClosedFormRangeError(NumericalGuardError):
+    """The closed-form survival left [0, 1] by more than its rounding slack."""
 
 
 @dataclass(frozen=True)
@@ -252,7 +256,8 @@ def snr_survival_closed(model: EndToEndSnrModel, y: float) -> float:
         + th * Dsum * math.exp(-z3)
     )
     if surv < -1e-9 or surv > 1.0 + 1e-9:
-        raise RuntimeError(f"closed-form survival {surv} escapes [0, 1] beyond slack")
+        raise ClosedFormRangeError(f"closed-form survival {surv:.6g} at y = {y:.6g} "
+                                   "escapes [0, 1] beyond slack")
     return min(max(surv, 0.0), 1.0)
 
 

@@ -33,7 +33,11 @@ class ContourSeparationError(RuntimeError):
     """No vertical contour separates the left and right pole sets."""
 
 
-class QuadratureError(RuntimeError):
+class NumericalGuardError(RuntimeError):
+    """A computed value failed a numerical guard; the CLI reports it with exit code 2."""
+
+
+class QuadratureError(NumericalGuardError):
     """A numerical integral failed its error-estimate or finiteness guard."""
 
 

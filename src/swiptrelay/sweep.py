@@ -12,7 +12,7 @@ import os
 import tempfile
 
 from .product_dist import mean_snr_factor
-from .specfun import QuadratureError
+from .specfun import NumericalGuardError
 from .swipt_metrics import (
     OutOfRegimeError,
     OutageQuery,
@@ -111,8 +111,8 @@ def run_sweep(spec: SweepSpec) -> list[list[str]]:
                 for mode in spec.modes:
                     try:
                         blocks.append((mode, ROUTES[mode](spec, sys, threshold)))
-                    except QuadratureError as exc:
-                        raise QuadratureError(
+                    except NumericalGuardError as exc:
+                        raise type(exc)(
                             f"{mode} at {spec.variable} = {fmt(value)}, theta = {fmt(th)}, "
                             f"m = {m}: {exc}") from None
                 rows.extend(_row(spec.variable, value, sys, mode, metric, est, spec.mc.seed)

@@ -5,7 +5,9 @@ import math
 import pytest
 
 from swiptrelay.cli import main
-from swiptrelay.specfun import QuadratureError
+from swiptrelay.copula import fgm_copula
+from swiptrelay.product_dist import ClosedFormRangeError, closed_form_model, snr_survival_closed
+from swiptrelay.specfun import NumericalGuardError, QuadratureError
 from swiptrelay.sweep import ROUTES
 from swiptrelay.sweepcfg import (
     CSV_HEADER,
@@ -174,6 +176,47 @@ def test_validate_quadrature_error_exits_2_naming_the_cell(tmp_path, capsys, mon
     assert capsys.readouterr().err == (
         "error: validate cell m=1,theta=-0.5: RD capacity quadrature error 1.00e-03\n")
     assert not out.exists()
+
+
+def _escape_survival(monkeypatch):
+    # A Bessel term this large drives the closed-form survival far above 1.
+    import swiptrelay.product_dist as product_dist_mod
+
+    monkeypatch.setattr(product_dist_mod, "bessel_k_scaled", lambda v, x: 1e6)
+
+
+def test_closed_form_range_error_exits_2_naming_the_point(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text("m = 2\ntheta = 0.5\nthreshold = 1\nmodes = closed_form\n"
+                   "[sweep]\nvariable = rho\ngrid = 0.5\n")
+    out = tmp_path / "out.csv"
+    _escape_survival(monkeypatch)
+    assert main(["sweep", str(cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: closed_form at rho = 0.5, theta = 0.5, m = 2: "
+                          "closed-form survival ")
+    assert err.endswith(" at y = 1 escapes [0, 1] beyond slack\n")
+    assert not out.exists()
+
+
+def test_validate_closed_form_range_error_exits_2_naming_the_cell(tmp_path, capsys,
+                                                                   monkeypatch):
+    out = tmp_path / "v.csv"
+    _escape_survival(monkeypatch)
+    argv = ["validate", "--m", "1", "--theta=-0.5", "--samples", "1000", "-o", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: validate cell m=1,theta=-0.5: closed-form survival ")
+    assert err.endswith(" escapes [0, 1] beyond slack\n")
+    assert not out.exists()
+
+
+def test_closed_form_range_error_is_a_numerical_guard_error(monkeypatch):
+    _escape_survival(monkeypatch)
+    model = closed_form_model(6.5625, 2, fgm_copula(0.5))
+    with pytest.raises(ClosedFormRangeError, match="escapes") as exc:
+        snr_survival_closed(model, 1.0)
+    assert isinstance(exc.value, NumericalGuardError)
 
 
 @pytest.mark.parametrize("m", [1, 3])

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy.special import exp1
 
-from swiptrelay.montecarlo import McConfig, batch_stream, sample_joint_powers, simulate_metrics
-from swiptrelay.copula import copula_cdf, fgm_copula
-from swiptrelay.fading import NakagamiPower
+from swiptrelay.montecarlo import McConfig, batch_stream, simulate_metrics
+from swiptrelay.copula import copula_cdf, fgm_copula, sample_pair
+from swiptrelay.fading import NakagamiPower, power_quantile
 from swiptrelay.product_dist import snr_survival_closed
 from swiptrelay.swipt_metrics import (
     OutOfRegimeError,
@@ -114,10 +114,11 @@ def test_rd_capacity_mc_oracle():
     scales = derive_snr_scales(sys)
     n = 1_000_000
     rng = batch_stream(101, 0)
-    g1, g2 = sample_joint_powers(
-        fgm_copula(0.0), NakagamiPower(1.0), NakagamiPower(1.0), rng, size=n
-    )
-    cap = 0.5 * np.log2(1.0 + scales.gamma_hat_d * g1 * g2)
+    # Copula pair by conditional inversion, mapped through the marginal quantile.
+    u1, u2 = sample_pair(fgm_copula(0.0), rng, size=n)
+    marg = NakagamiPower(1.0)
+    cap = 0.5 * np.log2(1.0 + scales.gamma_hat_d * power_quantile(marg, u1)
+                        * power_quantile(marg, u2))
     stderr = cap.std(ddof=1) / math.sqrt(n)
     analytic = ergodic_capacity_rd(scales.gamma_hat_d, 1, 0.0)
     assert abs(analytic - cap.mean()) < 3.0 * stderr
