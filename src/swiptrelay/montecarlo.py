@@ -1,9 +1,12 @@
 """Seeded, reproducible Monte-Carlo estimation of the link metrics.
 
 ``simulate_metrics`` and ``validate`` draw their FGM-coupled fading powers
-exactly from order statistics of Gamma draws (``sample_fgm_powers``), with no
-quantile inversion; the tests keep copula conditional inversion
-(``copula.sample_pair`` then ``fading.power_quantile``) as its oracle.
+exactly, with no quantile inversion (``sample_fgm_powers``).  The FGM density
+is a mixture: with probability 1 - |theta| a pair is two independent Gamma
+draws, and the other |theta| share takes order statistics of two more Gamma
+draws, the same ones (theta > 0) or opposite ones (theta < 0).  The tests
+keep copula conditional inversion (``copula.sample_pair`` then
+``fading.power_quantile``) as its oracle.
 
 Both estimators, ``simulate_metrics`` and ``simulate_outage_survival_law``,
 run on one batch engine.  Randomness comes from counter-based Philox
@@ -45,6 +48,11 @@ class McConfig:
             raise ValueError("need 1 <= batch_size <= samples")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+
+    @property
+    def n_batches(self) -> int:
+        """Number of batches; batch i reads Philox sub-stream i."""
+        return (self.samples + self.batch_size - 1) // self.batch_size
 
 
 @dataclass(frozen=True)
@@ -90,17 +98,15 @@ def _estimate(cfg: McConfig, draw) -> dict[str, McEstimate]:
     ``batch_stream(cfg.seed, i)``; batches run on ``cfg.workers`` threads and
     their moments merge strictly in batch order.
     """
-    n_batches = (cfg.samples + cfg.batch_size - 1) // cfg.batch_size
-
     def run_batch(i: int) -> dict[str, tuple[int, float, float]]:
         n_b = min(cfg.batch_size, cfg.samples - i * cfg.batch_size)
         return {k: _batch_moments(v) for k, v in draw(batch_stream(cfg.seed, i), n_b).items()}
 
     if cfg.workers == 1:
-        results = [run_batch(i) for i in range(n_batches)]
+        results = [run_batch(i) for i in range(cfg.n_batches)]
     else:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(run_batch, range(n_batches)))
+            results = list(pool.map(run_batch, range(cfg.n_batches)))
 
     out: dict[str, McEstimate] = {}
     for key in results[0]:
@@ -119,22 +125,28 @@ def sample_fgm_powers(
 ):
     """Exact FGM-coupled pair of ``marg`` powers from order statistics.
 
-    The FGM density 1 + theta (1-2u1)(1-2u2) equals the mixture
-    (1+theta)/4 (f_min f_min + f_max f_max) + (1-theta)/4 (f_min f_max +
-    f_max f_min), where f_min and f_max are the densities of the min and the
-    max of two iid draws.  So a fair coin makes g1 the min or the max of its
-    own pair of Gamma draws, and g2 takes the same order statistic of its
-    pair with probability (1+theta)/2.  Exact for any m, with no inversion.
+    The FGM density splits as the mixture
+    (1 - |theta|) * 1 + |theta| * [1 + sgn(theta) (1-2u1)(1-2u2)],
+    so a pair is two independent Gamma draws with probability 1 - |theta|.
+    The bracket, at theta = +1 (-1), is the law of two pairs of iid draws
+    whose same (opposite) order statistics are taken: g1 is the min or the
+    max of its own pair with probability 1/2 each, and g2 is the same
+    (opposite) order statistic of its pair.  So only the |theta| share of
+    pairs, chosen per element by a uniform, draws its two partner Gammas;
+    g1 needs no coin, since the pair is exchangeable and g1 > partner tells
+    which order statistic it is.  Exact for any real m >= 0.5, with no
+    inversion; 2 + 2|theta| Gamma draws and one uniform per pair.
     """
-    g = rng.gamma(marg.m, marg.mean_power / marg.m, size=(4, size))
-    u = rng.random((2, size))
-    take_max1 = u[0] < 0.5
-    take_max2 = take_max1 == (u[1] < 0.5 * (1.0 + copula.theta))
-    # Picking the first draw exactly when "take the max" agrees with "the
-    # first draw is the larger" selects the wanted order statistic.
-    g1 = np.where(take_max1 == (g[0] > g[1]), g[0], g[1])
-    g2 = np.where(take_max2 == (g[2] > g[3]), g[2], g[3])
-    return g1, g2
+    scale = marg.mean_power / marg.m
+    g = rng.gamma(marg.m, scale, size=(2, size))
+    dep = np.flatnonzero(rng.random(size) < abs(copula.theta))
+    partner = rng.gamma(marg.m, scale, size=(2, dep.size))
+    # g1 is the max of its pair exactly when it beats its partner; g2 must be
+    # the same order statistic of its pair (theta > 0) or the other one.
+    want_max2 = (g[0, dep] > partner[0]) == (copula.theta > 0.0)
+    g2 = g[1, dep]
+    g[1, dep] = np.where((g2 > partner[1]) == want_max2, g2, partner[1])
+    return g[0], g[1]
 
 
 def simulate_metrics(sys: SwiptSystem, q: OutageQuery, cfg: McConfig) -> dict[str, McEstimate]:

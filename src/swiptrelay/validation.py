@@ -123,9 +123,11 @@ def run_validation(
 
                 # One seeded exact draw from the order-statistic sampler, reused
                 # by every stochastic check of the cell.  It shares no code with
-                # the Bessel closed form or the quadrature it checks.
+                # the Bessel closed form or the quadrature it checks, and it
+                # reads the first sub-stream the outage-law simulation below
+                # never reads.
                 marg = NakagamiPower(float(m), 1.0)
-                g1, g2 = sample_fgm_powers(cop, marg, batch_stream(seed, 0), samples)
+                g1, g2 = sample_fgm_powers(cop, marg, batch_stream(seed, cfg.n_batches), samples)
                 snr = scales.gamma_hat_d * g1 * g2
 
                 # Capacities: quadrature vs the sample means at 3 standard

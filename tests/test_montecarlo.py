@@ -75,7 +75,7 @@ def test_joint_powers_positive_dependence_mean():
 
 
 @pytest.mark.parametrize("m", [1.0, 2.5])
-@pytest.mark.parametrize("theta", [-1.0, 0.5, 1.0])
+@pytest.mark.parametrize("theta", [-1.0, -0.3, 0.0, 0.5, 1.0])
 def test_fgm_powers_follow_copula_and_margins(theta, m):
     n = 200_000
     marg = NakagamiPower(m, 1.3)
@@ -92,6 +92,17 @@ def test_fgm_powers_follow_copula_and_margins(theta, m):
     for u in (u1, u2):
         s = np.sort(u)
         assert max(np.max(ranks - s), np.max(s - (ranks - 1.0 / n))) <= dkw_epsilon(n)
+
+
+def test_fgm_powers_at_the_wrong_theta_miss_the_copula():
+    # Negative control for the check above: a draw at theta = +0.5 misses
+    # the theta = -0.5 copula CDF at (0.5, 0.5) by 1/16, about 30 stderr.
+    n = 200_000
+    marg = NakagamiPower(2.0)
+    g1, g2 = sample_fgm_powers(fgm_copula(0.5), marg, batch_stream(53, 0), n)
+    c = copula_cdf(fgm_copula(-0.5), 0.5, 0.5)
+    emp = np.mean((power_cdf(marg, g1) <= 0.5) & (power_cdf(marg, g2) <= 0.5))
+    assert abs(emp - c) > 4.0 * math.sqrt(c * (1.0 - c) / n)
 
 
 @pytest.mark.parametrize("m, theta", [(1, 1.0), (3, -1.0)])

@@ -11,6 +11,7 @@ from swiptrelay import specfun
 from swiptrelay.specfun import (
     DomainError,
     MeijerGSpec,
+    QuadratureError,
     UnsupportedShapeError,
     bessel_k,
     bessel_k_scaled,
@@ -172,6 +173,13 @@ def test_meijer_g_capacity_shapes_run():
     assert math.isfinite(g) and g > 0.0
     g = meijer_g(MeijerGSpec(1, 4, 4, 2, (0.0, 0.0, 1.0, 1.0), (1.0, 0.0)), 2.0)
     assert math.isfinite(g) and g > 0.0
+
+
+def test_meijer_g_large_error_estimate_raises(monkeypatch):
+    monkeypatch.setattr(specfun, "quad", lambda f, a, b, **kw: (1.0, 1e-3, {}))
+    spec = MeijerGSpec(1, 4, 4, 2, (0.0, 0.0, 1.0, 1.0), (1.0, 0.0))
+    with pytest.raises(QuadratureError, match=r"\(1, 4, 4, 2\) at x=2"):
+        meijer_g(spec, 2.0)
 
 
 def test_meijer_g_spec_validation():

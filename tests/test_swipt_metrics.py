@@ -109,6 +109,17 @@ def test_rd_capacity_quadrature_at_small_scale(ghd, m, theta):
     )
 
 
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("ghd", [1e8, 1e12])
+@pytest.mark.parametrize("theta", [-1.0, 1.0])
+def test_rd_capacity_meijer_at_large_scale_is_quiet_and_right(ghd, theta):
+    # Here the Mellin-Barnes quadrature used to leak roundoff warnings
+    # while its relative error estimates stayed below 2e-10.
+    assert capacity_rd_meijer(ghd, 3, theta) == pytest.approx(
+        ergodic_capacity_rd(ghd, 3, theta), rel=1e-9
+    )
+
+
 def test_rd_capacity_mc_oracle():
     sys = replace(BASE, fading_m=1, theta=0.0)
     scales = derive_snr_scales(sys)
