@@ -55,15 +55,6 @@ def copula_cdf(c: CopulaModel, u1, u2):
     return out if out.ndim else float(out)
 
 
-def copula_density(c: CopulaModel, u1, u2):
-    """Mixed partial of the copula: 1 + theta (1-2u1)(1-2u2)."""
-    u1 = _check_unit("u1", u1)
-    u2 = _check_unit("u2", u2)
-    th = c.theta
-    out = 1.0 + th * (1.0 - 2.0 * u1) * (1.0 - 2.0 * u2)
-    return out if out.ndim else float(out)
-
-
 def conditional_cdf(c: CopulaModel, u2, u1):
     """dC/du1 at (u1, u2), i.e. P(U2 <= u2 | U1 = u1)."""
     u1 = _check_open_unit("u1", u1)
@@ -86,15 +77,6 @@ def conditional_quantile(c: CopulaModel, t, u1):
     disc = np.sqrt(one_plus_a * one_plus_a - 4.0 * a * t)
     denom = one_plus_a + disc
     out = np.where(denom > 0.0, 2.0 * t / np.where(denom > 0.0, denom, 1.0), t)
-    return out if out.ndim else float(out)
-
-
-def survival_copula_cdf(c: CopulaModel, u1, u2):
-    """Survival copula u1 + u2 - 1 + C(1-u1, 1-u2); equals C itself for FGM."""
-    u1 = _check_unit("u1", u1)
-    u2 = _check_unit("u2", u2)
-    out = u1 + u2 - 1.0 + copula_cdf(c, 1.0 - u1, 1.0 - u2)
-    out = np.asarray(out)
     return out if out.ndim else float(out)
 
 

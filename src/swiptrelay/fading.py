@@ -61,29 +61,8 @@ def power_cdf(d: NakagamiPower, g):
     g = np.asarray(g, dtype=float)
     if np.any(g < 0.0):
         raise ValueError("fading power must be non-negative")
-    out = gammainc(d.m, d.rate * g)
-    return out if out.ndim else float(out)
-
-
-def power_cdf_series(d: NakagamiPower, g):
-    """Integer-m finite series 1 - e^{-rg} sum_{k<m} (rg)^k / k!.
-
-    Alternative route to ``power_cdf`` for integer shape; the two must agree
-    to near machine precision.
-    """
-    m = int(d.m)
-    if m != d.m or m < 1:
-        raise ValueError(f"series CDF requires integer m >= 1, got {d.m}")
-    g = np.asarray(g, dtype=float)
-    if np.any(g < 0.0):
-        raise ValueError("fading power must be non-negative")
-    x = d.rate * g
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for k in range(1, m):
-        term = term * x / k
-        total = total + term
-    out = -np.expm1(-x + np.log(total))
+    with np.errstate(over="ignore"):  # rate * g = inf gives the limit 1
+        out = gammainc(d.m, d.rate * g)
     return out if out.ndim else float(out)
 
 

@@ -469,12 +469,7 @@ spacing = log
 PRESETS = tuple(sorted(_PRESET_TEXT))
 
 
-def preset_config(name: str) -> str:
-    try:
-        return _PRESET_TEXT[name]
-    except KeyError:
-        raise ConfigError(f"unknown preset {name!r}; choose one of {', '.join(PRESETS)}") from None
-
-
 def preset_spec(name: str) -> SweepSpec:
-    return parse_config(preset_config(name))
+    if name not in _PRESET_TEXT:
+        raise ConfigError(f"unknown preset {name!r}; choose one of {', '.join(PRESETS)}")
+    return parse_config(_PRESET_TEXT[name])

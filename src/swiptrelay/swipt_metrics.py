@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import gammaln, psi
 
 from . import specfun
 from .copula import copula_cdf, fgm_copula
@@ -90,8 +91,8 @@ class OutageQuery:
     threshold: float
 
     def __post_init__(self) -> None:
-        if self.threshold < 0.0:
-            raise ValueError(f"threshold must be non-negative, got {self.threshold}")
+        if not 0.0 <= self.threshold < math.inf:
+            raise ValueError(f"threshold must be finite and non-negative, got {self.threshold}")
 
 
 def derive_snr_scales(sys: SwiptSystem) -> DerivedSnrScales:
@@ -128,10 +129,13 @@ def ergodic_capacity_sr(gamma_hat_r: float, m: int) -> float:
     def integrand(u: float) -> float:
         return math.log1p(s * u) * u ** (m - 1) * math.exp(-u)
 
-    val, err = quad(integrand, 0.0, np.inf, epsabs=1e-12, epsrel=1e-11, limit=300)
-    if err > 1e-8 * max(abs(val), 1.0):
+    # full_output keeps quad's roundoff warnings (near gamma_hat_r = 1e9 at
+    # m = 1) quiet; the error-estimate bound below is the check instead.
+    val, err, *_ = quad(integrand, 0.0, np.inf, epsabs=1e-12, epsrel=1e-11, limit=300,
+                        full_output=1)
+    if not err <= 1e-8 * max(abs(val), 1.0):
         raise specfun.QuadratureError(f"SR capacity quadrature error {err:.2e}")
-    return val / (2.0 * _LN2 * math.exp(specfun.ln_gamma(m)))
+    return val / (2.0 * _LN2 * math.exp(gammaln(m)))
 
 
 def capacity_sr_meijer(gamma_hat_r: float, m: int, printed_variant: bool = False) -> float:
@@ -141,9 +145,8 @@ def capacity_sr_meijer(gamma_hat_r: float, m: int, printed_variant: bool = False
     ``printed_variant=True`` evaluates the 1 - m/gamma_hat_r reading instead.
     """
     a1 = 1.0 - m / gamma_hat_r if printed_variant else 1.0 - float(m)
-    spec = specfun.MeijerGSpec(1, 3, 3, 2, (a1, 1.0, 1.0), (1.0, 0.0))
-    g = specfun.meijer_g(spec, gamma_hat_r / m)
-    return g / (2.0 * math.exp(specfun.ln_gamma(m)) * _LN2)
+    g = specfun.meijer_g((a1, 1.0, 1.0), gamma_hat_r / m)
+    return g / (2.0 * math.exp(gammaln(m)) * _LN2)
 
 
 def ergodic_capacity_rd(gamma_hat_d: float, m: int, theta: float) -> float:
@@ -177,18 +180,16 @@ def capacity_rd_meijer(gamma_hat_d: float, m: int, theta: float) -> float:
     """
     cf = closed_form_coefficients(m, gamma_hat_d)
     zeta2 = cf.zeta * cf.zeta
-
-    def g142(a: tuple, x: float) -> float:
-        return specfun.meijer_g(specfun.MeijerGSpec(1, 4, 4, 2, a, (1.0, 0.0)), x)
-
-    g1 = g142((1.0 - m, 1.0 - m, 1.0, 1.0), 4.0 / zeta2)
+    g1 = specfun.meijer_g((1.0 - m, 1.0 - m, 1.0, 1.0), 4.0 / zeta2)
     total = (1.0 + theta) * g1
     if theta != 0.0:
         for k in range(m):
-            total -= theta * cf.w[k] * g142((1.0 - (m + k), 1.0 - m, 1.0, 1.0), 2.0 / zeta2)
+            total -= theta * cf.w[k] * specfun.meijer_g(
+                (1.0 - (m + k), 1.0 - m, 1.0, 1.0), 2.0 / zeta2
+            )
         for k in range(m):
             for n in range(m):
-                total += theta * cf.z[k, n] * g142(
+                total += theta * cf.z[k, n] * specfun.meijer_g(
                     (1.0 - (m + n), 1.0 - (m + k), 1.0, 1.0), 1.0 / zeta2
                 )
     return cf.D * total
@@ -226,8 +227,10 @@ def outage_probability(sys: SwiptSystem, q: OutageQuery) -> float:
 
 
 def outage_probability_quadrature(sys: SwiptSystem, q: OutageQuery) -> float:
-    """Same composition with the destination CDF from the general product integral."""
-    return _outage(sys, q, lambda model, y: 1.0 - product_cdf_general(model, y))
+    """Same composition with the destination CDF from the general product integral
+    (survival 0 where y / gamma_hat_d overflows, which the integral refuses)."""
+    return _outage(sys, q, lambda model, y: 0.0 if y / model.snr_scale == math.inf
+                   else 1.0 - product_cdf_general(model, y))
 
 
 def asymptotic_capacity_sr(gamma_hat_r: float, m: int) -> float:
@@ -239,7 +242,7 @@ def asymptotic_capacity_sr(gamma_hat_r: float, m: int) -> float:
     """
     if gamma_hat_r <= 0.0:
         raise ValueError("gamma_hat_r must be positive")
-    return (specfun.digamma(m) + math.log(gamma_hat_r / m)) / (2.0 * _LN2)
+    return (float(psi(m)) + math.log(gamma_hat_r / m)) / (2.0 * _LN2)
 
 
 def asymptotic_outage(sys: SwiptSystem, q: OutageQuery) -> float:
@@ -253,7 +256,10 @@ def asymptotic_outage(sys: SwiptSystem, q: OutageQuery) -> float:
         return 0.0
     scales = derive_snr_scales(sys)
     m = sys.fading_m
-    f_r_inf = (m * q.threshold / scales.gamma_hat_r) ** m / math.exp(specfun.ln_gamma(m + 1))
+    try:
+        f_r_inf = (m * q.threshold / scales.gamma_hat_r) ** m / math.exp(gammaln(m + 1))
+    except OverflowError:
+        f_r_inf = math.inf
     if f_r_inf > 1.0:
         raise OutOfRegimeError(
             f"approximate relay CDF {f_r_inf:.3g} > 1; gamma_hat_r={scales.gamma_hat_r:.3g} "

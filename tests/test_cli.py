@@ -1,8 +1,11 @@
 """CLI and config parsing: schema stability, determinism, exit codes."""
 
+import contextlib
+import io
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from swiptrelay.cli import main
 from swiptrelay.copula import fgm_copula
@@ -377,3 +380,61 @@ def test_failed_run_leaves_no_partial_csv(tmp_path, monkeypatch):
     monkeypatch.setattr(cli_mod, "run_sweep", boom)
     assert main(["sweep", str(cfg), "-o", str(out)]) == 2
     assert not out.exists()
+
+
+# One grid point of the config space: system numbers over many decades (SNR
+# scales from about 1e-40 to 1e60), m, theta and a threshold up to 1e300, in
+# every deterministic mode.
+CONFIG_POINTS = st.fixed_dictionaries({
+    "source_power": st.floats(-6.0, 30.0).map(lambda e: 10.0**e),
+    "noise_power": st.floats(-30.0, 6.0).map(lambda e: 10.0**e),
+    "eh_efficiency": st.floats(0.05, 1.0),
+    "dist_sr": st.floats(-1.0, 3.0).map(lambda e: 10.0**e),
+    "dist_rd": st.floats(-1.0, 3.0).map(lambda e: 10.0**e),
+    "pathloss_exp": st.floats(2.0, 6.0),
+    "m": st.integers(1, 3),
+    "theta": st.floats(-1.0, 1.0),
+    "threshold": st.floats(-3.0, 300.0).map(lambda e: 10.0**e),
+    "rho": st.floats(0.001, 0.999),
+})
+
+
+@given(point=CONFIG_POINTS)
+@settings(max_examples=40, deadline=None)
+# A closed-form outage once nan (scipy's kve) or an OverflowError (y ** p and
+# the asymptotic relay CDF), an SR quadrature that once warned at 1e9, and
+# Meijer-G capacities that were cancellation noise (negative) at 1e40.
+@example(point=dict(source_power=10.0, noise_power=1e-2, eh_efficiency=0.7, dist_sr=2.0,
+                    dist_rd=2.0, pathloss_exp=2.5, m=1, theta=1.0, threshold=1e20, rho=0.3))
+@example(point=dict(source_power=10.0, noise_power=1e-2, eh_efficiency=0.7, dist_sr=2.0,
+                    dist_rd=2.0, pathloss_exp=2.5, m=2, theta=-1.0, threshold=1e200, rho=0.3))
+@example(point=dict(source_power=1e8, noise_power=1e-2, eh_efficiency=0.7, dist_sr=1.0,
+                    dist_rd=2.0, pathloss_exp=2.5, m=1, theta=0.0, threshold=1.0, rho=0.9))
+@example(point=dict(source_power=1e20, noise_power=1e-20, eh_efficiency=0.7, dist_sr=1.0,
+                    dist_rd=1.0, pathloss_exp=2.5, m=2, theta=1.0, threshold=1.0, rho=0.5))
+def test_config_space_rows_are_in_range_or_exit_2(tmp_path_factory, point):
+    point = dict(point)
+    rho = point.pop("rho")
+    cfg = tmp_path_factory.mktemp("point") / "point.cfg"
+    cfg.write_text("".join(f"{key} = {value!r}\n" for key, value in point.items())
+                   + "modes = closed_form,quadrature,asymptotic\n"
+                   + f"[sweep]\nvariable = rho\ngrid = {rho!r}\n")
+    out = cfg.with_suffix(".csv")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["sweep", str(cfg), "-o", str(out)])
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert not out.exists()
+        return
+    assert code == 0
+    for line in _read(out)[1:]:
+        _, _, _, _, mode, metric, estimate, *_ = line.split(",")
+        if mode == "params" or (mode, metric, estimate) == ("asymptotic", "outage", "nan"):
+            continue
+        value = float(estimate)
+        assert math.isfinite(value), line
+        if metric == "outage":
+            assert 0.0 <= value <= 1.0, line
+        elif metric == "mean_snr_d" or mode != "asymptotic":
+            assert value >= 0.0, line

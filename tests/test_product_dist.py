@@ -11,6 +11,7 @@ from swiptrelay.copula import conditional_cdf, fgm_copula, product_copula, sampl
 from swiptrelay.fading import NakagamiPower, power_cdf, power_pdf, power_quantile
 from swiptrelay.product_dist import (
     ClosedFormCoefficients,
+    ClosedFormRangeError,
     EndToEndSnrModel,
     UnsupportedClosedFormError,
     closed_form_coefficients,
@@ -71,9 +72,36 @@ def test_coefficient_validation():
 def test_cached_coefficients_are_shared_and_read_only():
     cf = closed_form_coefficients(3, 7.5)
     assert closed_form_coefficients(3, 7.5) is cf
-    for name in ("a", "b", "c", "d", "q", "t", "w", "z"):
+    for name in ("a", "c", "d", "q", "t", "w", "z"):
         with pytest.raises(ValueError):
             getattr(cf, name)[0] = 1.0
+
+
+@pytest.mark.parametrize("m, scale", [(2, 1e155), (3, 1e120), (2, 1e-200)])
+def test_coefficients_outside_double_range_raise(m, scale):
+    # g ** m overflows (or underflows to 0): once a raw OverflowError or
+    # ZeroDivisionError, now the closed forms' guard error.
+    with pytest.raises(ClosedFormRangeError, match="double range"):
+        ClosedFormCoefficients.build(m, scale)
+
+
+def test_printed_b_sum_equals_c_sum():
+    # The survival sums c twice in place of the printed b + c; the printed b
+    # coefficients, inline, give the same sum at argument zeta sqrt(2y).
+    for m in (1, 2, 3, 5):
+        for g in (0.01, 6.5625, 1e4):
+            cf = closed_form_coefficients(m, g)
+            for y in (1e-3, 1.0, 100.0):
+                z2 = cf.zeta * math.sqrt(2.0 * y)
+                b_sum = sum(
+                    m ** (k + n) * 2.0 ** ((n - k - m + 2.0) / 2.0)
+                    / (g ** ((k + n) / 2.0) * math.factorial(k) * math.factorial(n))
+                    * y ** ((k + n + m) / 2.0) * kv(n - k - m, z2)
+                    for k in range(m) for n in range(m)
+                )
+                c_sum = sum(cf.c[n, l] * y ** ((l + m + n) / 2.0) * kv(l - m + n, z2)
+                            for n in range(m) for l in range(m))
+                assert b_sum == pytest.approx(c_sum, rel=1e-13)
 
 
 def test_cdf_boundaries():

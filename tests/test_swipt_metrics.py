@@ -10,7 +10,8 @@ from scipy.special import exp1
 from swiptrelay.montecarlo import McConfig, batch_stream, simulate_metrics
 from swiptrelay.copula import copula_cdf, fgm_copula, sample_pair
 from swiptrelay.fading import NakagamiPower, power_quantile
-from swiptrelay.product_dist import snr_survival_closed
+from swiptrelay.product_dist import snr_pdf_closed, snr_survival_closed
+from swiptrelay.specfun import QuadratureError
 from swiptrelay.swipt_metrics import (
     OutOfRegimeError,
     BASELINE as BASE,
@@ -58,9 +59,47 @@ def test_derive_snr_scales_reference_point():
 
 def test_outage_query_from_db():
     # A dB threshold reaches OutageQuery already converted (sweepcfg); the
-    # query itself only refuses a negative linear threshold.
+    # query itself only refuses a negative or non-finite linear threshold.
     with pytest.raises(ValueError):
         OutageQuery(-1.0)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_outage_query_refuses_non_finite_threshold(threshold):
+    with pytest.raises(ValueError, match="finite"):
+        OutageQuery(threshold)
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1e30, 1e40])
+def test_meijer_capacities_refuse_cancellation_noise(scale):
+    # At 1e40 both closed forms returned negative capacities without a word.
+    with pytest.raises(QuadratureError):
+        capacity_sr_meijer(scale, 1)
+    with pytest.raises(QuadratureError):
+        capacity_rd_meijer(scale, 2, 1.0)
+
+
+def test_quadrature_outage_where_scaled_threshold_overflows():
+    # threshold / gamma_hat_d = 1e290 / 6.6e-21 overflows; the product-CDF
+    # integral refuses that with ValueError, the outage is simply 1.
+    sys = replace(BASE, source_power=1e-14, noise_power=1e4)
+    assert derive_snr_scales(sys).gamma_hat_d < 1e-20
+    q = OutageQuery(1e290)
+    assert outage_probability_quadrature(sys, q) == outage_probability(sys, q) == 1.0
+
+
+@pytest.mark.parametrize("threshold", [1e19, 1e20, 1e200])
+@pytest.mark.parametrize("theta", [-1.0, 0.0, 1.0])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_closed_form_outage_at_huge_threshold(m, theta, threshold):
+    # The destination survival underflows to 0 there: scipy's kve is nan for
+    # arguments from 2**30 on, and y ** p overflows at y = 1e200 for m >= 2.
+    sys, q = replace(BASE, fading_m=m, theta=theta), OutageQuery(threshold)
+    closed = outage_probability(sys, q)
+    assert math.isfinite(closed)
+    assert closed == outage_probability_quadrature(sys, q)
+    assert snr_survival_closed(destination_snr_model(sys), threshold) == 0.0
+    assert snr_pdf_closed(destination_snr_model(sys), threshold) == 0.0
 
 
 def test_relay_cdf_is_gamma_cdf():
