@@ -103,7 +103,7 @@ class ClosedFormCoefficients:
         try:
             B = 2.0 * m ** (2 * m) / (g**m * math.exp(2.0 * gammaln(m)))
         except ArithmeticError:  # g ** m overflows, or underflows to 0
-            raise ClosedFormRangeError(f"coefficients at m = {m}, {g:.6g} leave double range") from None
+            raise ClosedFormRangeError(f"m = {m}, snr_scale = {g:.3g}: coefficients leave double range") from None
         zeta = 2.0 * m / math.sqrt(g)
         idx = np.arange(m, dtype=float)
         fact = np.array([math.factorial(i) for i in range(m)])

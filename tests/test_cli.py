@@ -436,5 +436,5 @@ def test_config_space_rows_are_in_range_or_exit_2(tmp_path_factory, point):
         assert math.isfinite(value), line
         if metric == "outage":
             assert 0.0 <= value <= 1.0, line
-        elif metric == "mean_snr_d" or mode != "asymptotic":
+        elif mode != "asymptotic":  # the high-SNR SR capacity may be negative
             assert value >= 0.0, line
