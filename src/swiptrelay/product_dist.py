@@ -11,14 +11,27 @@ Two routes are provided and cross-checked against each other:
 * ``snr_cdf_closed`` / ``snr_pdf_closed`` — Bessel-K closed forms for the
   FGM copula with a common integer shape m and unit mean powers.
 
-The closed forms are evaluated through exp-scaled Bessel terms so the deep
-survival tail keeps relative accuracy instead of rounding to 1.
+The printed closed forms weigh Bessel terms by powers of snr_scale that all
+cancel: they depend on y only through z = zeta sqrt(y), zeta = 2m / sqrt(snr_scale).
+With alpha_n = (z/2)^n / n! and beta_n = (z/(2 sqrt2))^n / n! for n < m, r(alpha)
+alpha reversed and * the polynomial product, they sum by Bessel order (6m - 3
+and 3m exp-scaled terms, so the deep tail underflows to 0 instead of cancelling):
+
+  S(y) = 2 (z/2)^m / Gamma(m) [(1 + theta) e^-z sum_n alpha_n K_{n-m}(z)
+         - theta 2^(m/2+1) e^-sqrt2 z sum_j (beta*beta)_j K_{j-m}(sqrt2 z)
+         + 2 theta e^-2z sum_i (alpha*alpha*r(alpha))_i K_{i+1-2m}(2z)]
+  f(y) = (2/y) ((z/2)^m / Gamma(m))^2 [(1 + theta) e^-z K_0(z)
+         - 4 theta e^-sqrt2 z sum_k beta_k K_k(sqrt2 z)
+         + 4 theta e^-2z sum_i (alpha*r(alpha))_i K_{i+1-m}(2z)]
+
+Where a term overflows instead (tiny z), ``ClosedFormRangeError`` refuses the point.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +44,8 @@ from .specfun import NumericalGuardError, QuadratureError, bessel_k_scaled
 
 # SR-marginal mass left out of the product-CDF quadrature at each end.
 _TAIL = 1e-17
+_TINY = sys.float_info.min
+_SQRT2 = math.sqrt(2.0)
 
 
 class UnsupportedClosedFormError(ValueError):
@@ -38,7 +53,7 @@ class UnsupportedClosedFormError(ValueError):
 
 
 class ClosedFormRangeError(NumericalGuardError):
-    """The closed-form survival left [0, 1] beyond slack, or its coefficients double range."""
+    """A closed form left its range: survival outside [0, 1], a non-finite density or m > 100."""
 
 
 @dataclass(frozen=True)
@@ -77,72 +92,26 @@ def closed_form_model(snr_scale: float, m: int, copula: CopulaModel) -> EndToEnd
 
 @dataclass(frozen=True)
 class ClosedFormCoefficients:
-    """Coefficient families of the Bessel-series CDF/PDF and RD capacity."""
+    """What the closed forms need of a model: m and zeta, with z = zeta sqrt(y)."""
 
     m: int
     snr_scale: float
-    B: float
     zeta: float
-    a: np.ndarray          # (m,)
-    c: np.ndarray          # (m, m), indexed [n, l]
-    d: np.ndarray          # (m, m, m), indexed [k, n, l]
-    q: np.ndarray          # (m,)
-    t: np.ndarray          # (m, m), indexed [k, n]
-    w: np.ndarray          # (m,)
-    z: np.ndarray          # (m, m), indexed [k, n]
-    D: float
 
     @classmethod
     def build(cls, m: int, snr_scale: float) -> "ClosedFormCoefficients":
         if m < 1 or m != int(m):
             raise UnsupportedClosedFormError(f"integer m >= 1 required, got {m}")
-        if snr_scale <= 0.0:
-            raise ValueError("snr_scale must be positive")
-        m = int(m)
-        g = snr_scale
-        try:
-            B = 2.0 * m ** (2 * m) / (g**m * math.exp(2.0 * gammaln(m)))
-        except ArithmeticError:  # g ** m overflows, or underflows to 0
-            raise ClosedFormRangeError(f"m = {m}, snr_scale = {g:.3g}: coefficients leave double range") from None
-        zeta = 2.0 * m / math.sqrt(g)
-        idx = np.arange(m, dtype=float)
-        fact = np.array([math.factorial(i) for i in range(m)])
-        a = m**idx / (g ** (idx / 2.0) * fact)
-        k = idx[:, None]
-        n = idx[None, :]
-        fk = fact[:, None]
-        fn = fact[None, :]
-        # c is indexed [n, l]; snr_survival_closed sums it for the printed b too.
-        c = m ** (k + n) * 2.0 ** ((-n + m - k) / 2.0) / (g ** ((k + n) / 2.0) * fk * fn)
-        kk = idx[:, None, None]
-        nn = idx[None, :, None]
-        ll = idx[None, None, :]
-        d = (
-            2.0
-            * m ** (kk + nn + ll)
-            / (g ** ((kk + nn + ll) / 2.0) * fact[:, None, None] * fact[None, :, None] * fact[None, None, :])
-        )
-        q = 2.0 ** (2.0 - idx / 2.0) * m**idx / (g ** (idx / 2.0) * fact)
-        t = 4.0 * m ** (k + n) / (g ** ((k + n) / 2.0) * fk * fn)
-        w = 2.0 ** (2.0 - m) * m**idx / (g ** (idx / 2.0) * zeta**idx * fact)
-        z = 2.0 ** (2.0 - 2.0 * m) * m ** (k + n) / (
-            g ** ((k + n) / 2.0) * zeta ** (k + n) * fk * fn
-        )
-        # NB: the capacity prefactor is 2^(2m-2) B / (zeta^(2m) ln 2); see
-        # swipt_metrics.adjudicate_closed_forms for the convention report.
-        D = 2.0 ** (2 * m - 2) * B / (zeta ** (2 * m) * math.log(2.0))
-        for arr in (a, c, d, q, t, w, z):
-            arr.flags.writeable = False
-        return cls(m=m, snr_scale=g, B=B, zeta=zeta, a=a, c=c, d=d, q=q, t=t, w=w, z=z, D=D)
+        if not 0.0 < snr_scale < math.inf:
+            raise ValueError(f"snr_scale must be finite and positive, got {snr_scale}")
+        if m > 100:  # checked against quadrature up to here; beyond, the terms leave double range
+            raise ClosedFormRangeError(f"m = {m}: the closed forms are evaluated for m <= 100 only")
+        return cls(m=int(m), snr_scale=snr_scale, zeta=2.0 * m / math.sqrt(snr_scale))
 
 
 @functools.lru_cache(maxsize=256)
 def closed_form_coefficients(m: int, snr_scale: float) -> ClosedFormCoefficients:
-    """``ClosedFormCoefficients.build`` memoized on (m, snr_scale).
-
-    Quadrature over the closed-form density asks for the same model hundreds
-    of times; the coefficient arrays are read-only, so sharing them is safe.
-    """
+    """``ClosedFormCoefficients.build`` memoized: density quadrature asks for one model hundreds of times."""
     return ClosedFormCoefficients.build(m, snr_scale)
 
 
@@ -209,57 +178,51 @@ def _integrate_cdf(model: EndToEndSnrModel, yp: np.ndarray) -> np.ndarray:
     return np.clip(val, 0.0, 1.0)
 
 
-def snr_survival_closed(model: EndToEndSnrModel, y: float) -> float:
-    """Survival function 1 - F(y) from the Bessel-series closed form.
+def _series(x: float, m: int) -> list[float]:
+    """x^n / n! for n = 0 .. m - 1."""
+    terms = [1.0]
+    for n in range(1, m):
+        terms.append(terms[-1] * x / n)
+    return terms
 
-    Evaluated with exp-scaled Bessel terms grouped by argument, so the deep
-    tail degrades gracefully to exact underflow instead of cancelling.  The
-    printed form has two double sums at argument zeta sqrt(2y), b and c; they
-    are equal (to 1e-50 at 50 mpmath digits, m = 1, 2, 3, 5), so c is summed
-    twice.
-    """
+
+def _product(p: list[float], q: list[float]) -> list[float]:
+    """Coefficients of the polynomial product of p and q (lowest power first)."""
+    out = [0.0] * (len(p) + len(q) - 1)
+    for i, pi in enumerate(p):
+        for j, qj in enumerate(q):
+            out[i + j] += pi * qj
+    return out
+
+
+def _bessel_sum(weights: list[float], first_order: int, x: float) -> float:
+    """e^-x sum_i weights[i] K_{first_order + i}(x), in logs where e^-x is subnormal."""
+    total = 0.0
+    for i, w in enumerate(weights):
+        total += w * bessel_k_scaled(first_order + i, x)
+    scale = math.exp(-x)
+    return scale * total if scale >= _TINY or total <= 0.0 else math.exp(math.log(total) - x)
+
+
+def snr_survival_closed(model: EndToEndSnrModel, y: float) -> float:
+    """Survival 1 - F(y) by the Bessel sums of the module docstring; nan or a value off [0, 1] raises."""
     if not y >= 0.0:
         raise ValueError("SNR threshold must be non-negative")
     if y == 0.0:
         return 1.0
     cf = closed_form_coefficients(model._closed_form_m(), model.snr_scale)
-    th = model.copula.theta
-    m = cf.m
-    sq = math.sqrt(y)
-    z1 = cf.zeta * sq
-    z2 = cf.zeta * math.sqrt(2.0 * y)
-    z3 = 2.0 * cf.zeta * sq
-    e1 = math.exp(-z1)
-    if e1 == 0.0:
-        # Every term carries a factor exp(-z) <= e1, so the survival is 0;
-        # y ** p, which may overflow here, is never formed.
+    th, m, z = model.copula.theta, cf.m, cf.zeta * math.sqrt(y)
+    if math.exp(-z) == 0.0:  # z > 745: the survival is below 1e-124 for every m <= 100
         return 0.0
-
-    A = sum(
-        cf.a[n] * y ** ((m + n) / 2.0) * bessel_k_scaled(n - m, z1) for n in range(m)
-    )
+    alpha = _series(0.5 * z, m)
+    bracket = (1.0 + th) * _bessel_sum(alpha, -m, z)
     if th != 0.0:
-        Csum = sum(
-            cf.c[n, l] * y ** ((l + m + n) / 2.0) * bessel_k_scaled(l - m + n, z2)
-            for n in range(m)
-            for l in range(m)
-        )
-        Dsum = sum(
-            cf.d[k, n, l] * y ** ((k + n + l + m) / 2.0) * bessel_k_scaled(n + l - k - m, z3)
-            for k in range(m)
-            for n in range(m)
-            for l in range(m)
-        )
-    else:
-        Csum = Dsum = 0.0
-
-    root = math.sqrt(2.0 * cf.B)
-    surv = root * (
-        (1.0 + th) * A * e1
-        - th * (2.0 * Csum) * math.exp(-z2)
-        + th * Dsum * math.exp(-z3)
-    )
-    if surv < -1e-9 or surv > 1.0 + 1e-9:
+        beta = _series(z / (2.0 * _SQRT2), m)
+        bracket -= th * 2.0 ** (m / 2.0 + 1.0) * _bessel_sum(_product(beta, beta), -m, _SQRT2 * z)
+        bracket += 2.0 * th * _bessel_sum(_product(_product(alpha, alpha), alpha[::-1]),
+                                          1 - 2 * m, 2.0 * z)
+    surv = z * alpha[-1] * bracket  # 2 (z/2)^m / Gamma(m) = z alpha_{m-1}
+    if not -1e-9 <= surv <= 1.0 + 1e-9:
         raise ClosedFormRangeError(f"closed-form survival {surv:.6g} at y = {y:.6g} "
                                    "escapes [0, 1] beyond slack")
     return min(max(surv, 0.0), 1.0)
@@ -271,32 +234,23 @@ def snr_cdf_closed(model: EndToEndSnrModel, y: float) -> float:
 
 
 def snr_pdf_closed(model: EndToEndSnrModel, y: float) -> float:
-    """Closed-form density of the end-to-end SNR at y > 0."""
+    """Density at y > 0 by the Bessel sums of the module docstring; a non-finite value raises."""
     if y <= 0.0:
         raise ValueError("density defined for y > 0")
     cf = closed_form_coefficients(model._closed_form_m(), model.snr_scale)
-    th = model.copula.theta
-    m = cf.m
-    z1 = cf.zeta * math.sqrt(y)
-    z2 = cf.zeta * math.sqrt(2.0 * y)
-    z3 = 2.0 * cf.zeta * math.sqrt(y)
-    e1 = math.exp(-z1)
-    if e1 == 0.0:  # as in snr_survival_closed: every term has a factor exp(-z) <= e1
+    th, m, z = model.copula.theta, cf.m, cf.zeta * math.sqrt(y)
+    e1 = math.exp(-z)
+    if e1 == 0.0:  # as in snr_survival_closed
         return 0.0
-
-    base = (1.0 + th) * y ** (m - 1.0) * bessel_k_scaled(0.0, z1) * e1
-    qsum = 0.0
-    tsum = 0.0
+    alpha = _series(0.5 * z, m)
+    bracket = (1.0 + th) * e1 * bessel_k_scaled(0, z)
     if th != 0.0:
-        qsum = sum(
-            cf.q[k] * y ** (k / 2.0 + m - 1.0) * bessel_k_scaled(k, z2) for k in range(m)
-        ) * math.exp(-z2)
-        tsum = sum(
-            cf.t[k, n] * y ** ((k + n) / 2.0 + m - 1.0) * bessel_k_scaled(n - k, z3)
-            for k in range(m)
-            for n in range(m)
-        ) * math.exp(-z3)
-    val = cf.B * (base - th * qsum + th * tsum)
+        bracket -= 4.0 * th * _bessel_sum(_series(z / (2.0 * _SQRT2), m), 0, _SQRT2 * z)
+        bracket += 4.0 * th * _bessel_sum(_product(alpha, alpha[::-1]), 1 - m, 2.0 * z)
+    # (2/y) ((z/2)^m / Gamma(m))^2 = (zeta^2 / 2) alpha_{m-1}^2, free of 1/y
+    val = 0.5 * cf.zeta**2 * alpha[-1] ** 2 * bracket
+    if not math.isfinite(val):
+        raise ClosedFormRangeError(f"closed-form density {val} at y = {y:.6g} is not finite")
     return max(val, 0.0)
 
 

@@ -20,7 +20,6 @@ from .copula import copula_cdf, fgm_copula
 from .fading import NakagamiPower, power_cdf
 from .product_dist import (
     EndToEndSnrModel,
-    closed_form_coefficients,
     closed_form_model,
     product_cdf_general,
     snr_pdf_closed,
@@ -166,7 +165,7 @@ def ergodic_capacity_rd(gamma_hat_d: float, m: int, theta: float) -> float:
     small = min(1.0, gamma_hat_d)
     hi = math.sqrt(gamma_hat_d) * 40.0 / m + 40.0 * math.sqrt(small)
     val, err = quad(integrand, 0.0, hi, epsabs=1e-11 * small, epsrel=1e-10, limit=400)
-    if err > 1e-7 * max(abs(val), 1.0):
+    if not err <= 1e-7 * max(abs(val), 1.0):
         raise specfun.QuadratureError(f"RD capacity quadrature error {err:.2e}")
     return val / (2.0 * _LN2)
 
@@ -177,22 +176,21 @@ def capacity_rd_meijer(gamma_hat_d: float, m: int, theta: float) -> float:
     The prefactor multiplies the whole bracket.  The printed prefactor has a
     pi in its denominator; the reading without it matches quadrature and is
     the one computed here (the printed reading is this value divided by pi).
+    With x = gamma_hat_d / m^2, the bracket weighs G at x by 1 + theta, at
+    x/2 by -theta 2^(2-m-k)/k! and at x/4 by theta 2^(2-2m-k-n)/(k! n!); the
+    prefactor is 1 / (2 Gamma(m)^2 ln 2).  No power of gamma_hat_d is formed.
     """
-    cf = closed_form_coefficients(m, gamma_hat_d)
-    zeta2 = cf.zeta * cf.zeta
-    g1 = specfun.meijer_g((1.0 - m, 1.0 - m, 1.0, 1.0), 4.0 / zeta2)
-    total = (1.0 + theta) * g1
+    x = gamma_hat_d / (m * m)
+    total = (1.0 + theta) * specfun.meijer_g((1.0 - m, 1.0 - m, 1.0, 1.0), x)
     if theta != 0.0:
         for k in range(m):
-            total -= theta * cf.w[k] * specfun.meijer_g(
-                (1.0 - (m + k), 1.0 - m, 1.0, 1.0), 2.0 / zeta2
-            )
+            total -= theta * 2.0 ** (2 - m - k) / math.factorial(k) * specfun.meijer_g(
+                (1.0 - (m + k), 1.0 - m, 1.0, 1.0), x / 2.0)
         for k in range(m):
             for n in range(m):
-                total += theta * cf.z[k, n] * specfun.meijer_g(
-                    (1.0 - (m + n), 1.0 - (m + k), 1.0, 1.0), 1.0 / zeta2
-                )
-    return cf.D * total
+                total += theta * 2.0 ** (2 - 2 * m - k - n) / (math.factorial(k) * math.factorial(n)) * (
+                    specfun.meijer_g((1.0 - (m + n), 1.0 - (m + k), 1.0, 1.0), x / 4.0))
+    return total / (2.0 * math.factorial(m - 1) ** 2 * _LN2)
 
 
 def ergodic_capacity_system(sys: SwiptSystem) -> dict:

@@ -222,6 +222,22 @@ def test_closed_form_range_error_is_a_numerical_guard_error(monkeypatch):
     assert isinstance(exc.value, NumericalGuardError)
 
 
+@pytest.mark.parametrize("m, threshold", [(3, "1e-200"), (2, "1e-310")])
+def test_tiny_threshold_closed_form_exits_2_naming_the_point(tmp_path, capsys, m, threshold):
+    # A Bessel term of the closed-form survival overflows there; the outage
+    # row was once a silent nan with exit code 0.
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(f"m = {m}\ntheta = 0.5\nthreshold = {threshold}\n"
+                   "modes = closed_form,quadrature\n[sweep]\nvariable = rho\ngrid = 0.5\n")
+    out = tmp_path / "tiny.csv"
+    assert main(["sweep", str(cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: closed_form at rho = 0.5, theta = 0.5, m = {m}: "
+                          "closed-form survival ")
+    assert err.endswith(f" at y = {float(threshold):.6g} escapes [0, 1] beyond slack\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("m", [1, 3])
 def test_tiny_gamma_hat_d_quadrature_outage_matches_closed_form(tmp_path, m):
     # At gamma_hat_d = 1e-12 the destination SNR almost never reaches 1, so
@@ -383,7 +399,7 @@ def test_failed_run_leaves_no_partial_csv(tmp_path, monkeypatch):
 
 
 # One grid point of the config space: system numbers over many decades (SNR
-# scales from about 1e-40 to 1e60), m, theta and a threshold up to 1e300, in
+# scales from about 1e-40 to 1e60), m, theta and a threshold from 1e-300 to 1e300, in
 # every deterministic mode.
 CONFIG_POINTS = st.fixed_dictionaries({
     "source_power": st.floats(-6.0, 30.0).map(lambda e: 10.0**e),
@@ -394,20 +410,23 @@ CONFIG_POINTS = st.fixed_dictionaries({
     "pathloss_exp": st.floats(2.0, 6.0),
     "m": st.integers(1, 3),
     "theta": st.floats(-1.0, 1.0),
-    "threshold": st.floats(-3.0, 300.0).map(lambda e: 10.0**e),
+    "threshold": st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
     "rho": st.floats(0.001, 0.999),
 })
 
 
 @given(point=CONFIG_POINTS)
 @settings(max_examples=40, deadline=None)
-# A closed-form outage once nan (scipy's kve) or an OverflowError (y ** p and
-# the asymptotic relay CDF), an SR quadrature that once warned at 1e9, and
-# Meijer-G capacities that were cancellation noise (negative) at 1e40.
+# A closed-form outage once nan (scipy's kve at 1e20, an overflowing Bessel
+# term at 1e-200) or an OverflowError (y ** p and the asymptotic relay CDF),
+# an SR quadrature that once warned at 1e9, and Meijer-G capacities that were
+# cancellation noise (negative) at 1e40.
 @example(point=dict(source_power=10.0, noise_power=1e-2, eh_efficiency=0.7, dist_sr=2.0,
                     dist_rd=2.0, pathloss_exp=2.5, m=1, theta=1.0, threshold=1e20, rho=0.3))
 @example(point=dict(source_power=10.0, noise_power=1e-2, eh_efficiency=0.7, dist_sr=2.0,
                     dist_rd=2.0, pathloss_exp=2.5, m=2, theta=-1.0, threshold=1e200, rho=0.3))
+@example(point=dict(source_power=10.0, noise_power=1e-2, eh_efficiency=0.7, dist_sr=2.0,
+                    dist_rd=2.0, pathloss_exp=2.5, m=3, theta=0.5, threshold=1e-200, rho=0.3))
 @example(point=dict(source_power=1e8, noise_power=1e-2, eh_efficiency=0.7, dist_sr=1.0,
                     dist_rd=2.0, pathloss_exp=2.5, m=1, theta=0.0, threshold=1.0, rho=0.9))
 @example(point=dict(source_power=1e20, noise_power=1e-20, eh_efficiency=0.7, dist_sr=1.0,

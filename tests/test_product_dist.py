@@ -1,7 +1,9 @@
 """End-to-end SNR distribution: closed form vs quadrature, density, moments."""
 
+import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -22,6 +24,8 @@ from swiptrelay.product_dist import (
     snr_pdf_closed,
     snr_survival_closed,
 )
+from swiptrelay.specfun import meijer_g
+from swiptrelay.swipt_metrics import capacity_rd_meijer
 
 
 def scalar_oracle_cdf(model, y):
@@ -65,43 +69,182 @@ def test_closed_form_guard():
 def test_coefficient_validation():
     with pytest.raises(UnsupportedClosedFormError):
         ClosedFormCoefficients.build(0, 1.0)
-    with pytest.raises(ValueError):
-        ClosedFormCoefficients.build(2, -1.0)
+    for bad_scale in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ClosedFormCoefficients.build(2, bad_scale)
+    # Beyond m = 100 the terms leave double range: refused, not summed.
+    with pytest.raises(ClosedFormRangeError, match="m <= 100"):
+        ClosedFormCoefficients.build(101, 1.0)
 
 
 def test_cached_coefficients_are_shared_and_read_only():
     cf = closed_form_coefficients(3, 7.5)
     assert closed_form_coefficients(3, 7.5) is cf
-    for name in ("a", "c", "d", "q", "t", "w", "z"):
-        with pytest.raises(ValueError):
-            getattr(cf, name)[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cf.zeta = 1.0
 
 
-@pytest.mark.parametrize("m, scale", [(2, 1e155), (3, 1e120), (2, 1e-200)])
-def test_coefficients_outside_double_range_raise(m, scale):
-    # g ** m overflows (or underflows to 0): once a raw OverflowError or
-    # ZeroDivisionError, now the closed forms' guard error.
-    with pytest.raises(ClosedFormRangeError, match="double range"):
-        ClosedFormCoefficients.build(m, scale)
+def printed_families(m, g):
+    """The paper's coefficient families as printed, built from g = snr_scale.
+
+    The library sums the same terms grouped by Bessel order on
+    z = zeta sqrt(y), where every power of g cancels; these are the oracle.
+    """
+    f = math.factorial
+    zeta = 2.0 * m / math.sqrt(g)
+    B = 2.0 * m ** (2 * m) / (g**m * math.gamma(m) ** 2)
+    r = range(m)
+    fam = {
+        "a": [m**n / (g ** (n / 2.0) * f(n)) for n in r],
+        # b is indexed [k, n], c [n, l]: the two double sums at zeta sqrt(2y)
+        "b": [[m ** (k + n) * 2.0 ** ((n - k - m + 2.0) / 2.0) / (g ** ((k + n) / 2.0) * f(k) * f(n))
+               for n in r] for k in r],
+        "c": [[m ** (n + l) * 2.0 ** ((m - n - l) / 2.0) / (g ** ((n + l) / 2.0) * f(n) * f(l))
+               for l in r] for n in r],
+        "d": [[[2.0 * m ** (k + n + l) / (g ** ((k + n + l) / 2.0) * f(k) * f(n) * f(l))
+                for l in r] for n in r] for k in r],
+        "q": [2.0 ** (2.0 - k / 2.0) * m**k / (g ** (k / 2.0) * f(k)) for k in r],
+        "t": [[4.0 * m ** (k + n) / (g ** ((k + n) / 2.0) * f(k) * f(n)) for n in r] for k in r],
+        "w": [2.0 ** (2.0 - m) * m**k / (g ** (k / 2.0) * zeta**k * f(k)) for k in r],
+        "z": [[2.0 ** (2.0 - 2.0 * m) * m ** (k + n) / (g ** ((k + n) / 2.0) * zeta ** (k + n) * f(k) * f(n))
+               for n in r] for k in r],
+    }
+    fam.update(B=B, zeta=zeta, D=2.0 ** (2 * m - 2) * B / (zeta ** (2 * m) * math.log(2.0)))
+    return fam
+
+
+def printed_b_sum(fam, m, y):
+    z2 = fam["zeta"] * math.sqrt(2.0 * y)
+    return sum(fam["b"][k][n] * y ** ((k + n + m) / 2.0) * kv(n - k - m, z2)
+               for k in range(m) for n in range(m))
+
+
+def printed_c_sum(fam, m, y):
+    z2 = fam["zeta"] * math.sqrt(2.0 * y)
+    return sum(fam["c"][n][l] * y ** ((l + m + n) / 2.0) * kv(l - m + n, z2)
+               for n in range(m) for l in range(m))
+
+
+def printed_survival(fam, m, th, y):
+    z1 = fam["zeta"] * math.sqrt(y)
+    z3 = 2.0 * fam["zeta"] * math.sqrt(y)
+    a_sum = sum(fam["a"][n] * y ** ((m + n) / 2.0) * kv(n - m, z1) for n in range(m))
+    d_sum = sum(fam["d"][k][n][l] * y ** ((k + n + l + m) / 2.0) * kv(n + l - k - m, z3)
+                for k in range(m) for n in range(m) for l in range(m))
+    return math.sqrt(2.0 * fam["B"]) * (
+        (1.0 + th) * a_sum - th * (printed_b_sum(fam, m, y) + printed_c_sum(fam, m, y)) + th * d_sum)
+
+
+def printed_density(fam, m, th, y):
+    z1 = fam["zeta"] * math.sqrt(y)
+    z2 = fam["zeta"] * math.sqrt(2.0 * y)
+    z3 = 2.0 * fam["zeta"] * math.sqrt(y)
+    q_sum = sum(fam["q"][k] * y ** (k / 2.0 + m - 1.0) * kv(k, z2) for k in range(m))
+    t_sum = sum(fam["t"][k][n] * y ** ((k + n) / 2.0 + m - 1.0) * kv(n - k, z3)
+                for k in range(m) for n in range(m))
+    return fam["B"] * ((1.0 + th) * y ** (m - 1.0) * kv(0, z1) - th * q_sum + th * t_sum)
+
+
+def printed_capacity_rd(fam, m, th, g):
+    # The printed arguments 4/zeta^2, 2/zeta^2 and 1/zeta^2 are g/m^2, g/(2m^2)
+    # and g/(4m^2); they are taken correctly rounded, as the library does,
+    # since the Mellin-Barnes quadrature amplifies a 1-ulp shift of its
+    # argument (4.5e-14 relative at x = 1e8/9, m = 3).
+    x = g / (4 * m * m)
+    total = (1.0 + th) * meijer_g((1.0 - m, 1.0 - m, 1.0, 1.0), 4.0 * x)
+    for k in range(m):
+        total -= th * fam["w"][k] * meijer_g((1.0 - (m + k), 1.0 - m, 1.0, 1.0), 2.0 * x)
+        for n in range(m):
+            total += th * fam["z"][k][n] * meijer_g((1.0 - (m + n), 1.0 - (m + k), 1.0, 1.0), x)
+    return fam["D"] * total
+
+
+PRINTED_SCALES = (1e-3, 6.5625, 1e4, 1e8)
+PRINTED_THETAS = (-1.0, -0.5, 0.0, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_grouped_sums_match_printed_families(m):
+    for g in PRINTED_SCALES:
+        fam = printed_families(m, g)
+        for th in PRINTED_THETAS:
+            model = closed_form_model(g, m, fgm_copula(th))
+            for y in g * np.geomspace(1e-4, 1e3, 15):
+                assert snr_survival_closed(model, y) == pytest.approx(
+                    printed_survival(fam, m, th, y), rel=1e-12)
+                assert snr_pdf_closed(model, y) == pytest.approx(
+                    printed_density(fam, m, th, y), rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_capacity_rd_meijer_matches_printed_families(m):
+    for g in PRINTED_SCALES:
+        fam = printed_families(m, g)
+        for th in PRINTED_THETAS:
+            assert capacity_rd_meijer(g, m, th) == pytest.approx(
+                printed_capacity_rd(fam, m, th, g), rel=1e-14)
+
+
+@pytest.mark.parametrize("m, scale", [(2, 1e155), (3, 1e120)])
+def test_closed_cdf_beyond_printed_coefficient_range(m, scale):
+    # g ** m leaves double range here, so the printed families cannot be
+    # built; the grouped sums on z never form it.
+    model = closed_form_model(scale, m, fgm_copula(0.5))
+    for y in scale * np.array([0.1, 1.0, 10.0]):
+        assert abs(snr_cdf_closed(model, y) - product_cdf_general(model, y)) < 1e-12
+
+
+def test_closed_forms_vanish_where_exp_minus_z_underflows():
+    model = closed_form_model(1e-200, 2, fgm_copula(0.5))
+    assert snr_survival_closed(model, 1.0) == 0.0
+    assert snr_pdf_closed(model, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("m, y", [(3, 1e-200), (2, 1e-310)])
+def test_survival_refuses_overflowing_bessel_terms(m, y):
+    # K_{-m}(z) overflows while (z/2)^m underflows: once a silent nan.
+    model = closed_form_model(6.5625, m, fgm_copula(0.5))
+    with pytest.raises(ClosedFormRangeError, match="escapes"):
+        snr_survival_closed(model, y)
+
+
+def test_density_refuses_non_finite_value():
+    model = closed_form_model(1e60, 3, fgm_copula(0.5))
+    with pytest.raises(ClosedFormRangeError, match="not finite"):
+        snr_pdf_closed(model, 1e-300)
+
+
+def test_deep_tail_keeps_terms_whose_exponential_is_subnormal():
+    # At m = 20, theta = -1, y = 178 both surviving groups carry e^-x with
+    # x > 745 before sums near 1e200; multiplied out they once gave 0.
+    # Oracle: the grouped sums at 40 digits.
+    m, y = 20, 178.0
+
+    def conv(p, q):
+        return [sum(p[k] * q[j - k] for k in range(len(p)) if 0 <= j - k < len(q))
+                for j in range(len(p) + len(q) - 1)]
+
+    with mp.workdps(40):
+        z = 2 * m * mp.sqrt(mp.mpf(y))
+        alpha = [(z / 2) ** n / mp.factorial(n) for n in range(m)]
+        beta = [(z / (2 * mp.sqrt(2))) ** n / mp.factorial(n) for n in range(m)]
+        bracket = (2 ** (mp.mpf(m) / 2 + 1) * sum(c * mp.besselk(j - m, mp.sqrt(2) * z)
+                                                  for j, c in enumerate(conv(beta, beta)))
+                   - 2 * sum(c * mp.besselk(i + 1 - 2 * m, 2 * z)
+                             for i, c in enumerate(conv(conv(alpha, alpha), alpha[::-1]))))
+        exact = 2 * (z / 2) ** m / mp.factorial(m - 1) * bracket
+    got = snr_survival_closed(closed_form_model(1.0, m, fgm_copula(-1.0)), y)
+    assert 1e-250 < got == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_printed_b_sum_equals_c_sum():
-    # The survival sums c twice in place of the printed b + c; the printed b
-    # coefficients, inline, give the same sum at argument zeta sqrt(2y).
+    # The grouped survival sums c twice in place of the printed b + c.
     for m in (1, 2, 3, 5):
         for g in (0.01, 6.5625, 1e4):
-            cf = closed_form_coefficients(m, g)
+            fam = printed_families(m, g)
             for y in (1e-3, 1.0, 100.0):
-                z2 = cf.zeta * math.sqrt(2.0 * y)
-                b_sum = sum(
-                    m ** (k + n) * 2.0 ** ((n - k - m + 2.0) / 2.0)
-                    / (g ** ((k + n) / 2.0) * math.factorial(k) * math.factorial(n))
-                    * y ** ((k + n + m) / 2.0) * kv(n - k - m, z2)
-                    for k in range(m) for n in range(m)
-                )
-                c_sum = sum(cf.c[n, l] * y ** ((l + m + n) / 2.0) * kv(l - m + n, z2)
-                            for n in range(m) for l in range(m))
-                assert b_sum == pytest.approx(c_sum, rel=1e-13)
+                assert printed_b_sum(fam, m, y) == pytest.approx(
+                    printed_c_sum(fam, m, y), rel=1e-13)
 
 
 def test_cdf_boundaries():

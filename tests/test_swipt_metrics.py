@@ -79,6 +79,15 @@ def test_meijer_capacities_refuse_cancellation_noise(scale):
         capacity_rd_meijer(scale, 2, 1.0)
 
 
+def test_rd_quadrature_refuses_nan_error_estimate(monkeypatch):
+    # A nan estimate once passed the "err > bound" check.
+    import swiptrelay.swipt_metrics as metrics_mod
+
+    monkeypatch.setattr(metrics_mod, "quad", lambda *args, **kwargs: (math.nan, math.nan))
+    with pytest.raises(QuadratureError, match="RD capacity"):
+        ergodic_capacity_rd(6.5625, 2, 0.5)
+
+
 def test_quadrature_outage_where_scaled_threshold_overflows():
     # threshold / gamma_hat_d = 1e290 / 6.6e-21 overflows; the product-CDF
     # integral refuses that with ValueError, the outage is simply 1.
