@@ -255,17 +255,11 @@ def snr_pdf_closed(model: EndToEndSnrModel, y: float) -> float:
 
 
 def mean_snr_factor(m: int, theta: float) -> float:
-    """E{g_sr g_rd} under FGM dependence: 1 + theta (1 - f(m))."""
+    """E{g_sr g_rd} under FGM dependence: 1 + theta (1 - h)^2; h^2 is the FGM double sum."""
     if m < 1 or m != int(m):
         raise ValueError(f"integer m >= 1 required, got {m}")
     if not -1.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [-1, 1], got {theta}")
     m = int(m)
-    single = sum(2.0 ** (-(m + k - 1)) / (m * beta(m, k + 1)) for k in range(m))
-    double = sum(
-        2.0 ** (-(2 * m + k + n)) / (m * m * beta(m, k + 1) * beta(m, n + 1))
-        for k in range(m)
-        for n in range(m)
-    )
-    f_m = single - double
-    return float(1.0 + theta * (1.0 - f_m))
+    h = sum(2.0 ** (-(m + k)) / (m * beta(m, k + 1)) for k in range(m))
+    return float(1.0 + theta * (1.0 - h) ** 2)

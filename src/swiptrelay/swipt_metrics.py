@@ -8,12 +8,14 @@ reading matches quadrature (see the convention notes in each docstring).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaln, psi
+from scipy.special import gammainccinv, gammaln, psi
+from scipy.special import loggamma as _loggamma
 
 from . import specfun
 from .copula import copula_cdf, fgm_copula
@@ -123,18 +125,20 @@ def ergodic_capacity_sr(gamma_hat_r: float, m: int) -> float:
     """
     if gamma_hat_r <= 0.0:
         raise ValueError("gamma_hat_r must be positive")
-    s = gamma_hat_r / m
+    s, small, ln_gamma_m = gamma_hat_r / m, min(1.0, gamma_hat_r), float(gammaln(m))
 
     def integrand(u: float) -> float:
-        return math.log1p(s * u) * u ** (m - 1) * math.exp(-u)
+        # In logs, so u ** (m - 1) and Gamma(m) cannot overflow at large m.
+        return math.log1p(s * u) * math.exp((m - 1) * math.log(u) - u - ln_gamma_m)
 
-    # full_output keeps quad's roundoff warnings (near gamma_hat_r = 1e9 at
-    # m = 1) quiet; the error-estimate bound below is the check instead.
-    val, err, *_ = quad(integrand, 0.0, np.inf, epsabs=1e-12, epsrel=1e-11, limit=300,
+    # full_output keeps quad's roundoff warnings (near gamma_hat_r = 1e9 at m = 1) quiet;
+    # the error bound below is the check instead.  Both tolerances shrink with
+    # the capacity, about gamma_hat_r / (2 ln 2) below 1.
+    val, err, *_ = quad(integrand, 0.0, np.inf, epsabs=1e-12 * small, epsrel=1e-11, limit=300,
                         full_output=1)
-    if not err <= 1e-8 * max(abs(val), 1.0):
+    if not err <= 1e-8 * max(abs(val), small):
         raise specfun.QuadratureError(f"SR capacity quadrature error {err:.2e}")
-    return val / (2.0 * _LN2 * math.exp(gammaln(m)))
+    return val / (2.0 * _LN2)
 
 
 def capacity_sr_meijer(gamma_hat_r: float, m: int, printed_variant: bool = False) -> float:
@@ -159,38 +163,53 @@ def ergodic_capacity_rd(gamma_hat_d: float, m: int, theta: float) -> float:
         y = s * s
         return 2.0 * s * math.log1p(y) * snr_pdf_closed(model, y)
 
-    # Below gamma_hat_d = 1 the density's mass sits at s ~ sqrt(gamma_hat_d):
-    # the interval and the absolute tolerance shrink with it, or QUADPACK
-    # never samples the mass and returns about 0 with a tiny error estimate.
+    # The density's mass sits at s ~ sqrt(gamma_hat_d).  Below gamma_hat_d = 1
+    # the interval and the absolute tolerance shrink with it, or QUADPACK never
+    # samples the mass and returns about 0 with a tiny error estimate.  Above,
+    # the interval ends where both hop gains pass their 1e-17 upper quantile.
     small = min(1.0, gamma_hat_d)
-    hi = math.sqrt(gamma_hat_d) * 40.0 / m + 40.0 * math.sqrt(small)
-    val, err = quad(integrand, 0.0, hi, epsabs=1e-11 * small, epsrel=1e-10, limit=400)
+    hi = math.sqrt(gamma_hat_d) * float(gammainccinv(m, 1e-17)) / m + 40.0 * math.sqrt(small)
+    val, err = quad(integrand, 0.0, hi, epsabs=1e-11 * small, epsrel=1e-10, limit=400,
+                    points=[math.sqrt(gamma_hat_d)])
     if not err <= 1e-7 * max(abs(val), 1.0):
         raise specfun.QuadratureError(f"RD capacity quadrature error {err:.2e}")
     return val / (2.0 * _LN2)
 
 
 def capacity_rd_meijer(gamma_hat_d: float, m: int, theta: float) -> float:
-    """RD capacity via the G^{1,4}_{4,2} closed form.
+    """RD capacity via the G^{1,4}_{4,2} closed form, summed as one contour integral.
 
     The prefactor multiplies the whole bracket.  The printed prefactor has a
     pi in its denominator; the reading without it matches quadrature and is
     the one computed here (the printed reading is this value divided by pi).
     With x = gamma_hat_d / m^2, the bracket weighs G at x by 1 + theta, at
     x/2 by -theta 2^(2-m-k)/k! and at x/4 by theta 2^(2-2m-k-n)/(k! n!); the
-    prefactor is 1 / (2 Gamma(m)^2 ln 2).  No power of gamma_hat_d is formed.
+    prefactor is 1 / (2 Gamma(m)^2 ln 2).  The terms share one Mellin-Barnes
+    kernel, as Gamma(m+k-s) = Gamma(m-s) (m-s)_k and the weights factor in k
+    and n: with Q(s) = sum_{k<m} (m-s)_k / (2^k k!) and u = 2^(1-m+s) Q(s),
+    the 1 + m + m^2 terms are one contour integral at s = -1/2 + it,
+
+      C = 1 / (2 pi ln 2) int_0^inf Re[Gamma(1+s) Gamma(-s)^2 Gamma(m-s)^2
+          / (Gamma(m)^2 Gamma(1-s)) x^-s (1 + theta (1 - u)^2)] dt,
+
+    with 1 / Gamma(m)^2 in the log integrand, so the peak stays in range up
+    to m = 100.  No power of gamma_hat_d is formed.
     """
     x = gamma_hat_d / (m * m)
-    total = (1.0 + theta) * specfun.meijer_g((1.0 - m, 1.0 - m, 1.0, 1.0), x)
-    if theta != 0.0:
+    ln_x, ln_gamma_m2 = math.log(x), 2.0 * float(gammaln(m))
+
+    def ln_integrand(s: complex) -> complex:
+        q, term = 0.0, 1.0
         for k in range(m):
-            total -= theta * 2.0 ** (2 - m - k) / math.factorial(k) * specfun.meijer_g(
-                (1.0 - (m + k), 1.0 - m, 1.0, 1.0), x / 2.0)
-        for k in range(m):
-            for n in range(m):
-                total += theta * 2.0 ** (2 - 2 * m - k - n) / (math.factorial(k) * math.factorial(n)) * (
-                    specfun.meijer_g((1.0 - (m + n), 1.0 - (m + k), 1.0, 1.0), x / 4.0))
-    return total / (2.0 * math.factorial(m - 1) ** 2 * _LN2)
+            q += term
+            term *= (m + k - s) / (2.0 * k + 2.0)
+        # For theta < 0 the weight vanishes at u = 1 +- 1/sqrt(-theta).
+        weight = 1.0 + theta * (1.0 - 2.0 ** (1 - m + s) * q) ** 2
+        return (_loggamma(1.0 + s) + 2.0 * _loggamma(-s) + 2.0 * _loggamma(m - s) - _loggamma(1.0 - s)
+                - ln_gamma_m2 - s * ln_x + (cmath.log(weight) if weight else -math.inf))
+
+    return specfun.mellin_barnes(ln_integrand, -0.5, f"RD capacity contour (m={m}, "
+                                 f"theta={theta:.6g}) at x={x:.6g}") / (2.0 * _LN2)
 
 
 def ergodic_capacity_system(sys: SwiptSystem) -> dict:

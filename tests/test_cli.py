@@ -408,7 +408,7 @@ CONFIG_POINTS = st.fixed_dictionaries({
     "dist_sr": st.floats(-1.0, 3.0).map(lambda e: 10.0**e),
     "dist_rd": st.floats(-1.0, 3.0).map(lambda e: 10.0**e),
     "pathloss_exp": st.floats(2.0, 6.0),
-    "m": st.integers(1, 3),
+    "m": st.integers(1, 100),
     "theta": st.floats(-1.0, 1.0),
     "threshold": st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
     "rho": st.floats(0.001, 0.999),
@@ -431,6 +431,16 @@ CONFIG_POINTS = st.fixed_dictionaries({
                     dist_rd=2.0, pathloss_exp=2.5, m=1, theta=0.0, threshold=1.0, rho=0.9))
 @example(point=dict(source_power=1e20, noise_power=1e-20, eh_efficiency=0.7, dist_sr=1.0,
                     dist_rd=1.0, pathloss_exp=2.5, m=2, theta=1.0, threshold=1.0, rho=0.5))
+# Quadrature capacities once quietly wrong or raw: the RD interval ended below
+# the density's mass (m = 50, gamma_hat_d = 1e6: 0.519 against 9.95), the SR
+# tolerance did not shrink with gamma_hat_r (m = 2 at 1e-12: 1.5e-5 off), and
+# u ** (m - 1) overflowed from m = 70 on.
+@example(point=dict(source_power=1e4, noise_power=3.5e-3, eh_efficiency=0.7, dist_sr=1.0,
+                    dist_rd=1.0, pathloss_exp=2.5, m=50, theta=0.0, threshold=1.0, rho=0.5))
+@example(point=dict(source_power=2e-6, noise_power=1e6, eh_efficiency=0.7, dist_sr=1.0,
+                    dist_rd=1.0, pathloss_exp=2.5, m=2, theta=0.5, threshold=1e-15, rho=0.5))
+@example(point=dict(source_power=10.0, noise_power=1e-2, eh_efficiency=0.7, dist_sr=2.0,
+                    dist_rd=2.0, pathloss_exp=2.5, m=70, theta=0.0, threshold=1.0, rho=0.3))
 def test_config_space_rows_are_in_range_or_exit_2(tmp_path_factory, point):
     point = dict(point)
     rho = point.pop("rho")
@@ -447,6 +457,7 @@ def test_config_space_rows_are_in_range_or_exit_2(tmp_path_factory, point):
         assert not out.exists()
         return
     assert code == 0
+    capacities = {}
     for line in _read(out)[1:]:
         _, _, _, _, mode, metric, estimate, *_ = line.split(",")
         if mode == "params" or (mode, metric, estimate) == ("asymptotic", "outage", "nan"):
@@ -457,3 +468,8 @@ def test_config_space_rows_are_in_range_or_exit_2(tmp_path_factory, point):
             assert 0.0 <= value <= 1.0, line
         elif mode != "asymptotic":  # the high-SNR SR capacity may be negative
             assert value >= 0.0, line
+            capacities[mode, metric] = value
+    # Each closed-form capacity the run writes agrees with its quadrature route.
+    for metric in ("capacity_sr", "capacity_rd"):
+        assert capacities["closed_form", metric] == pytest.approx(
+            capacities["quadrature", metric], rel=1e-6, abs=0.0), metric

@@ -168,6 +168,35 @@ def test_rd_capacity_meijer_at_large_scale_is_quiet_and_right(ghd, theta):
     )
 
 
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("ghd", [1e8, 1e12])
+@pytest.mark.parametrize("theta", [-1.0, 1.0])
+@pytest.mark.parametrize("m", [20, 50, 100])
+def test_rd_capacity_at_large_scale_and_large_m(m, ghd, theta):
+    # The same check as above at large m, where the RD quadrature's interval
+    # once ended inside or below the density's mass (2e-7 and 0.9 off at
+    # m = 20 and 50), and the per-term Meijer-G peaks overflowed at m = 100.
+    assert capacity_rd_meijer(ghd, m, theta) == pytest.approx(
+        ergodic_capacity_rd(ghd, m, theta), rel=1e-9
+    )
+
+
+@pytest.mark.parametrize("m, ghr", [(1, 1e-14), (2, 1e-12), (7, 7.8e-14)])
+def test_sr_capacity_quadrature_at_small_scale(m, ghr):
+    # E ln(1 + s g) with g ~ Gamma(m, 1) is s m - s^2 (m)_2 / 2 + s^3 (m)_3 / 3
+    # to far below double precision at s = ghr / m < 1e-12; a fixed absolute
+    # tolerance once left 1.9e-7 to 1.5e-5 relative error here.
+    s = ghr / m
+    exact = (s * m - s**2 * m * (m + 1) / 2 + s**3 * m * (m + 1) * (m + 2) / 3) / (2 * math.log(2))
+    assert ergodic_capacity_sr(ghr, m) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("m", [70, 95])
+def test_sr_capacity_quadrature_at_large_m(m):
+    # u ** (m - 1) once overflowed (m = 70) or gave a nan error estimate (m = 95).
+    assert ergodic_capacity_sr(10.0, m) == pytest.approx(capacity_sr_meijer(10.0, m), rel=1e-9)
+
+
 def test_rd_capacity_mc_oracle():
     sys = replace(BASE, fading_m=1, theta=0.0)
     scales = derive_snr_scales(sys)
