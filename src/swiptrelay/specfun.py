@@ -1,21 +1,24 @@
-"""The two special functions the closed forms need beyond ``scipy.special``.
+"""The special functions the closed forms need beyond ``scipy.special``, and
+the quadrature rule every numerical integral of the package uses.
 
 Everything here is reentrant and free of global state.  ``bessel_k_scaled``
 is exp(x) K_v(x) from scipy's ``kve``, with a domain check and a guard
 where ``kve`` gives nan.  scipy has no Meijer G, so ``meijer_g``
 integrates the Mellin-Barnes contour of the one family the capacities use,
 G^{1,p}_{p,2}(a; 1, 0 | x), through ``mellin_barnes``; the RD capacity
-calls that contour quadrature directly.  The gamma-family values come
+calls that contour quadrature directly.  ``gauss_kronrod`` is QUADPACK's
+21-point Gauss-Kronrod rule with global adaptive bisection, vectorized over
+panels and over vector-valued integrands; the contour, both capacity
+quadratures and the product CDF call it.  The gamma-family values come
 straight from ``scipy.special`` at their call sites.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 
-from scipy.integrate import quad
+import numpy as np
 from scipy.special import kve
 from scipy.special import loggamma as _loggamma_complex
 
@@ -47,35 +50,127 @@ def bessel_k_scaled(v: float, x: float) -> float:
     return val
 
 
+# QUADPACK's qk21 rule on [-1, 1]: the 21 Kronrod nodes, their weights, and
+# the 10-point Gauss weights, which sit on every second node (0 elsewhere).
+_XK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+       0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+       0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+       0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+       0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0)
+_WK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+       0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+       0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+       0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+       0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+       0.149445554002916905664936468389821)
+_WG = (0.0, 0.066671344308688137593568809893332, 0.0, 0.149451349150580593145776339657697,
+       0.0, 0.219086362515982043995534934228163, 0.0, 0.269266719309996355091226921569469,
+       0.0, 0.295524224714752870173892994651338, 0.0)
+_NODES = np.array([-x for x in _XK[:-1]] + list(_XK[::-1]))
+_KRONROD = np.array(_WK[:-1] + _WK[::-1])
+_GAUSS = np.array(_WG[:-1] + _WG[::-1])
+_EPS50 = 50.0 * sys.float_info.epsilon
+
+
+def _gk21(f, lo: np.ndarray, hi: np.ndarray):
+    """The 21-point rule on every panel [lo, hi] with one call of ``f``.
+
+    Returns the panel integrals (shape (panels,) or (panels, k)), QUADPACK's
+    error estimates in the max norm, and whether each estimate sits at the
+    rounding floor 50 eps int |f|, which bisection cannot lower.
+    """
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    fx = np.asarray(f((centre[:, None] + half[:, None] * _NODES).ravel()), dtype=float)
+    shape = fx.shape[1:]
+    fx = fx.reshape(len(lo), len(_NODES), -1).transpose(0, 2, 1)  # (panels, k, nodes)
+    width = np.abs(half)
+    # A non-finite f reaches the caller as a nan value and error, not as a warning.
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        resk = fx @ _KRONROD
+        diff = np.abs(fx @ _GAUSS - resk).max(axis=1) * width
+        resabs = (np.abs(fx) @ _KRONROD).max(axis=1) * width
+        resasc = (np.abs(fx - 0.5 * resk[:, :, None]) @ _KRONROD).max(axis=1) * width
+        err = np.where((resasc != 0.0) & (diff != 0.0),
+                       resasc * np.minimum(1.0, 200.0 * diff / resasc) ** 1.5, diff)
+        floor = np.where(resabs > sys.float_info.min / _EPS50, _EPS50 * resabs, 0.0)
+        val = (resk * half[:, None]).reshape(len(lo), *shape)
+    return val, np.maximum(err, floor), err <= floor
+
+
+def gauss_kronrod(f, a: float, b: float, epsabs: float, epsrel: float, limit: int,
+                  points=()) -> tuple:
+    """Integral of ``f`` over [a, b] and its error estimate, QUADPACK-style.
+
+    ``f`` maps a 1-D array of nodes to values of shape (n,) or (n, k); the
+    value returned is a float or an array of shape (k,), the error a float
+    in the max norm.  [a, b] starts split at the ``points`` inside it.  Each
+    round bisects the panels with the largest errors, as many as hold the
+    excess of the summed error over max(epsabs, epsrel |value|), and
+    evaluates all their nodes in one call of ``f``.  A panel whose error
+    sits at the rounding floor is bisected once more, and its halves are
+    retired if they sit there too: kept, but never bisected again.  ``limit``
+    caps the panel count; the caller checks the returned error.
+    """
+    edges = np.array([a, *sorted(p for p in points if a < p < b), b], dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    val, err, floor = _gk21(f, lo, hi)
+    done = np.zeros(len(lo), dtype=bool)
+    while True:
+        total, total_err = val.sum(axis=0), float(err.sum())
+        excess = total_err - max(epsabs, epsrel * float(np.abs(total).max()))
+        if not excess > 0.0:  # converged, or a nan error for the caller to refuse
+            break
+        live = np.flatnonzero(~done)
+        live = live[np.argsort(-err[live], kind="stable")]
+        count = min(int(np.searchsorted(np.cumsum(err[live]), excess)) + 1, len(live),
+                    limit - len(lo))
+        if count <= 0:
+            break
+        split, keep = live[:count], np.ones(len(lo), dtype=bool)
+        keep[split] = False
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo, new_hi = np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split]))
+        new_val, new_err, new_floor = _gk21(f, new_lo, new_hi)
+        lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))
+        val, err = np.concatenate((val[keep], new_val)), np.concatenate((err[keep], new_err))
+        # The extra bisection averages the integrand's own rounding over twice
+        # the nodes: on Mellin-Barnes contours that cancel 400-fold it took
+        # the error from 8e-13 to 1.5e-13, against 30-digit mpmath.
+        done = np.concatenate((done[keep], new_floor & np.tile(floor[split], 2)))
+        floor = np.concatenate((floor[keep], new_floor))
+    return (float(total) if total.ndim == 0 else total), total_err
+
+
 # Largest accepted error of a Mellin-Barnes quadrature, relative to its
-# value: both QUADPACK's estimate and the rounding floor, epsilon times the
-# integrand's peak (cancellation can leave the value far below the peak).
-# Against mpmath the error ran at 0.05 to 0.2 of the floor; the capacity
-# kernels pass from about 3e-16 to 5e19.
+# value: both the Gauss-Kronrod error estimate and the rounding floor,
+# epsilon times the integrand's peak (cancellation can leave the value far
+# below the peak).  Against mpmath the error ran at 0.05 to 0.2 of the
+# floor; the capacity kernels pass from about 3e-16 to 5e19.
 MEIJER_G_ROUNDOFF_TOL = 1e-6
 
 
 def mellin_barnes(ln_integrand, c: float, what: str) -> float:
     """(1 / 2 pi i) times the integral of exp(ln_integrand(s)) up the line Re s = c.
 
-    The integrand must be real on the real axis, so this is (1/pi) times the
-    integral of Re exp(ln_integrand(c + it)) over t > 0, and decay at least
-    like exp(-pi t).  Raises ``QuadratureError`` naming ``what`` when the
+    ``ln_integrand`` maps a complex array to a complex array.  The integrand
+    must be real on the real axis, so this is (1/pi) times the integral of
+    Re exp(ln_integrand(c + it)) over t > 0, and decay at least like
+    exp(-pi t).  Raises ``QuadratureError`` naming ``what`` when the
     integrand's peak at t = 0 overflows, or when the value fails
     ``MEIJER_G_ROUNDOFF_TOL``.
     """
-    peak = ln_integrand(complex(c, 0.0)).real
-    t_hi = 4.0  # truncation height: 40 nats below the peak
-    while ln_integrand(complex(c, t_hi)).real > peak - 40.0 and t_hi < 4096.0:
-        t_hi *= 2.0
+    # The peak at t = 0, and the truncation height: the first of 4, 8, ...,
+    # 4096 where the integrand is 40 nats below the peak.
+    heights = np.concatenate(([0.0], 4.0 * 2.0 ** np.arange(11)))
+    peak, *tail = ln_integrand(c + 1j * heights).real
+    t_hi = next((t for t, v in zip(heights[1:], tail) if v <= peak - 40.0), heights[-1])
     try:
         scale = math.exp(peak)
     except OverflowError:
         raise QuadratureError(f"{what}: the Mellin-Barnes integrand's peak e^{peak:.6g} overflows") from None
-    # full_output keeps quad's roundoff warnings quiet; the bound below is the check instead.
-    val, err, *_ = quad(lambda t: cmath.exp(ln_integrand(complex(c, t))).real, 0.0, t_hi,
-                        epsabs=min(1e-12, 1e-14 * scale) if scale > 0 else 1e-14, epsrel=1e-12,
-                        limit=500, full_output=1)
+    val, err = gauss_kronrod(lambda t: np.exp(ln_integrand(c + 1j * t)).real, 0.0, float(t_hi),
+                             epsabs=min(1e-12, 1e-14 * scale) if scale > 0 else 1e-14, epsrel=1e-12,
+                             limit=500)
     if not (math.isfinite(val)
             and max(err, sys.float_info.epsilon * scale) <= MEIJER_G_ROUNDOFF_TOL * abs(val)):
         raise QuadratureError(f"{what}: Mellin-Barnes quadrature error "
@@ -96,7 +191,7 @@ def meijer_g(a: tuple[float, ...], x: float) -> float:
         raise DomainError(f"meijer_g needs x > 0 and 2 to 4 parameters a_j < 2, got a={a}, x={x}")
     ln_x = math.log(x)
 
-    def ln_integrand(s: complex) -> complex:
+    def ln_integrand(s: np.ndarray) -> np.ndarray:
         val = _loggamma_complex(1.0 + s) - _loggamma_complex(1.0 - s) - s * ln_x
         for aj in a:
             val += _loggamma_complex(1.0 - aj - s)

@@ -8,13 +8,11 @@ reading matches quadrature (see the convention notes in each docstring).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammainccinv, gammaln, psi
+from scipy.special import gammaincinv, gammainccinv, gammaln, psi
 from scipy.special import loggamma as _loggamma
 
 from . import specfun
@@ -127,15 +125,21 @@ def ergodic_capacity_sr(gamma_hat_r: float, m: int) -> float:
         raise ValueError("gamma_hat_r must be positive")
     s, small, ln_gamma_m = gamma_hat_r / m, min(1.0, gamma_hat_r), float(gammaln(m))
 
-    def integrand(u: float) -> float:
-        # In logs, so u ** (m - 1) and Gamma(m) cannot overflow at large m.
-        return math.log1p(s * u) * math.exp((m - 1) * math.log(u) - u - ln_gamma_m)
+    def integrand(v: np.ndarray) -> np.ndarray:
+        # Over v = ln u, where the kink of ln(1 + s u) near u = 1/s is as
+        # smooth as the Gamma mass near u = m; in logs, so u ** m and
+        # Gamma(m) cannot overflow at large m.
+        u = np.exp(v)
+        return np.log1p(s * u) * np.exp(m * v - u - ln_gamma_m)
 
-    # full_output keeps quad's roundoff warnings (near gamma_hat_r = 1e9 at m = 1) quiet;
-    # the error bound below is the check instead.  Both tolerances shrink with
-    # the capacity, about gamma_hat_r / (2 ln 2) below 1.
-    val, err, *_ = quad(integrand, 0.0, np.inf, epsabs=1e-12 * small, epsrel=1e-11, limit=300,
-                        full_output=1)
+    # Between the gain's 1e-17 quantiles, as in the RD quadrature, split at
+    # the kink v = -ln s and the mode v = ln m; the mass left out costs at
+    # most 1e-17 of the capacity.  Both tolerances shrink with the capacity, about
+    # gamma_hat_r / (2 ln 2) below 1.
+    val, err = specfun.gauss_kronrod(integrand, math.log(gammaincinv(m, 1e-17)),
+                                     math.log(gammainccinv(m, 1e-17)),
+                                     epsabs=1e-12 * small, epsrel=1e-11, limit=300,
+                                     points=(-math.log(s), math.log(m)))
     if not err <= 1e-8 * max(abs(val), small):
         raise specfun.QuadratureError(f"SR capacity quadrature error {err:.2e}")
     return val / (2.0 * _LN2)
@@ -158,19 +162,19 @@ def ergodic_capacity_rd(gamma_hat_d: float, m: int, theta: float) -> float:
         raise ValueError("gamma_hat_d must be positive")
     model = closed_form_model(gamma_hat_d, m, fgm_copula(theta))
 
-    def integrand(s: float) -> float:
-        # y = s^2 smooths the sqrt(y) Bessel arguments.
+    def integrand(s: np.ndarray) -> np.ndarray:
+        # y = s^2 smooths the sqrt(y) Bessel arguments; the density takes one y at a time.
         y = s * s
-        return 2.0 * s * math.log1p(y) * snr_pdf_closed(model, y)
+        return 2.0 * s * np.log1p(y) * np.array([snr_pdf_closed(model, v) for v in y.tolist()])
 
     # The density's mass sits at s ~ sqrt(gamma_hat_d).  Below gamma_hat_d = 1
-    # the interval and the absolute tolerance shrink with it, or QUADPACK never
-    # samples the mass and returns about 0 with a tiny error estimate.  Above,
+    # the interval and the absolute tolerance shrink with it, or the quadrature
+    # never samples the mass and returns about 0 with a tiny error estimate.  Above,
     # the interval ends where both hop gains pass their 1e-17 upper quantile.
     small = min(1.0, gamma_hat_d)
     hi = math.sqrt(gamma_hat_d) * float(gammainccinv(m, 1e-17)) / m + 40.0 * math.sqrt(small)
-    val, err = quad(integrand, 0.0, hi, epsabs=1e-11 * small, epsrel=1e-10, limit=400,
-                    points=[math.sqrt(gamma_hat_d)])
+    val, err = specfun.gauss_kronrod(integrand, 0.0, hi, epsabs=1e-11 * small, epsrel=1e-10,
+                                     limit=400, points=[math.sqrt(gamma_hat_d)])
     if not err <= 1e-7 * max(abs(val), 1.0):
         raise specfun.QuadratureError(f"RD capacity quadrature error {err:.2e}")
     return val / (2.0 * _LN2)
@@ -198,15 +202,17 @@ def capacity_rd_meijer(gamma_hat_d: float, m: int, theta: float) -> float:
     x = gamma_hat_d / (m * m)
     ln_x, ln_gamma_m2 = math.log(x), 2.0 * float(gammaln(m))
 
-    def ln_integrand(s: complex) -> complex:
+    def ln_integrand(s: np.ndarray) -> np.ndarray:
         q, term = 0.0, 1.0
         for k in range(m):
             q += term
             term *= (m + k - s) / (2.0 * k + 2.0)
-        # For theta < 0 the weight vanishes at u = 1 +- 1/sqrt(-theta).
+        # For theta < 0 the weight vanishes at u = 1 +- 1/sqrt(-theta); its log is -inf there.
         weight = 1.0 + theta * (1.0 - 2.0 ** (1 - m + s) * q) ** 2
+        with np.errstate(divide="ignore"):
+            ln_weight = np.log(weight)
         return (_loggamma(1.0 + s) + 2.0 * _loggamma(-s) + 2.0 * _loggamma(m - s) - _loggamma(1.0 - s)
-                - ln_gamma_m2 - s * ln_x + (cmath.log(weight) if weight else -math.inf))
+                - ln_gamma_m2 - s * ln_x + ln_weight)
 
     return specfun.mellin_barnes(ln_integrand, -0.5, f"RD capacity contour (m={m}, "
                                  f"theta={theta:.6g}) at x={x:.6g}") / (2.0 * _LN2)

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -473,3 +477,14 @@ def test_config_space_rows_are_in_range_or_exit_2(tmp_path_factory, point):
     for metric in ("capacity_sr", "capacity_rd"):
         assert capacities["closed_form", metric] == pytest.approx(
             capacities["quadrature", metric], rel=1e-6, abs=0.0), metric
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate pulls in about 290 modules (optimize, sparse.linalg,
+    # fft, ...) that the package does not need.  pytest's own warning filter
+    # imports it, so only a fresh interpreter shows what the CLI loads.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, swiptrelay.cli; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

@@ -7,8 +7,11 @@ threshold), a coupled field (dist_sr with rd_total), a direct SNR scale
 asymptotic regime and prints nan) and the fading shape (m).  The CSVs pin
 the output across refactors; a deliberate change of any value must
 regenerate them with ``swiptrelay sweep tests/data/NAME.cfg -o
-tests/data/NAME.csv`` and say why.  Quadrature and sampler outputs depend
-on the scipy and numpy versions, so a toolchain change can move digits.
+tests/data/NAME.csv`` and say why.  The quadratures use the package's own
+Gauss-Kronrod rule, not scipy's QUADPACK, so their digits depend on scipy
+only through ``scipy.special``; those and the sampler's draws still depend on
+the scipy and numpy versions, so a toolchain change can move digits.  CI
+pins the versions the files were written with.
 """
 
 from pathlib import Path

@@ -1,5 +1,9 @@
 """Special-function oracles: recurrences, closed forms, and integral identities.
 
+The Gauss-Kronrod rule every quadrature of the package uses is checked on
+its own: polynomial exactness, vector output, breakpoints against scipy's
+``quad``, and an exhausted panel limit that its callers must refuse.
+
 The gamma-family checks pin the ``scipy.special`` values that the library
 calls directly (``gammaln`` in the capacity and coefficient prefactors,
 ``psi`` in the asymptotic SR capacity, ``gammaincc`` in the acceptance
@@ -14,15 +18,17 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma, gammaincc, gammaln, kv, psi
 
-from swiptrelay import specfun
+from swiptrelay import product_dist, specfun
+from swiptrelay.copula import fgm_copula
 from swiptrelay.specfun import (
     DomainError,
     NumericalGuardError,
     QuadratureError,
     bessel_k_scaled,
+    gauss_kronrod,
     meijer_g,
 )
-from swiptrelay.swipt_metrics import capacity_sr_meijer
+from swiptrelay.swipt_metrics import capacity_sr_meijer, ergodic_capacity_rd, ergodic_capacity_sr
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -166,7 +172,7 @@ def test_meijer_g_capacity_shapes_run():
 
 
 def test_meijer_g_large_error_estimate_raises(monkeypatch):
-    monkeypatch.setattr(specfun, "quad", lambda f, a, b, **kw: (1.0, 1e-3, {}))
+    monkeypatch.setattr(specfun, "gauss_kronrod", lambda f, a, b, **kw: (1.0, 1e-3))
     with pytest.raises(QuadratureError, match=r"\(1, 4, 4, 2\) at x=2"):
         meijer_g((0.0, 0.0, 1.0, 1.0), 2.0)
 
@@ -198,3 +204,65 @@ def test_meijer_g_positive_argument_required():
     for x in (0.0, -1.0, math.nan):
         with pytest.raises(DomainError):
             meijer_g((1.0, 1.0), x)
+
+
+@pytest.mark.parametrize("degree", range(32))
+def test_gauss_kronrod_single_panel_is_exact_for_polynomials(degree):
+    # The 21-point Kronrod rule integrates degree 3 * 10 + 1 = 31 exactly;
+    # limit = 1 allows no bisection.
+    poly = np.polynomial.Polynomial(np.random.default_rng(degree).normal(size=degree + 1))
+    exact = poly.integ()(1.7) - poly.integ()(-0.3)
+    val, _ = gauss_kronrod(poly, -0.3, 1.7, epsabs=0.0, epsrel=0.0, limit=1)
+    assert val == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
+def test_gauss_kronrod_vector_output():
+    rates = np.array([0.5, 1.0, 2.0, 4.0])
+    val, err = gauss_kronrod(lambda x: np.exp(-np.outer(x, rates)), 0.0, 3.0,
+                             epsabs=1e-14, epsrel=1e-14, limit=50)
+    assert val.shape == (4,) and err <= 1e-13
+    assert val == pytest.approx(-np.expm1(-3.0 * rates) / rates, rel=1e-14, abs=0.0)
+    scalar, _ = gauss_kronrod(lambda x: np.exp(-x), 0.0, 3.0, epsabs=1e-14, epsrel=1e-14, limit=50)
+    assert isinstance(scalar, float) and scalar == pytest.approx(val[1], rel=1e-15, abs=0.0)
+
+
+def test_gauss_kronrod_breakpoint_at_kink():
+    kink = 1.0 / 3.0
+    oracle, _ = quad(lambda x: math.exp(-abs(x - kink)) * math.cos(3.0 * x), 0.0, 2.0,
+                     points=[kink], epsabs=1e-13, epsrel=1e-13)
+    val, err = gauss_kronrod(lambda x: np.exp(-np.abs(x - kink)) * np.cos(3.0 * x), 0.0, 2.0,
+                             epsabs=1e-13, epsrel=1e-13, limit=50, points=(kink, 5.0))
+    assert err <= 1e-13
+    assert val == pytest.approx(oracle, rel=1e-13, abs=0.0)
+
+
+def test_gauss_kronrod_exhausted_limit_returns_its_error():
+    # sqrt|x - 0.3| needs many bisections at its cusp; three panels leave a large error.
+    val, err = gauss_kronrod(lambda x: np.sqrt(np.abs(x - 0.3)), 0.0, 1.0,
+                             epsabs=1e-12, epsrel=1e-12, limit=3)
+    exact = (0.3**1.5 + 0.7**1.5) / 1.5
+    assert 1e-3 < err and abs(val - exact) <= err
+
+
+CAPPED_CALLERS = {
+    "meijer_g": (lambda: meijer_g((0.0, 1.0, 1.0), 2.0), "Mellin-Barnes quadrature error"),
+    "capacity_sr": (lambda: ergodic_capacity_sr(123.7, 2), "SR capacity quadrature error"),
+    "capacity_rd": (lambda: ergodic_capacity_rd(6.5625, 2, 0.5), "RD capacity quadrature error"),
+    "product_cdf": (lambda: product_dist.product_cdf_general(
+        product_dist.closed_form_model(6.5625, 2, fgm_copula(0.5)), np.array([0.1, 1.0, 10.0])),
+        "product CDF quadrature error"),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(CAPPED_CALLERS))
+def test_gauss_kronrod_limit_exhausted_makes_caller_raise(monkeypatch, caller):
+    # With at most two panels no integral of the package reaches its
+    # tolerance; each caller must refuse the returned error estimate.
+    def capped(f, a, b, epsabs, epsrel, limit, points=()):
+        return gauss_kronrod(f, a, b, epsabs, epsrel, min(limit, 2), points)
+
+    monkeypatch.setattr(specfun, "gauss_kronrod", capped)
+    monkeypatch.setattr(product_dist, "gauss_kronrod", capped)
+    run, message = CAPPED_CALLERS[caller]
+    with pytest.raises(QuadratureError, match=message):
+        run()

@@ -83,7 +83,7 @@ def test_rd_quadrature_refuses_nan_error_estimate(monkeypatch):
     # A nan estimate once passed the "err > bound" check.
     import swiptrelay.swipt_metrics as metrics_mod
 
-    monkeypatch.setattr(metrics_mod, "quad", lambda *args, **kwargs: (math.nan, math.nan))
+    monkeypatch.setattr(metrics_mod.specfun, "gauss_kronrod", lambda *a, **kw: (math.nan, math.nan))
     with pytest.raises(QuadratureError, match="RD capacity"):
         ergodic_capacity_rd(6.5625, 2, 0.5)
 
@@ -117,10 +117,19 @@ def test_relay_cdf_is_gamma_cdf():
 
 
 def test_sr_capacity_rayleigh_identity():
-    # m=1: C = e^{1/s} E_1(1/s) / (2 ln 2).
-    for s in (1.0, 10.0, 123.7436867):
-        exact = math.exp(1.0 / s) * exp1(1.0 / s) / (2.0 * math.log(2.0))
-        assert ergodic_capacity_sr(s, 1) == pytest.approx(exact, abs=1e-6)
+    # m=1: C = e^{1/s} E_1(1/s) / (2 ln 2), by scipy's exp1 where e^{1/s} is
+    # finite and by 30-digit mpmath below.  The quadrature on [0, inf) was
+    # 2.1e-10 off at s = 1e9 and 3.2e-11 at 1e10.
+    mpmath = pytest.importorskip("mpmath")
+    for s in (1e-12, 1e-8, 1e-4, 1e-3, 1e-2, 1.0, 10.0, 123.7436867, 1e4, 1e6,
+              1e9, 3.7e9, 1e10, 1e12, 1e15, 1e19):
+        if 1.0 / s < 700.0:
+            exact = math.exp(1.0 / s) * exp1(1.0 / s)
+        else:
+            with mpmath.workdps(30):
+                exact = float(mpmath.exp(1 / mpmath.mpf(s)) * mpmath.e1(1 / mpmath.mpf(s)))
+        assert ergodic_capacity_sr(s, 1) == pytest.approx(exact / (2.0 * math.log(2.0)),
+                                                          rel=1e-12, abs=0.0)
 
 
 def test_sr_capacity_meijer_matches_quadrature():
@@ -153,7 +162,7 @@ def test_rd_capacity_quadrature_at_small_scale(ghd, m, theta):
     # The capacity is about ghd * mean_snr_factor / (2 ln 2) here; an
     # integration interval that ignores the scale returned ~1e-53 instead.
     assert ergodic_capacity_rd(ghd, m, theta) == pytest.approx(
-        capacity_rd_meijer(ghd, m, theta), rel=1e-9
+        capacity_rd_meijer(ghd, m, theta), rel=1e-9, abs=0.0
     )
 
 
