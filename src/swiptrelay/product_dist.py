@@ -9,7 +9,11 @@ Two routes are provided and cross-checked against each other:
   bounds set by the SR marginal's far quantiles.  It uses the incomplete
   gamma function and no Bessel term, so it stays the closed forms' oracle.
 * ``snr_cdf_closed`` / ``snr_pdf_closed`` — Bessel-K closed forms for the
-  FGM copula with a common integer shape m and unit mean powers.
+  FGM copula with a common integer shape m and unit mean powers.  They take
+  a scalar or an array of y (a scalar gives a float, an array an array of
+  its shape) and evaluate an array as terms by points: every element equals
+  its own scalar call, and every guard holds per element, its error
+  naming the first offending y.
 
 The printed closed forms weigh Bessel terms by powers of snr_scale that all
 cancel: they depend on y only through z = zeta sqrt(y), zeta = 2m / sqrt(snr_scale).
@@ -177,80 +181,114 @@ def _integrate_cdf(model: EndToEndSnrModel, yp: np.ndarray) -> np.ndarray:
     return np.clip(val, 0.0, 1.0)
 
 
-def _series(x: float, m: int) -> list[float]:
-    """x^n / n! for n = 0 .. m - 1."""
-    terms = [1.0]
+def _series(x: np.ndarray, m: int) -> np.ndarray:
+    """x^n / n! for n = 0 .. m - 1: rows n, columns the points of x (1-D)."""
+    terms = np.empty((m, len(x)))
+    terms[0] = 1.0
     for n in range(1, m):
-        terms.append(terms[-1] * x / n)
+        terms[n] = terms[n - 1] * x / n
     return terms
 
 
-def _product(p: list[float], q: list[float]) -> list[float]:
-    """Coefficients of the polynomial product of p and q (lowest power first)."""
-    out = [0.0] * (len(p) + len(q) - 1)
+def _product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Coefficients of the polynomial products of the columns of p and q (lowest power first)."""
+    out = np.zeros((len(p) + len(q) - 1, p.shape[1]))
     for i, pi in enumerate(p):
-        for j, qj in enumerate(q):
-            out[i + j] += pi * qj
+        out[i:i + len(q)] += pi * q
     return out
 
 
-def _bessel_sum(weights: list[float], first_order: int, x: float) -> float:
-    """e^-x sum_i weights[i] K_{first_order + i}(x), in logs where e^-x is subnormal."""
-    total = 0.0
-    for i, w in enumerate(weights):
-        total += w * bessel_k_scaled(first_order + i, x)
-    scale = math.exp(-x)
-    return scale * total if scale >= _TINY or total <= 0.0 else math.exp(math.log(total) - x)
+def _exp_neg(x: np.ndarray) -> np.ndarray:
+    """e^-x by ``math.exp``, which is correctly rounded.  numpy's AVX-512 exp is
+    1 ulp off on about 4% of arguments, so ``np.exp`` would move closed-form
+    digits between machines."""
+    return np.fromiter(map(math.exp, (-x).tolist()), float, len(x))
 
 
-def snr_survival_closed(model: EndToEndSnrModel, y: float) -> float:
-    """Survival 1 - F(y) by the Bessel sums of the module docstring; nan or a value off [0, 1] raises."""
-    if not y >= 0.0:
-        raise ValueError("SNR threshold must be non-negative")
-    if y == 0.0:
-        return 1.0
+def _bessel_sum(weights: np.ndarray, first_order: int, x: np.ndarray) -> np.ndarray:
+    """e^-x sum_i weights[i] K_{first_order + i}(x) per column, in logs where e^-x is subnormal."""
+    orders = np.arange(first_order, first_order + len(weights))
+    # cumsum adds the rows in order, so a column does not depend on how many
+    # columns there are (sum may pair the terms of a single column).
+    total = np.cumsum(weights * bessel_k_scaled(orders[:, None], x), axis=0)[-1]
+    scale = _exp_neg(x)
+    out = scale * total
+    logs = (scale < _TINY) & (total > 0.0)
+    if logs.any():
+        out[logs] = [math.exp(math.log(t) - v) for t, v in zip(total[logs].tolist(), x[logs].tolist())]
+    return out
+
+
+def _check(ok: np.ndarray, error: type, message: str, *columns: np.ndarray) -> None:
+    """Raise ``error`` with ``message`` formatted at the first point where ``ok`` is false."""
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise error(message.format(*(c[i] for c in columns)))
+
+
+def snr_survival_closed(model: EndToEndSnrModel, y):
+    """Survival 1 - F(y) by the Bessel sums of the module docstring; y = 0 maps to 1.
+
+    A negative or nan y raises ``ValueError``, a value off [0, 1] beyond 1e-9
+    (nan included) ``ClosedFormRangeError``.
+    """
+    ys = np.asarray(y, dtype=float)
+    flat = ys.ravel()
+    _check(flat >= 0.0, ValueError, "SNR threshold must be non-negative, got y = {:.6g}", flat)
     cf = closed_form_coefficients(model._closed_form_m(), model.snr_scale)
-    th, m, z = model.copula.theta, cf.m, cf.zeta * math.sqrt(y)
-    if math.exp(-z) == 0.0:  # z > 745: the survival is below 1e-124 for every m <= 100
-        return 0.0
-    alpha = _series(0.5 * z, m)
-    bracket = (1.0 + th) * _bessel_sum(alpha, -m, z)
-    if th != 0.0:
-        beta = _series(z / (2.0 * _SQRT2), m)
-        bracket -= th * 2.0 ** (m / 2.0 + 1.0) * _bessel_sum(_product(beta, beta), -m, _SQRT2 * z)
-        bracket += 2.0 * th * _bessel_sum(_product(_product(alpha, alpha), alpha[::-1]),
-                                          1 - 2 * m, 2.0 * z)
-    surv = z * alpha[-1] * bracket  # 2 (z/2)^m / Gamma(m) = z alpha_{m-1}
-    if not -1e-9 <= surv <= 1.0 + 1e-9:
-        raise ClosedFormRangeError(f"closed-form survival {surv:.6g} at y = {y:.6g} "
-                                   "escapes [0, 1] beyond slack")
-    return min(max(surv, 0.0), 1.0)
+    th, m, z = model.copula.theta, cf.m, cf.zeta * np.sqrt(flat)
+    surv = np.where(flat == 0.0, 1.0, 0.0)
+    # exp(-z) == 0 is z > 745: the survival is below 1e-124 for every m <= 100
+    live = (flat > 0.0) & (_exp_neg(z) > 0.0)
+    z = z[live]
+    # Tiny z may overflow a Bessel term and give inf or nan: the range check refuses it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = _series(0.5 * z, m)
+        bracket = (1.0 + th) * _bessel_sum(alpha, -m, z)
+        if th != 0.0:
+            beta = _series(z / (2.0 * _SQRT2), m)
+            bracket -= th * 2.0 ** (m / 2.0 + 1.0) * _bessel_sum(_product(beta, beta), -m, _SQRT2 * z)
+            bracket += 2.0 * th * _bessel_sum(_product(_product(alpha, alpha), alpha[::-1]),
+                                              1 - 2 * m, 2.0 * z)
+        val = z * alpha[-1] * bracket  # 2 (z/2)^m / Gamma(m) = z alpha_{m-1}
+    _check((val >= -1e-9) & (val <= 1.0 + 1e-9), ClosedFormRangeError,
+           "closed-form survival {:.6g} at y = {:.6g} escapes [0, 1] beyond slack", val, flat[live])
+    surv[live] = np.clip(val, 0.0, 1.0)
+    surv = surv.reshape(ys.shape)
+    return float(surv) if surv.ndim == 0 else surv
 
 
-def snr_cdf_closed(model: EndToEndSnrModel, y: float) -> float:
+def snr_cdf_closed(model: EndToEndSnrModel, y):
     """Closed-form CDF of the end-to-end SNR (FGM, integer common m)."""
     return 1.0 - snr_survival_closed(model, y)
 
 
-def snr_pdf_closed(model: EndToEndSnrModel, y: float) -> float:
-    """Density at y > 0 by the Bessel sums of the module docstring; a non-finite value raises."""
-    if y <= 0.0:
-        raise ValueError("density defined for y > 0")
+def snr_pdf_closed(model: EndToEndSnrModel, y):
+    """Density by the Bessel sums of the module docstring.
+
+    A y <= 0 or nan raises ``ValueError``, a non-finite value ``ClosedFormRangeError``.
+    """
+    ys = np.asarray(y, dtype=float)
+    flat = ys.ravel()
+    _check(flat > 0.0, ValueError, "density defined for y > 0, got y = {:.6g}", flat)
     cf = closed_form_coefficients(model._closed_form_m(), model.snr_scale)
-    th, m, z = model.copula.theta, cf.m, cf.zeta * math.sqrt(y)
-    e1 = math.exp(-z)
-    if e1 == 0.0:  # as in snr_survival_closed
-        return 0.0
-    alpha = _series(0.5 * z, m)
-    bracket = (1.0 + th) * e1 * bessel_k_scaled(0, z)
-    if th != 0.0:
-        bracket -= 4.0 * th * _bessel_sum(_series(z / (2.0 * _SQRT2), m), 0, _SQRT2 * z)
-        bracket += 4.0 * th * _bessel_sum(_product(alpha, alpha[::-1]), 1 - m, 2.0 * z)
-    # (2/y) ((z/2)^m / Gamma(m))^2 = (zeta^2 / 2) alpha_{m-1}^2, free of 1/y
-    val = 0.5 * cf.zeta**2 * alpha[-1] ** 2 * bracket
-    if not math.isfinite(val):
-        raise ClosedFormRangeError(f"closed-form density {val} at y = {y:.6g} is not finite")
-    return max(val, 0.0)
+    th, m, z = model.copula.theta, cf.m, cf.zeta * np.sqrt(flat)
+    pdf = np.zeros(flat.shape)
+    live = _exp_neg(z) > 0.0  # as in snr_survival_closed
+    z = z[live]
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = _series(0.5 * z, m)
+        bracket = (1.0 + th) * _bessel_sum(np.ones((1, len(z))), 0, z)
+        if th != 0.0:
+            bracket -= 4.0 * th * _bessel_sum(_series(z / (2.0 * _SQRT2), m), 0, _SQRT2 * z)
+            bracket += 4.0 * th * _bessel_sum(_product(alpha, alpha[::-1]), 1 - m, 2.0 * z)
+        # (2/y) ((z/2)^m / Gamma(m))^2 = (zeta^2 / 2) alpha_{m-1}^2, free of 1/y
+        val = 0.5 * cf.zeta**2 * alpha[-1] ** 2 * bracket
+    _check(np.isfinite(val), ClosedFormRangeError,
+           "closed-form density {} at y = {:.6g} is not finite", val, flat[live])
+    pdf[live] = np.maximum(val, 0.0)
+    pdf = pdf.reshape(ys.shape)
+    return float(pdf) if pdf.ndim == 0 else pdf
 
 
 def mean_snr_factor(m: int, theta: float) -> float:

@@ -35,19 +35,25 @@ class QuadratureError(NumericalGuardError):
     """A numerical integral failed its error-estimate or finiteness guard."""
 
 
-def bessel_k_scaled(v: float, x: float) -> float:
+def bessel_k_scaled(v, x):
     """exp(x) * K_v(x); stays representable far into the large-x tail.
 
-    scipy's ``kve`` gives nan from x = 2**30 on; there this raises
+    ``v`` and ``x`` broadcast: scalars give a float, arrays an array of the
+    broadcast shape.  Any x <= 0 or nan raises ``DomainError``.  scipy's
+    ``kve`` gives nan from x = 2**30 on; there this raises
     ``NumericalGuardError`` (the closed forms underflow to 0 long before).
+    Each error names the first offending argument.
     """
-    if not x > 0.0:
-        raise DomainError(f"bessel_k_scaled requires x > 0, got {x}")
+    v, x = np.asarray(v, dtype=float), np.asarray(x, dtype=float)
+    if not (x > 0.0).all():
+        raise DomainError(f"bessel_k_scaled requires x > 0, got {x.flat[np.argmin(x > 0.0)]}")
     # kve is nan at subnormal orders too; K_v is even and smooth in v there.
-    val = float(kve(0.0 if abs(v) < sys.float_info.min else v, x))
-    if math.isnan(val):
-        raise NumericalGuardError(f"scipy kve is nan at v={v}, x={x:.6g}")
-    return val
+    val = kve(np.where(np.abs(v) < sys.float_info.min, 0.0, v), x)
+    if np.isnan(val).any():
+        i = np.argmax(np.isnan(val))
+        v, x = (np.broadcast_to(a, val.shape).flat[i] for a in (v, x))
+        raise NumericalGuardError(f"scipy kve is nan at v={v:g}, x={x:.6g}")
+    return float(val) if val.ndim == 0 else val
 
 
 # QUADPACK's qk21 rule on [-1, 1]: the 21 Kronrod nodes, their weights, and

@@ -163,9 +163,9 @@ def ergodic_capacity_rd(gamma_hat_d: float, m: int, theta: float) -> float:
     model = closed_form_model(gamma_hat_d, m, fgm_copula(theta))
 
     def integrand(s: np.ndarray) -> np.ndarray:
-        # y = s^2 smooths the sqrt(y) Bessel arguments; the density takes one y at a time.
+        # y = s^2 smooths the sqrt(y) Bessel arguments; one density call per round.
         y = s * s
-        return 2.0 * s * np.log1p(y) * np.array([snr_pdf_closed(model, v) for v in y.tolist()])
+        return 2.0 * s * np.log1p(y) * snr_pdf_closed(model, y)
 
     # The density's mass sits at s ~ sqrt(gamma_hat_d).  Below gamma_hat_d = 1
     # the interval and the absolute tolerance shrink with it, or the quadrature

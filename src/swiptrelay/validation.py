@@ -115,7 +115,7 @@ def run_validation(
                 model = closed_form_model(scales.gamma_hat_d, m, cop)
                 grid = _threshold_grid(scales.gamma_hat_d, grid_points)
 
-                closed = np.array([err_factor * snr_cdf_closed(model, y) for y in grid])
+                closed = err_factor * snr_cdf_closed(model, grid)
                 # One vector quadrature for the grid and, last, the outage threshold.
                 quad_cdf = product_cdf_general(model, np.append(grid, OUTAGE_THRESHOLD))
                 report.add(cell, "cdf_supnorm_closed_vs_quadrature",

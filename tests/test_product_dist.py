@@ -26,7 +26,7 @@ from swiptrelay.product_dist import (
     snr_survival_closed,
 )
 from swiptrelay.specfun import meijer_g
-from swiptrelay.swipt_metrics import capacity_rd_meijer
+from swiptrelay.swipt_metrics import capacity_rd_meijer, ergodic_capacity_rd
 
 
 def scalar_oracle_cdf(model, y):
@@ -166,15 +166,43 @@ PRINTED_THETAS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
 def test_grouped_sums_match_printed_families(m):
+    # Each grid goes in as one array too; every element must equal its own
+    # scalar call exactly, so no element depends on its neighbours.
     for g in PRINTED_SCALES:
         fam = printed_families(m, g)
         for th in PRINTED_THETAS:
             model = closed_form_model(g, m, fgm_copula(th))
-            for y in g * np.geomspace(1e-4, 1e3, 15):
-                assert snr_survival_closed(model, y) == pytest.approx(
-                    printed_survival(fam, m, th, y), rel=1e-12, abs=0.0)
-                assert snr_pdf_closed(model, y) == pytest.approx(
-                    printed_density(fam, m, th, y), rel=1e-12, abs=0.0)
+            ys = g * np.geomspace(1e-4, 1e3, 15)
+            for closed, printed in ((snr_survival_closed, printed_survival),
+                                    (snr_pdf_closed, printed_density)):
+                scalars = [closed(model, y) for y in ys]
+                assert all(type(v) is float for v in scalars)
+                assert scalars == pytest.approx([printed(fam, m, th, y) for y in ys],
+                                                rel=1e-12, abs=0.0)
+                assert closed(model, ys).tolist() == scalars
+                assert closed(model, ys[::-1].reshape(3, 5)).tolist() == np.reshape(
+                    scalars[::-1], (3, 5)).tolist()
+
+
+@pytest.mark.parametrize("closed, bad, match", [
+    (snr_survival_closed, -2.0, "non-negative, got y = -2"),
+    (snr_survival_closed, math.nan, "non-negative, got y = nan"),
+    (snr_pdf_closed, 0.0, "y > 0, got y = 0"),
+    (snr_pdf_closed, math.nan, "y > 0, got y = nan"),
+])
+def test_array_refuses_first_bad_threshold(closed, bad, match):
+    model = closed_form_model(6.5625, 2, fgm_copula(0.5))
+    with pytest.raises(ValueError, match=match):
+        closed(model, np.array([1.0, bad, 3.0, -5.0]))
+
+
+def test_array_range_error_names_the_offending_threshold():
+    model = closed_form_model(6.5625, 3, fgm_copula(0.5))
+    with pytest.raises(ClosedFormRangeError, match="at y = 1e-200 escapes"):
+        snr_survival_closed(model, np.array([1.0, 0.0, 1e-200, 1e-300, 4.0]))
+    model = closed_form_model(1e60, 3, fgm_copula(0.5))
+    with pytest.raises(ClosedFormRangeError, match="at y = 1e-300 is not finite"):
+        snr_pdf_closed(model, np.array([1e60, 1e-300, 1e-310]))
 
 
 RD_ORACLE = Path(__file__).parent / "data" / "capacity_rd_mpmath.csv"
@@ -226,6 +254,17 @@ def test_capacity_rd_meijer_matches_printed_families(m):
             assert capacity_rd_meijer(g, m, th) == pytest.approx(exact, rel=5e-13, abs=0.0)
 
 
+def test_rd_capacity_quadrature_matches_mpmath_table():
+    """``ergodic_capacity_rd`` integrates the closed-form density; it lies
+    within its own epsrel of the stored 30-digit values of the printed
+    bracket (worst measured 2.4e-13)."""
+    rows = [line.split(",") for line in RD_ORACLE.read_text().splitlines()[1:]]
+    assert len(rows) == 80
+    for m, g, th, exact in rows:
+        assert ergodic_capacity_rd(float(g), int(m), float(th)) == pytest.approx(
+            float(exact), rel=1e-10, abs=0.0)
+
+
 @pytest.mark.parametrize("m, scale", [(2, 1e155), (3, 1e120)])
 def test_closed_cdf_beyond_printed_coefficient_range(m, scale):
     # g ** m leaves double range here, so the printed families cannot be
@@ -274,8 +313,11 @@ def test_deep_tail_keeps_terms_whose_exponential_is_subnormal():
                    - 2 * sum(c * mp.besselk(i + 1 - 2 * m, 2 * z)
                              for i, c in enumerate(conv(conv(alpha, alpha), alpha[::-1]))))
         exact = 2 * (z / 2) ** m / mp.factorial(m - 1) * bracket
-    got = snr_survival_closed(closed_form_model(1.0, m, fgm_copula(-1.0)), y)
+    model = closed_form_model(1.0, m, fgm_copula(-1.0))
+    got = snr_survival_closed(model, y)
     assert 1e-250 < got == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+    # In an array beside points whose exponentials are normal (1e-4) and 0 (1e4).
+    assert snr_survival_closed(model, np.array([1e-4, y, 1e4]))[1] == got
 
 
 def test_printed_b_sum_equals_c_sum():

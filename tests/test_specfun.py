@@ -140,6 +140,17 @@ def test_bessel_k_domain():
             bessel_k_scaled(3.0, x)
 
 
+def test_bessel_k_scaled_broadcasts_and_names_the_first_bad_argument():
+    orders, xs = np.arange(-3, 4), np.geomspace(1e-2, 1e3, 9)
+    grid = bessel_k_scaled(orders[:, None], xs)
+    assert grid.shape == (7, 9)
+    assert grid.tolist() == [[bessel_k_scaled(v, x) for x in xs] for v in orders.tolist()]
+    with pytest.raises(DomainError, match="got -1.0"):
+        bessel_k_scaled(orders[:, None], np.array([1.0, -1.0, 0.0]))
+    with pytest.raises(NumericalGuardError, match="nan at v=-3, x=1.07374e"):
+        bessel_k_scaled(orders[:, None], np.array([1.0, 2.0**30, 1e20]))
+
+
 def test_bessel_integral_identity_grid():
     # int_0^inf x^{b-1} exp(-(lam x + eta/x)) dx = 2 (eta/lam)^{b/2} K_{-b}(2 sqrt(eta lam))
     for beta_ in (0.5, 1.0, 2.0, 3.0):

@@ -148,6 +148,23 @@ def test_sr_capacity_mc_oracle():
     assert abs(ergodic_capacity_sr(s, m) - cap.mean()) < 3.0 * stderr
 
 
+def test_rd_quadrature_evaluates_the_density_once_per_round(monkeypatch):
+    # Each Gauss-Kronrod round passes all its nodes (21 per panel) to the
+    # density in one call; a per-node integrand would make hundreds of calls.
+    import swiptrelay.swipt_metrics as metrics_mod
+
+    sizes = []
+
+    def counting(model, y):
+        sizes.append(np.size(y))
+        return snr_pdf_closed(model, y)
+
+    monkeypatch.setattr(metrics_mod, "snr_pdf_closed", counting)
+    ergodic_capacity_rd(6.5625, 3, 0.5)
+    assert 0 < len(sizes) <= 50
+    assert min(sizes) >= 21
+
+
 def test_rd_capacity_meijer_matches_quadrature():
     for m, theta in ((1, 0.0), (1, 1.0), (2, -1.0), (3, 0.5)):
         assert capacity_rd_meijer(6.5625, m, theta) == pytest.approx(
