@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_overrides(spec: SweepSpec, args: argparse.Namespace) -> SweepSpec:
     mc = {key: getattr(args, key) for key in ("seed", "samples", "workers")
           if getattr(args, key) is not None}
-    if "samples" in mc:
+    if "samples" in mc and spec.mc.batch_size is not None:  # an unset batch size is re-derived
         mc["batch_size"] = min(spec.mc.batch_size, mc["samples"])
     try:
         spec = replace(spec, mc=replace(spec.mc, **mc))

@@ -35,24 +35,26 @@ class McConfig:
     samples: int
     seed: int = 12345
     workers: int = 1
-    batch_size: int | None = None  # defaults to min(1e6, samples)
+    batch_size: int | None = None  # None: min(1e6, samples), derived anew when samples change
 
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if not 0 <= self.seed < 2**128:  # the Philox key range
             raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
-        if self.batch_size is None:
-            object.__setattr__(self, "batch_size", min(1_000_000, self.samples))
-        if self.batch_size < 1 or self.batch_size > self.samples:
+        if not 1 <= self._batch <= self.samples:
             raise ValueError("need 1 <= batch_size <= samples")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
     @property
+    def _batch(self) -> int:
+        return min(1_000_000, self.samples) if self.batch_size is None else self.batch_size
+
+    @property
     def n_batches(self) -> int:
         """Number of batches; batch i reads Philox sub-stream i."""
-        return (self.samples + self.batch_size - 1) // self.batch_size
+        return (self.samples + self._batch - 1) // self._batch
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,7 @@ def _estimate(cfg: McConfig, draw) -> dict[str, McEstimate]:
     their moments merge strictly in batch order.
     """
     def run_batch(i: int) -> dict[str, tuple[int, float, float]]:
-        n_b = min(cfg.batch_size, cfg.samples - i * cfg.batch_size)
+        n_b = min(cfg._batch, cfg.samples - i * cfg._batch)
         return {k: _batch_moments(v) for k, v in draw(batch_stream(cfg.seed, i), n_b).items()}
 
     if cfg.workers == 1:

@@ -33,7 +33,6 @@ Where a term overflows instead (tiny z), ``ClosedFormRangeError`` refuses the po
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -72,19 +71,19 @@ class EndToEndSnrModel:
         if self.snr_scale <= 0.0:
             raise ValueError(f"snr_scale must be positive, got {self.snr_scale}")
 
-    def _closed_form_m(self) -> int:
+    def _closed_form_m(self) -> float:
+        """The common shape m, unconverted: ``ClosedFormCoefficients.build`` checks its range."""
         m = self.marginal_sr.m
-        if m != self.marginal_rd.m or m != int(m) or m < 1:
+        if m != self.marginal_rd.m:
             raise UnsupportedClosedFormError(
-                "closed forms need an identical integer shape m >= 1 on both hops "
-                f"(got {self.marginal_sr.m}, {self.marginal_rd.m}); "
+                f"closed forms need an identical shape on both hops (got {m}, {self.marginal_rd.m}); "
                 "use product_cdf_general instead"
             )
         if self.marginal_sr.mean_power != 1.0 or self.marginal_rd.mean_power != 1.0:
             raise UnsupportedClosedFormError(
                 "closed forms assume unit mean powers; fold asymmetry into snr_scale"
             )
-        return int(m)
+        return m
 
 
 def closed_form_model(snr_scale: float, m: int, copula: CopulaModel) -> EndToEndSnrModel:
@@ -102,20 +101,16 @@ class ClosedFormCoefficients:
     zeta: float
 
     @classmethod
-    def build(cls, m: int, snr_scale: float) -> "ClosedFormCoefficients":
+    def build(cls, m: float, snr_scale: float) -> "ClosedFormCoefficients":
+        """The one check of the closed forms' region: integer m in [1, 100], finite positive scale."""
         if m < 1 or m != int(m):
-            raise UnsupportedClosedFormError(f"integer m >= 1 required, got {m}")
+            raise UnsupportedClosedFormError(
+                f"closed forms need an integer shape m >= 1, got {m}; use product_cdf_general instead")
         if not 0.0 < snr_scale < math.inf:
             raise ValueError(f"snr_scale must be finite and positive, got {snr_scale}")
         if m > 100:  # checked against quadrature up to here; beyond, the terms leave double range
             raise ClosedFormRangeError(f"m = {m}: the closed forms are evaluated for m <= 100 only")
         return cls(m=int(m), snr_scale=snr_scale, zeta=2.0 * m / math.sqrt(snr_scale))
-
-
-@functools.lru_cache(maxsize=256)
-def closed_form_coefficients(m: int, snr_scale: float) -> ClosedFormCoefficients:
-    """``ClosedFormCoefficients.build`` memoized: density quadrature asks for one model hundreds of times."""
-    return ClosedFormCoefficients.build(m, snr_scale)
 
 
 def product_cdf_general(model: EndToEndSnrModel, y):
@@ -235,7 +230,7 @@ def snr_survival_closed(model: EndToEndSnrModel, y):
     ys = np.asarray(y, dtype=float)
     flat = ys.ravel()
     _check(flat >= 0.0, ValueError, "SNR threshold must be non-negative, got y = {:.6g}", flat)
-    cf = closed_form_coefficients(model._closed_form_m(), model.snr_scale)
+    cf = ClosedFormCoefficients.build(model._closed_form_m(), model.snr_scale)
     th, m, z = model.copula.theta, cf.m, cf.zeta * np.sqrt(flat)
     surv = np.where(flat == 0.0, 1.0, 0.0)
     # exp(-z) == 0 is z > 745: the survival is below 1e-124 for every m <= 100
@@ -271,7 +266,7 @@ def snr_pdf_closed(model: EndToEndSnrModel, y):
     ys = np.asarray(y, dtype=float)
     flat = ys.ravel()
     _check(flat > 0.0, ValueError, "density defined for y > 0, got y = {:.6g}", flat)
-    cf = closed_form_coefficients(model._closed_form_m(), model.snr_scale)
+    cf = ClosedFormCoefficients.build(model._closed_form_m(), model.snr_scale)
     th, m, z = model.copula.theta, cf.m, cf.zeta * np.sqrt(flat)
     pdf = np.zeros(flat.shape)
     live = _exp_neg(z) > 0.0  # as in snr_survival_closed

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .montecarlo import McConfig
-from .swipt_metrics import BASELINE, SwiptSystem, derive_snr_scales
+from .swipt_metrics import BASELINE, OutageQuery, SwiptSystem, derive_snr_scales
 
 
 class ConfigError(ValueError):
@@ -127,28 +127,27 @@ def _floats(value: str) -> tuple[float, ...]:
         raise ConfigError(f"bad numeric list {value!r}") from exc
 
 
-def _system(base: SwiptSystem, **fields) -> SwiptSystem:
-    """``replace(base, **fields)``, with SwiptSystem's domain errors as ConfigError."""
+def _checked(make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with the domain errors of what it builds as ConfigError."""
     try:
-        return replace(base, **fields)
+        return make(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
 def parse_ms(value: str) -> tuple[int, ...]:
-    """A comma list of fading shapes, each an integer >= 1."""
+    """A comma list of fading shapes, each in SwiptSystem's domain."""
     ms = _floats(value)
-    for v in ms:
-        if not v.is_integer() or v < 1:
-            raise ConfigError(f"m must be an integer >= 1, got {v!r}")
-    return tuple(int(v) for v in ms)
+    for m in ms:
+        _checked(replace, BASELINE, fading_m=m)
+    return tuple(int(m) for m in ms)
 
 
 def parse_thetas(value: str) -> tuple[float, ...]:
     """A comma list of FGM dependence values, each in SwiptSystem's range."""
     thetas = _floats(value)
     for theta in thetas:
-        _system(BASELINE, theta=theta)
+        _checked(replace, BASELINE, theta=theta)
     return thetas
 
 
@@ -178,21 +177,18 @@ def parse_config(text: str) -> SweepSpec:
     fields = {field: _number(key, top[key]) for key, field in SYSTEM_FIELDS.items() if key in top}
     if "noise_power_db" in top:
         fields["noise_power"] = _db_to_linear("noise_power_db", _number("noise_power_db", top["noise_power_db"]))
-    for field, value in fields.items():
-        if not math.isfinite(value):
-            raise ConfigError(f"{field} must be finite, got {value!r}")
 
     ms = parse_ms(top.get("m", "1"))
     thetas = parse_thetas(top.get("theta", "0"))
-    base = _system(BASELINE, fading_m=ms[0], theta=thetas[0], **fields)
+    base = _checked(replace, BASELINE, fading_m=ms[0], theta=thetas[0], **fields)
 
     threshold = None
     if "threshold" in top:
         threshold = _number("threshold", top["threshold"])
     elif "threshold_db" in top:
         threshold = _db_to_linear("threshold_db", _number("threshold_db", top["threshold_db"]))
-    if threshold is not None and not 0.0 <= threshold < math.inf:
-        raise ConfigError(f"threshold must be finite and non-negative, got {threshold!r}")
+    if threshold is not None:
+        _checked(OutageQuery, threshold)
 
     modes = tuple(v.strip() for v in top.get("modes", "closed_form,quadrature,monte_carlo").split(","))
 
@@ -221,10 +217,7 @@ def parse_config(text: str) -> SweepSpec:
     mc_ints.setdefault("samples", 1_000_000)
     if "batch_size" in mc_ints:
         mc_ints["batch_size"] = min(mc_ints["batch_size"], mc_ints["samples"])
-    try:
-        mc = McConfig(**mc_ints)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    mc = _checked(McConfig, **mc_ints)
 
     rd_total = _number("rd_total", sweep["rd_total"]) if "rd_total" in sweep else None
 
@@ -298,7 +291,7 @@ def resolve_point(spec: SweepSpec, value: float, theta: float, m: int):
         if v in ("gamma_hat_r", "gamma_hat_d"):
             sys = _retarget_scale(sys, v, value)
         scales = derive_snr_scales(sys)
-    except ArithmeticError as exc:  # float ** overflow, or a path loss that underflows to 0
+    except (ArithmeticError, ValueError) as exc:  # ** overflow, a zero path loss, an infinite distance
         raise ConfigError(f"{point}: the SNR scales are not finite ({exc})") from None
     for name in ("gamma_hat_r", "gamma_hat_d"):
         scale = getattr(scales, name)

@@ -9,7 +9,7 @@ reading matches quadrature (see the convention notes in each docstring).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import gammaincinv, gammainccinv, gammaln, psi
@@ -48,6 +48,10 @@ class SwiptSystem:
     theta: float = 0.0
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
         if self.source_power <= 0 or self.noise_power <= 0:
             raise ValueError("powers must be strictly positive")
         if not 0.0 < self.ps_factor < 1.0:
@@ -110,8 +114,6 @@ def destination_snr_model(sys: SwiptSystem) -> EndToEndSnrModel:
 
 def relay_snr_cdf(gamma_hat_r: float, m: int, gamma: float) -> float:
     """CDF of the relay SNR: the Nakagami-m power law with mean gamma_hat_r."""
-    if gamma < 0.0:
-        raise ValueError("SNR must be non-negative")
     return power_cdf(NakagamiPower(m, gamma_hat_r), gamma)
 
 
@@ -231,13 +233,13 @@ def ergodic_capacity_system(sys: SwiptSystem) -> dict:
     return {"capacity_sr": c_sr, "capacity_rd": c_rd, "min_of_means": min(c_sr, c_rd)}
 
 
-def _outage(sys: SwiptSystem, q: OutageQuery, destination_survival) -> float:
+def _outage(sys: SwiptSystem, q: OutageQuery, relay_cdf, destination_survival) -> float:
     # P(min(gamma_r, gamma_d) <= t) = 1 - C(S_r(t), S_d(t)): the FGM survival
     # copula coincides with the FGM copula itself.
     if q.threshold == 0.0:
         return 0.0
     scales = derive_snr_scales(sys)
-    surv_r = 1.0 - relay_snr_cdf(scales.gamma_hat_r, sys.fading_m, q.threshold)
+    surv_r = 1.0 - relay_cdf(scales.gamma_hat_r, sys.fading_m, q.threshold)
     surv_d = destination_survival(destination_snr_model(sys), q.threshold)
     return 1.0 - copula_cdf(fgm_copula(sys.theta), surv_r, surv_d)
 
@@ -246,13 +248,13 @@ def _outage(sys: SwiptSystem, q: OutageQuery, destination_survival) -> float:
 # installed on this module's attributes (the benchmark tracer) sees each call.
 def outage_probability(sys: SwiptSystem, q: OutageQuery) -> float:
     """P(min(gamma_r, gamma_d) <= threshold) via the FGM survival-copula composition."""
-    return _outage(sys, q, lambda model, y: snr_survival_closed(model, y))
+    return _outage(sys, q, relay_snr_cdf, lambda model, y: snr_survival_closed(model, y))
 
 
 def outage_probability_quadrature(sys: SwiptSystem, q: OutageQuery) -> float:
     """Same composition with the destination CDF from the general product integral
     (survival 0 where y / gamma_hat_d overflows, which the integral refuses)."""
-    return _outage(sys, q, lambda model, y: 0.0 if y / model.snr_scale == math.inf
+    return _outage(sys, q, relay_snr_cdf, lambda model, y: 0.0 if y / model.snr_scale == math.inf
                    else 1.0 - product_cdf_general(model, y))
 
 
@@ -268,29 +270,21 @@ def asymptotic_capacity_sr(gamma_hat_r: float, m: int) -> float:
     return (float(psi(m)) + math.log(gamma_hat_r / m)) / (2.0 * _LN2)
 
 
-def asymptotic_outage(sys: SwiptSystem, q: OutageQuery) -> float:
-    """High-SNR outage with the polynomial relay-CDF approximation.
-
-    F_r is replaced by m^m t^m / (gamma_hat_r^m Gamma(m+1)); if that exceeds
-    1 the high-SNR premise is violated and an OutOfRegimeError is raised
-    rather than clamping.
-    """
-    if q.threshold == 0.0:
-        return 0.0
-    scales = derive_snr_scales(sys)
-    m = sys.fading_m
+def _relay_cdf_high_snr(gamma_hat_r: float, m: int, t: float) -> float:
+    """m^m t^m / (gamma_hat_r^m Gamma(m+1)); above 1 the high-SNR premise fails."""
     try:
-        f_r_inf = (m * q.threshold / scales.gamma_hat_r) ** m / math.exp(gammaln(m + 1))
+        f_r = (m * t / gamma_hat_r) ** m / math.exp(gammaln(m + 1))
     except OverflowError:
-        f_r_inf = math.inf
-    if f_r_inf > 1.0:
-        raise OutOfRegimeError(
-            f"approximate relay CDF {f_r_inf:.3g} > 1; gamma_hat_r={scales.gamma_hat_r:.3g} "
-            f"is not large relative to m*threshold"
-        )
-    surv_d = snr_survival_closed(destination_snr_model(sys), q.threshold)
-    f_d = 1.0 - surv_d
-    return 1.0 - (1.0 - f_r_inf) * surv_d * (1.0 + sys.theta * f_r_inf * f_d)
+        f_r = math.inf
+    if f_r > 1.0:
+        raise OutOfRegimeError(f"approximate relay CDF {f_r:.3g} > 1; gamma_hat_r={gamma_hat_r:.3g} "
+                               "is not large relative to m*threshold")
+    return f_r
+
+
+def asymptotic_outage(sys: SwiptSystem, q: OutageQuery) -> float:
+    """High-SNR outage: the outage composition with the polynomial relay CDF, refused (not clamped) above 1."""
+    return _outage(sys, q, _relay_cdf_high_snr, lambda model, y: snr_survival_closed(model, y))
 
 
 def adjudicate_closed_forms(gamma_hat_r: float, gamma_hat_d: float, m: int, theta: float) -> dict:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from swiptrelay.cli import main
+from swiptrelay.cli import _apply_overrides, build_parser, main
 from swiptrelay.copula import fgm_copula
 from swiptrelay.product_dist import ClosedFormRangeError, closed_form_model, snr_survival_closed
 from swiptrelay.specfun import NumericalGuardError, QuadratureError
@@ -321,6 +321,39 @@ def test_seed_and_modes_overrides(tmp_path):
     assert not any(",closed_form," in l for l in lines)
     mc = [l for l in lines if ",monte_carlo," in l]
     assert mc and all(l.split(",")[10] == "7" and l.split(",")[11] == "5000" for l in mc)
+
+
+MC_CFG = """
+modes = monte_carlo
+threshold = 1
+m = 2
+theta = 0.5
+[sweep]
+variable = rho
+grid = 0.5
+[mc]
+seed = 5
+"""
+
+
+def test_samples_override_rederives_the_default_batch_size(tmp_path):
+    # The default batch size is min(1e6, samples) of the samples that run, not of the config's.
+    small, large = tmp_path / "small.cfg", tmp_path / "large.cfg"
+    small.write_text(MC_CFG + "samples = 100\n")
+    large.write_text(MC_CFG + "samples = 3000\n")
+    args = build_parser().parse_args(["sweep", str(small), "-o", "x.csv", "--samples", "3000"])
+    overridden = _apply_overrides(parse_config(small.read_text()), args).mc
+    assert overridden == parse_config(large.read_text()).mc
+    assert overridden.n_batches == 1
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["sweep", str(small), "-o", str(a), "--samples", "3000"]) == 0
+    assert main(["sweep", str(large), "-o", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    # An explicit batch size is kept, clamped to the samples.
+    small.write_text(MC_CFG + "samples = 100\nbatch_size = 100\n")
+    for samples, batch in (("3000", 100), ("40", 40)):
+        args = build_parser().parse_args(["sweep", str(small), "-o", "x.csv", "--samples", samples])
+        assert _apply_overrides(parse_config(small.read_text()), args).mc.batch_size == batch
 
 
 def test_preset_command_and_gnuplot(tmp_path):

@@ -12,6 +12,11 @@ Gauss-Kronrod rule, not scipy's QUADPACK, so their digits depend on scipy
 only through ``scipy.special``; those and the sampler's draws still depend on
 the scipy and numpy versions, so a toolchain change can move digits.  CI
 pins the versions the files were written with.
+
+The ``validate_small`` bytes also assume numpy's AVX-512 kernels: with
+``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` (or on a CPU
+without AVX-512) ``np.exp`` and ``np.log`` round differently on a few
+percent of arguments, and rounding-level statistics of that report move.
 """
 
 from pathlib import Path

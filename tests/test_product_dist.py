@@ -17,7 +17,6 @@ from swiptrelay.product_dist import (
     ClosedFormRangeError,
     EndToEndSnrModel,
     UnsupportedClosedFormError,
-    closed_form_coefficients,
     closed_form_model,
     mean_snr_factor,
     product_cdf_general,
@@ -58,8 +57,9 @@ def test_closed_form_guard():
     with pytest.raises(UnsupportedClosedFormError):
         snr_cdf_closed(asym, 1.0)
     half = EndToEndSnrModel(1.0, NakagamiPower(0.5), NakagamiPower(0.5), fgm_copula(0.0))
-    with pytest.raises(UnsupportedClosedFormError):
-        snr_cdf_closed(half, 1.0)
+    for closed_form in (snr_cdf_closed, snr_pdf_closed):
+        with pytest.raises(UnsupportedClosedFormError, match="m >= 1, got 0.5; use product_cdf_general"):
+            closed_form(half, 1.0)
     scaled = EndToEndSnrModel(
         1.0, NakagamiPower(1.0, 2.0), NakagamiPower(1.0, 2.0), fgm_copula(0.0)
     )
@@ -78,9 +78,8 @@ def test_coefficient_validation():
         ClosedFormCoefficients.build(101, 1.0)
 
 
-def test_cached_coefficients_are_shared_and_read_only():
-    cf = closed_form_coefficients(3, 7.5)
-    assert closed_form_coefficients(3, 7.5) is cf
+def test_coefficients_are_read_only():
+    cf = ClosedFormCoefficients.build(3, 7.5)
     with pytest.raises(dataclasses.FrozenInstanceError):
         cf.zeta = 1.0
 

@@ -1,7 +1,7 @@
 """System metrics: SNR scales, capacities, outage, asymptotics, adjudication."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -44,6 +44,13 @@ def test_system_validation():
         replace(BASE, theta=1.5)
     with pytest.raises(ValueError):
         replace(BASE, fading_m=0)
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(BASE) if f.type == "float"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_system_refuses_non_finite_fields(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        replace(BASE, **{field: value})
 
 
 def test_derive_snr_scales_reference_point():
@@ -321,6 +328,20 @@ def test_asymptotic_outage_accuracy():
     exact = outage_probability(sys, q)
     approx = asymptotic_outage(sys, q)
     assert abs(approx - exact) / exact < 0.01
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("theta", [-1.0, 0.5])
+def test_asymptotic_outage_is_the_composition_with_the_polynomial_relay_cdf(m, theta):
+    # F_r + F_d - F_r F_d - theta F_r F_d (1 - F_r)(1 - F_d), expanded by hand from
+    # 1 - C(1 - F_r, 1 - F_d), with F_r the high-SNR polynomial.
+    d_sr = ((1.0 - 0.3) * 10.0 / (1e-3 * 1e3)) ** (1.0 / 2.5)
+    sys = replace(FIG8, dist_sr=d_sr, fading_m=m, theta=theta)
+    t = 1.0
+    f_r = (m * t / derive_snr_scales(sys).gamma_hat_r) ** m / math.factorial(m)
+    f_d = 1.0 - snr_survival_closed(destination_snr_model(sys), t)
+    expected = f_r + f_d - f_r * f_d - theta * f_r * f_d * (1.0 - f_r) * (1.0 - f_d)
+    assert asymptotic_outage(sys, OutageQuery(t)) == pytest.approx(expected, rel=0.0, abs=1e-12)
 
 
 def test_asymptotic_outage_out_of_regime():
