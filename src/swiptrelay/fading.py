@@ -23,10 +23,11 @@ class NakagamiPower:
     mean_power: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.m < 0.5:
-            raise ValueError(f"shape m must be >= 0.5, got {self.m}")
-        if self.mean_power <= 0.0:
-            raise ValueError(f"mean_power must be positive, got {self.mean_power}")
+        # Written so that nan fails too: every comparison with nan is false.
+        if not 0.5 <= self.m < math.inf:
+            raise ValueError(f"shape m must be finite and >= 0.5, got {self.m}")
+        if not 0.0 < self.mean_power < math.inf:
+            raise ValueError(f"mean_power must be finite and positive, got {self.mean_power}")
 
     @property
     def rate(self) -> float:

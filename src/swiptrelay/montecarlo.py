@@ -14,7 +14,8 @@ streams: batch i draws from ``Philox(key=seed).jumped(i)``, so sub-streams
 are provably non-overlapping and the estimates are bit-identical for a fixed
 (seed, samples, batch size) regardless of how many workers process the
 batches.  Batch moments are merged in batch order with Chan/Welford
-combination.
+combination.  ``simulate_metrics`` scores a list of systems that share one
+fading law (m, theta) on each batch's single draw.
 """
 
 from __future__ import annotations
@@ -93,16 +94,17 @@ def _batch_moments(x: np.ndarray) -> tuple[int, float, float]:
     return x.size, mean, m2
 
 
-def _estimate(cfg: McConfig, draw) -> dict[str, McEstimate]:
-    """Mean estimates of the named arrays ``draw(rng, n)`` returns per batch.
+def _estimate(cfg: McConfig, draw) -> dict:
+    """Mean estimates of the named arrays ``draw(rng, n)`` yields per batch.
 
     Batch i draws its n = min(batch_size, samples left) values from
-    ``batch_stream(cfg.seed, i)``; batches run on ``cfg.workers`` threads and
-    their moments merge strictly in batch order.
+    ``batch_stream(cfg.seed, i)``; ``draw`` yields ``(key, array)`` pairs,
+    each reduced to its moments as soon as it is made.  Batches run on
+    ``cfg.workers`` threads and their moments merge strictly in batch order.
     """
-    def run_batch(i: int) -> dict[str, tuple[int, float, float]]:
+    def run_batch(i: int) -> dict:
         n_b = min(cfg._batch, cfg.samples - i * cfg._batch)
-        return {k: _batch_moments(v) for k, v in draw(batch_stream(cfg.seed, i), n_b).items()}
+        return {k: _batch_moments(v) for k, v in draw(batch_stream(cfg.seed, i), n_b)}
 
     if cfg.workers == 1:
         results = [run_batch(i) for i in range(cfg.n_batches)]
@@ -110,7 +112,7 @@ def _estimate(cfg: McConfig, draw) -> dict[str, McEstimate]:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(run_batch, range(cfg.n_batches)))
 
-    out: dict[str, McEstimate] = {}
+    out: dict = {}
     for key in results[0]:
         acc = (0, 0.0, 0.0)
         for res in results:
@@ -151,35 +153,55 @@ def sample_fgm_powers(
     return g[0], g[1]
 
 
-def simulate_metrics(sys: SwiptSystem, q: OutageQuery, cfg: McConfig) -> dict[str, McEstimate]:
+def simulate_metrics(
+    systems: list[SwiptSystem], queries: list[OutageQuery], cfg: McConfig
+) -> list[dict[str, McEstimate]]:
     """Estimate capacities, outage and mean destination SNR from joint draws.
 
-    Each batch draws its fading-power pairs with ``sample_fgm_powers``.  Per
-    draw: gamma_r = ghat_r * g_sr and gamma_d = ghat_d * g_sr * g_rd share
-    the same g_sr draw, the dependence the physical model induces between
-    the hops.  Note the analytic outage composes the two marginals through
-    the FGM survival copula instead; the gap between the two joint laws is a
-    reported finding, not an estimator defect.
+    The systems must share ``fading_m`` and ``theta``, so one fading law
+    serves them all: each batch draws its fading-power pairs once with
+    ``sample_fgm_powers`` and scores every system (with its own query) on
+    them.  The estimates of different systems thus share their draws and
+    their errors are correlated; each one equals what a one-system call
+    gives.  Per draw: gamma_r = ghat_r * g_sr and gamma_d = ghat_d * g_sr *
+    g_rd share the same g_sr draw, the dependence the physical model
+    induces between the hops.  Note the analytic outage composes the two
+    marginals through the FGM survival copula instead; the gap between the
+    two joint laws is a reported finding, not an estimator defect.
+
+    Returns one ``{metric: McEstimate}`` per system, in order.
     """
-    scales = derive_snr_scales(sys)
-    marg = NakagamiPower(float(sys.fading_m), 1.0)
-    cop = fgm_copula(sys.theta)
+    if not systems:
+        raise ValueError("need at least one system")
+    if len(queries) != len(systems):
+        raise ValueError(f"need one query per system, got {len(queries)} for {len(systems)}")
+    laws = {(s.fading_m, s.theta) for s in systems}
+    if len(laws) != 1:
+        raise ValueError(f"systems must share fading_m and theta, got (m, theta) in {sorted(laws)}")
+    m, theta = laws.pop()
+    marg = NakagamiPower(float(m), 1.0)
+    cop = fgm_copula(theta)
+    points = [(j, derive_snr_scales(s), q.threshold) for j, (s, q) in enumerate(zip(systems, queries))]
 
-    def draw(rng: np.random.Generator, n: int) -> dict[str, np.ndarray]:
+    def draw(rng: np.random.Generator, n: int):
         g_sr, g_rd = sample_fgm_powers(cop, marg, rng, n)
-        gamma_r = scales.gamma_hat_r * g_sr
-        gamma_d = scales.gamma_hat_d * g_sr * g_rd
-        cap_sr = 0.5 * np.log2(1.0 + gamma_r)
-        cap_rd = 0.5 * np.log2(1.0 + gamma_d)
-        return {
-            "cap_sr": cap_sr,
-            "cap_rd": cap_rd,
-            "cap_min": np.minimum(cap_sr, cap_rd),
-            "outage": (np.minimum(gamma_r, gamma_d) <= q.threshold).astype(float),
-            "mean_snr_d": gamma_d,
-        }
+        for j, scales, threshold in points:
+            gamma_r = scales.gamma_hat_r * g_sr
+            gamma_d = scales.gamma_hat_d * g_sr * g_rd
+            cap_sr = 0.5 * np.log2(1.0 + gamma_r)
+            cap_rd = 0.5 * np.log2(1.0 + gamma_d)
+            yield (j, "cap_sr"), cap_sr
+            yield (j, "cap_rd"), cap_rd
+            yield (j, "cap_min"), np.minimum(cap_sr, cap_rd)
+            yield (j, "outage"), (np.minimum(gamma_r, gamma_d) <= threshold).astype(float)
+            yield (j, "mean_snr_d"), gamma_d
+            del gamma_r, gamma_d, cap_sr, cap_rd  # free them before the next system's arrays
 
-    return _estimate(cfg, draw)
+    est = _estimate(cfg, draw)
+    out: list[dict[str, McEstimate]] = [{} for _ in systems]
+    for (j, metric), value in est.items():
+        out[j][metric] = value
+    return out
 
 
 def simulate_outage_survival_law(
@@ -200,8 +222,8 @@ def simulate_outage_survival_law(
     u_d = destination_cdf_at_threshold
     cop = fgm_copula(sys.theta)
 
-    def draw(rng: np.random.Generator, n: int) -> dict[str, np.ndarray]:
+    def draw(rng: np.random.Generator, n: int):
         v1, v2 = sample_pair(cop, rng, size=n)
-        return {"outage": ((v1 <= u_r) | (v2 <= u_d)).astype(float)}
+        yield "outage", ((v1 <= u_r) | (v2 <= u_d)).astype(float)
 
     return _estimate(cfg, draw)["outage"]

@@ -74,49 +74,71 @@ def _asymptotic(spec: SweepSpec, sys: SwiptSystem, threshold) -> dict[str, float
     return metrics
 
 
-def _monte_carlo(spec: SweepSpec, sys: SwiptSystem, threshold) -> dict[str, McEstimate]:
-    est = simulate_metrics(sys, OutageQuery(threshold if threshold is not None else 1.0), spec.mc)
-    metrics = {"capacity_sr": est["cap_sr"], "capacity_rd": est["cap_rd"], "capacity_min": est["cap_min"]}
-    if threshold is not None:
-        metrics["outage"] = est["outage"]
-    metrics["mean_snr_d"] = est["mean_snr_d"]
-    return metrics
+def _monte_carlo(spec: SweepSpec, points):
+    """monte_carlo metrics of the points, in order.
+
+    The fading law depends on (theta, m) alone, so each group of points
+    sharing them is scored by one ``simulate_metrics`` call on the same draws.
+    """
+    groups: dict[tuple[float, int], list[int]] = {}
+    for i, (_, sys, _) in enumerate(points):
+        groups.setdefault((sys.theta, sys.fading_m), []).append(i)
+    est: dict[int, dict[str, McEstimate]] = {}
+    for members in groups.values():
+        systems = [points[i][1] for i in members]
+        queries = [OutageQuery(1.0 if points[i][2] is None else points[i][2]) for i in members]
+        est.update(zip(members, simulate_metrics(systems, queries, spec.mc)))
+    for i, (_, _, threshold) in enumerate(points):
+        e = est[i]
+        metrics = {"capacity_sr": e["cap_sr"], "capacity_rd": e["cap_rd"], "capacity_min": e["cap_min"]}
+        if threshold is not None:
+            metrics["outage"] = e["outage"]
+        metrics["mean_snr_d"] = e["mean_snr_d"]
+        yield metrics
 
 
-# Mode -> route(spec, system, threshold) giving the mode's ordered
-# {metric: estimate}.  The lambdas look the metric functions up in this
-# module when called, so a wrapper set on the module attribute sees the call.
+def _each(route):
+    """Apply a per-point ``route(spec, system, threshold)`` to each point as it is asked for."""
+    return lambda spec, points: (route(spec, sys, threshold) for _, sys, threshold in points)
+
+
+# Mode -> route(spec, points) yielding each (value, system, threshold)
+# point's ordered {metric: estimate}, in order.  The per-point routes run
+# lazily, so a sweep computes point by point; monte_carlo draws once per
+# (theta, m) group before its first point.  The lambdas look the metric
+# functions up in this module when called, so a wrapper set on the module
+# attribute sees the call.
 ROUTES = {
-    "closed_form": lambda spec, sys, threshold: _exact(
+    "closed_form": _each(lambda spec, sys, threshold: _exact(
         sys, threshold, capacity_sr_meijer, capacity_rd_meijer, outage_probability,
-        mean_snr=True),
-    "quadrature": lambda spec, sys, threshold: _exact(
+        mean_snr=True)),
+    "quadrature": _each(lambda spec, sys, threshold: _exact(
         sys, threshold, ergodic_capacity_sr, ergodic_capacity_rd, outage_probability_quadrature,
-        mean_snr=False),
+        mean_snr=False)),
     "monte_carlo": _monte_carlo,
-    "asymptotic": _asymptotic,
+    "asymptotic": _each(_asymptotic),
 }
 
 
 def run_sweep(spec: SweepSpec) -> list[list[str]]:
     """All CSV rows (without header) for a sweep, in the canonical order."""
+    points = [(value, *resolve_point(spec, value, th, m))
+              for value in spec.grid
+              for th in ((value,) if spec.variable == "theta" else spec.thetas)
+              for m in ((int(value),) if spec.variable == "m" else spec.ms)]
+    routes = [(mode, ROUTES[mode](spec, points)) for mode in spec.modes]
     rows: list[list[str]] = []
-    for value in spec.grid:
-        thetas = (value,) if spec.variable == "theta" else spec.thetas
-        ms = (int(value),) if spec.variable == "m" else spec.ms
-        for th in thetas:
-            for m in ms:
-                sys, threshold = resolve_point(spec, value, th, m)
-                blocks = [("params", _params(sys, threshold))]
-                for mode in spec.modes:
-                    try:
-                        blocks.append((mode, ROUTES[mode](spec, sys, threshold)))
-                    except NumericalGuardError as exc:
-                        raise type(exc)(
-                            f"{mode} at {spec.variable} = {fmt(value)}, theta = {fmt(th)}, "
-                            f"m = {m}: {exc}") from None
-                rows.extend(_row(spec.variable, value, sys, mode, metric, est, spec.mc.seed)
-                            for mode, metrics in blocks for metric, est in metrics.items())
+    for value, sys, threshold in points:
+        blocks = [("params", _params(sys, threshold))]
+        for mode, route in routes:
+            try:
+                blocks.append((mode, next(route)))
+            except NumericalGuardError as exc:
+                raise type(exc)(
+                    f"{mode} at {spec.variable} = {fmt(value)}, theta = {fmt(sys.theta)}, "
+                    f"m = {sys.fading_m}: {exc}") from None
+        rows.extend(_row(spec.variable, value, sys, mode, metric, est, spec.mc.seed)
+                    for mode, metrics in blocks for metric, est in metrics.items())
     return rows
 
 

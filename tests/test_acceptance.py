@@ -341,8 +341,8 @@ def test_criterion_9_reproducibility(tmp_path):
     ok &= a.read_bytes() == b.read_bytes()
 
     q = OutageQuery(1.0)
-    one = simulate_metrics(FIG8, q, McConfig(samples=400_000, seed=3, workers=1, batch_size=50_000))
-    eight = simulate_metrics(FIG8, q, McConfig(samples=400_000, seed=3, workers=8, batch_size=50_000))
+    one = simulate_metrics([FIG8], [q], McConfig(samples=400_000, seed=3, workers=1, batch_size=50_000))[0]
+    eight = simulate_metrics([FIG8], [q], McConfig(samples=400_000, seed=3, workers=8, batch_size=50_000))[0]
     ok &= one == eight
     _report(9, ok, "validation CSV byte-identical across reruns; estimates "
                    "identical for 1 and 8 workers")

@@ -15,7 +15,7 @@ from swiptrelay.cli import _apply_overrides, build_parser, main
 from swiptrelay.copula import fgm_copula
 from swiptrelay.product_dist import ClosedFormRangeError, closed_form_model, snr_survival_closed
 from swiptrelay.specfun import NumericalGuardError, QuadratureError
-from swiptrelay.sweep import ROUTES
+from swiptrelay.sweep import ROUTES, run_sweep
 from swiptrelay.sweepcfg import (
     CSV_HEADER,
     MODES,
@@ -261,6 +261,38 @@ def test_tiny_gamma_hat_d_quadrature_outage_matches_closed_form(tmp_path, m):
 
 def test_routes_cover_every_mode():
     assert tuple(ROUTES) == MODES
+
+
+def _count_simulate_metrics(monkeypatch) -> list:
+    import swiptrelay.sweep as sweep_mod
+
+    calls = []
+    real = sweep_mod.simulate_metrics
+
+    def counted(systems, queries, cfg):
+        calls.append(len(systems))
+        return real(systems, queries, cfg)
+
+    monkeypatch.setattr(sweep_mod, "simulate_metrics", counted)
+    return calls
+
+
+MC_GROUP_CFG = ("theta = -0.5,1\nm = 1,2\nthreshold = 1\nmodes = monte_carlo\n"
+                "[sweep]\nvariable = {variable}\ngrid = {grid}\n[mc]\nsamples = 2000\n")
+
+
+def test_mc_sweep_draws_once_per_theta_and_m(monkeypatch):
+    calls = _count_simulate_metrics(monkeypatch)
+    spec = parse_config(MC_GROUP_CFG.format(variable="rho", grid="0.2,0.5,0.8"))
+    rows = run_sweep(spec)
+    assert calls == [3, 3, 3, 3]
+    assert sum(r[4] == "monte_carlo" for r in rows) == 3 * 2 * 2 * 5
+
+
+def test_mc_theta_sweep_draws_once_per_grid_point(monkeypatch):
+    calls = _count_simulate_metrics(monkeypatch)
+    run_sweep(parse_config(MC_GROUP_CFG.format(variable="theta", grid="-1,0,0.5")))
+    assert calls == [1] * 3 * 2  # one call per (theta, m) grid point
 
 
 def test_parse_log_spacing():

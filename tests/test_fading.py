@@ -29,6 +29,15 @@ def test_constructor_validation():
         NakagamiPower(1.0, mean_power=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["m", "mean_power"])
+def test_constructor_refuses_non_finite(field, bad):
+    # nan passes a plain "m < 0.5" check and makes power_cdf return nan.
+    kwargs = {"m": 2.0, "mean_power": 1.0, field: bad}
+    with pytest.raises(ValueError, match=field):
+        NakagamiPower(**kwargs)
+
+
 def test_rate_property():
     assert NakagamiPower(2.0, 4.0).rate == pytest.approx(0.5)
 

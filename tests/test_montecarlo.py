@@ -162,7 +162,7 @@ def test_simulate_outage_matches_physical_law_quadrature():
     for theta in (0.0, 1.0):
         sys = replace(FIG8, theta=theta)
         q = OutageQuery(1.0)
-        est = simulate_metrics(sys, q, McConfig(samples=1_000_000, seed=5))
+        est = simulate_metrics([sys], [q], McConfig(samples=1_000_000, seed=5))[0]
         p_phys = _physical_outage_quadrature(sys, q.threshold)
         assert abs(est["outage"].mean - p_phys) < 3.0 * est["outage"].stderr
         p_comp = outage_probability(sys, q)
@@ -172,8 +172,8 @@ def test_simulate_outage_matches_physical_law_quadrature():
 
 def test_simulate_metrics_keys_and_ranges():
     est = simulate_metrics(
-        replace(FIG8, theta=1.0), OutageQuery(1.0), McConfig(samples=100_000, seed=5)
-    )
+        [replace(FIG8, theta=1.0)], [OutageQuery(1.0)], McConfig(samples=100_000, seed=5)
+    )[0]
     assert set(est) == {"cap_sr", "cap_rd", "cap_min", "outage", "mean_snr_d"}
     assert 0.0 <= est["outage"].mean <= 1.0
     assert est["cap_min"].mean <= min(est["cap_sr"].mean, est["cap_rd"].mean) + 1e-12
@@ -191,10 +191,32 @@ def test_survival_law_outage_matches_closed_form():
 
 def test_worker_count_does_not_change_estimates():
     q = OutageQuery(1.0)
-    a = simulate_metrics(FIG8, q, McConfig(samples=400_000, seed=9, workers=1, batch_size=50_000))
-    b = simulate_metrics(FIG8, q, McConfig(samples=400_000, seed=9, workers=8, batch_size=50_000))
+    a = simulate_metrics([FIG8], [q], McConfig(samples=400_000, seed=9, workers=1, batch_size=50_000))[0]
+    b = simulate_metrics([FIG8], [q], McConfig(samples=400_000, seed=9, workers=8, batch_size=50_000))[0]
     for key in a:
         assert a[key] == b[key]
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_grouped_estimates_equal_one_system_calls(workers):
+    # One draw per batch scores the whole group; each system's estimates are
+    # exactly what a call for that system alone gives.
+    systems = [replace(FIG8, ps_factor=rho, fading_m=2, theta=-0.5) for rho in (0.2, 0.5, 0.8)]
+    queries = [OutageQuery(t) for t in (0.5, 1.0, 4.0)]
+    cfg = McConfig(samples=40_000, seed=21, workers=workers, batch_size=5_000)
+    grouped = simulate_metrics(systems, queries, cfg)
+    assert len(grouped) == 3
+    for sys, q, est in zip(systems, queries, grouped):
+        assert est == simulate_metrics([sys], [q], cfg)[0]
+        assert list(est) == ["cap_sr", "cap_rd", "cap_min", "outage", "mean_snr_d"]
+
+
+@pytest.mark.parametrize("other", [{"fading_m": 3}, {"theta": 0.5}])
+def test_group_with_mixed_fading_law_raises(other):
+    first = replace(FIG8, fading_m=2, theta=-0.5)
+    systems = [first, replace(first, **other)]
+    with pytest.raises(ValueError, match="share fading_m and theta"):
+        simulate_metrics(systems, [OutageQuery(1.0)] * 2, McConfig(samples=1_000))
 
 
 def test_outage_law_worker_count_does_not_change_estimate():
@@ -211,9 +233,9 @@ def test_outage_law_worker_count_does_not_change_estimate():
 def test_same_seed_reproduces_different_seed_differs():
     q = OutageQuery(1.0)
     cfg = McConfig(samples=100_000, seed=11)
-    a = simulate_metrics(FIG8, q, cfg)
-    b = simulate_metrics(FIG8, q, cfg)
-    c = simulate_metrics(FIG8, q, McConfig(samples=100_000, seed=12))
+    a = simulate_metrics([FIG8], [q], cfg)[0]
+    b = simulate_metrics([FIG8], [q], cfg)[0]
+    c = simulate_metrics([FIG8], [q], McConfig(samples=100_000, seed=12))[0]
     assert a == b
     assert a["cap_rd"].mean != c["cap_rd"].mean
 
@@ -228,7 +250,7 @@ def test_batch_streams_are_independent():
 
 def test_stderr_scales_with_samples():
     q = OutageQuery(1.0)
-    small = simulate_metrics(FIG8, q, McConfig(samples=100_000, seed=13))
-    big = simulate_metrics(FIG8, q, McConfig(samples=400_000, seed=13))
+    small = simulate_metrics([FIG8], [q], McConfig(samples=100_000, seed=13))[0]
+    big = simulate_metrics([FIG8], [q], McConfig(samples=400_000, seed=13))[0]
     ratio = small["cap_rd"].stderr / big["cap_rd"].stderr
     assert abs(ratio - 2.0) < 0.4

@@ -256,7 +256,7 @@ def test_system_capacity_reports_both_orderings():
     assert out["min_of_means"] == min(out["capacity_sr"], out["capacity_rd"])
     # The other ordering, E[min], is the Monte-Carlo cap_min; it cannot
     # exceed the minimum of the means.
-    mc = simulate_metrics(sys, OutageQuery(1.0), McConfig(samples=20_000, seed=61))
+    mc = simulate_metrics([sys], [OutageQuery(1.0)], McConfig(samples=20_000, seed=61))[0]
     assert mc["cap_min"].mean <= out["min_of_means"] + 3.0 * mc["cap_min"].stderr
 
 
