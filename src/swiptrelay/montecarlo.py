@@ -154,20 +154,22 @@ def sample_fgm_powers(
 
 
 def simulate_metrics(
-    systems: list[SwiptSystem], queries: list[OutageQuery], cfg: McConfig
+    systems: list[SwiptSystem], queries: list[OutageQuery | None], cfg: McConfig
 ) -> list[dict[str, McEstimate]]:
     """Estimate capacities, outage and mean destination SNR from joint draws.
 
     The systems must share ``fading_m`` and ``theta``, so one fading law
     serves them all: each batch draws its fading-power pairs once with
     ``sample_fgm_powers`` and scores every system (with its own query) on
-    them.  The estimates of different systems thus share their draws and
-    their errors are correlated; each one equals what a one-system call
-    gives.  Per draw: gamma_r = ghat_r * g_sr and gamma_d = ghat_d * g_sr *
-    g_rd share the same g_sr draw, the dependence the physical model
-    induces between the hops.  Note the analytic outage composes the two
-    marginals through the FGM survival copula instead; the gap between the
-    two joint laws is a reported finding, not an estimator defect.
+    them.  A system whose query is None gets no outage estimate, and no
+    outage indicator is formed for it.  The estimates of different systems
+    thus share their draws and their errors are correlated; each one equals
+    what a one-system call gives.  Per draw: gamma_r = ghat_r * g_sr and
+    gamma_d = ghat_d * g_sr * g_rd share the same g_sr draw, the dependence
+    the physical model induces between the hops.  Note the analytic outage
+    composes the two marginals through the FGM survival copula instead; the
+    gap between the two joint laws is a reported finding, not an estimator
+    defect.
 
     Returns one ``{metric: McEstimate}`` per system, in order.
     """
@@ -181,11 +183,11 @@ def simulate_metrics(
     m, theta = laws.pop()
     marg = NakagamiPower(float(m), 1.0)
     cop = fgm_copula(theta)
-    points = [(j, derive_snr_scales(s), q.threshold) for j, (s, q) in enumerate(zip(systems, queries))]
+    points = [(j, derive_snr_scales(s), q) for j, (s, q) in enumerate(zip(systems, queries))]
 
     def draw(rng: np.random.Generator, n: int):
         g_sr, g_rd = sample_fgm_powers(cop, marg, rng, n)
-        for j, scales, threshold in points:
+        for j, scales, q in points:
             gamma_r = scales.gamma_hat_r * g_sr
             gamma_d = scales.gamma_hat_d * g_sr * g_rd
             cap_sr = 0.5 * np.log2(1.0 + gamma_r)
@@ -193,7 +195,8 @@ def simulate_metrics(
             yield (j, "cap_sr"), cap_sr
             yield (j, "cap_rd"), cap_rd
             yield (j, "cap_min"), np.minimum(cap_sr, cap_rd)
-            yield (j, "outage"), (np.minimum(gamma_r, gamma_d) <= threshold).astype(float)
+            if q is not None:
+                yield (j, "outage"), (np.minimum(gamma_r, gamma_d) <= q.threshold).astype(float)
             yield (j, "mean_snr_d"), gamma_d
             del gamma_r, gamma_d, cap_sr, cap_rd  # free them before the next system's arrays
 

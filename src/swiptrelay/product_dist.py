@@ -290,8 +290,7 @@ def mean_snr_factor(m: int, theta: float) -> float:
     """E{g_sr g_rd} under FGM dependence: 1 + theta (1 - h)^2; h^2 is the FGM double sum."""
     if m < 1 or m != int(m):
         raise ValueError(f"integer m >= 1 required, got {m}")
-    if not -1.0 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [-1, 1], got {theta}")
+    CopulaModel(theta)  # the copula owns the theta range
     m = int(m)
     h = sum(2.0 ** (-(m + k)) / (m * beta(m, k + 1)) for k in range(m))
     return float(1.0 + theta * (1.0 - h) ** 2)

@@ -86,7 +86,7 @@ def _monte_carlo(spec: SweepSpec, points):
     est: dict[int, dict[str, McEstimate]] = {}
     for members in groups.values():
         systems = [points[i][1] for i in members]
-        queries = [OutageQuery(1.0 if points[i][2] is None else points[i][2]) for i in members]
+        queries = [None if points[i][2] is None else OutageQuery(points[i][2]) for i in members]
         est.update(zip(members, simulate_metrics(systems, queries, spec.mc)))
     for i, (_, _, threshold) in enumerate(points):
         e = est[i]
@@ -125,7 +125,7 @@ def run_sweep(spec: SweepSpec) -> list[list[str]]:
     points = [(value, *resolve_point(spec, value, th, m))
               for value in spec.grid
               for th in ((value,) if spec.variable == "theta" else spec.thetas)
-              for m in ((int(value),) if spec.variable == "m" else spec.ms)]
+              for m in ((value,) if spec.variable == "m" else spec.ms)]
     routes = [(mode, ROUTES[mode](spec, points)) for mode in spec.modes]
     rows: list[list[str]] = []
     for value, sys, threshold in points:

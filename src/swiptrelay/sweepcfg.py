@@ -127,20 +127,20 @@ def _floats(value: str) -> tuple[float, ...]:
         raise ConfigError(f"bad numeric list {value!r}") from exc
 
 
-def _checked(make, *args, **kwargs):
-    """``make(*args, **kwargs)``, with the domain errors of what it builds as ConfigError."""
+def _checked(make, *args, where: str = "", **kwargs):
+    """``make(*args, **kwargs)``, with the domain errors of what it builds as ConfigError.
+
+    ``where``, if given, prefixes the message.
+    """
     try:
         return make(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from None
 
 
 def parse_ms(value: str) -> tuple[int, ...]:
     """A comma list of fading shapes, each in SwiptSystem's domain."""
-    ms = _floats(value)
-    for m in ms:
-        _checked(replace, BASELINE, fading_m=m)
-    return tuple(int(m) for m in ms)
+    return tuple(_checked(replace, BASELINE, fading_m=m).fading_m for m in _floats(value))
 
 
 def parse_thetas(value: str) -> tuple[float, ...]:
@@ -221,7 +221,7 @@ def parse_config(text: str) -> SweepSpec:
 
     rd_total = _number("rd_total", sweep["rd_total"]) if "rd_total" in sweep else None
 
-    spec = SweepSpec(
+    return SweepSpec(
         variable=sweep["variable"],
         grid=grid,
         base=base,
@@ -233,58 +233,30 @@ def parse_config(text: str) -> SweepSpec:
         rd_total=rd_total,
         name=top.get("name", "sweep"),
     )
-    _validate_grid(spec)
-    return spec
 
 
-def _system_fields(spec: SweepSpec, value: float) -> dict[str, float]:
-    """The SwiptSystem fields a grid value sets; rd_total makes dist_sr move dist_rd too."""
-    if spec.variable not in SYSTEM_FIELDS:
-        return {}
-    fields = {SYSTEM_FIELDS[spec.variable]: value}
-    if spec.rd_total is not None:
-        fields["dist_rd"] = spec.rd_total - value
-    return fields
-
-
-def _inside(spec: SweepSpec, value: float) -> bool:
-    """Finite, and inside SwiptSystem's domain or, for a direct SNR scale, positive."""
-    if not math.isfinite(value):
-        return False
-    if spec.variable in ("gamma_hat_r", "gamma_hat_d"):
-        return value > 0
-    if spec.variable == "m":
-        fields = {"fading_m": value}
-    elif spec.variable == "theta":
-        fields = {"theta": value}
-    else:
-        fields = _system_fields(spec, value)
-    try:
-        replace(spec.base, **fields)
-    except ValueError:
-        return False
-    return True
-
-
-def _validate_grid(spec: SweepSpec) -> None:
-    bad = [v for v in spec.grid if not _inside(spec, v)]
-    if bad:
-        raise ConfigError(f"grid values {bad} outside the domain of {spec.variable!r}")
-
-
-def resolve_point(spec: SweepSpec, value: float, theta: float, m: int):
+def resolve_point(spec: SweepSpec, value: float, theta: float, m: float):
     """System and linear threshold (or None) for one grid point.
 
-    A theta or m sweep passes its grid value as ``theta`` or ``m``.  The
-    direct-scale sweeps (gamma_hat_r, gamma_hat_d) bypass the physical
-    parameterization: the hop distances are re-solved so that the swept
-    scale takes the grid value and the other keeps its baseline value.  A
-    point whose derived SNR scales are not finite and positive is refused.
+    The only judge of a grid value: a value that is not finite, a direct
+    SNR scale that is not positive, or a field ``SwiptSystem`` refuses is
+    outside the variable's domain.  A theta or m sweep passes its raw grid
+    value as ``theta`` or ``m``.  The direct-scale sweeps (gamma_hat_r,
+    gamma_hat_d) bypass the physical parameterization: the hop distances are
+    re-solved so that the swept scale takes the grid value and the other
+    keeps its baseline value.  A point whose derived SNR scales are not
+    finite and positive is refused.
     """
-    sys = replace(spec.base, fading_m=m, theta=theta, **_system_fields(spec, value))
-    threshold = spec.threshold
     v = spec.variable
-    point = f"grid point {v} = {fmt(value)} (theta = {fmt(theta)}, m = {m})"
+    point = f"grid point {v} = {fmt(value)} (theta = {fmt(theta)}, m = {fmt(m)})"
+    outside = f"{point}: outside the domain of {v!r}"
+    if not math.isfinite(value) or (v in ("gamma_hat_r", "gamma_hat_d") and value <= 0):
+        raise ConfigError(outside)
+    fields = {SYSTEM_FIELDS[v]: value} if v in SYSTEM_FIELDS else {}
+    if spec.rd_total is not None:  # dist_sr moves dist_rd too
+        fields["dist_rd"] = spec.rd_total - value
+    sys = _checked(replace, spec.base, fading_m=m, theta=theta, **fields, where=outside)
+    threshold = spec.threshold
     if v == "threshold_db":
         threshold = _db_to_linear(f"{point}: threshold_db", value)
     try:

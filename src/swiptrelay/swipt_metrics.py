@@ -62,8 +62,8 @@ class SwiptSystem:
             raise ValueError("distances must be strictly positive")
         if self.fading_m < 1 or self.fading_m != int(self.fading_m):
             raise ValueError(f"fading_m must be an integer >= 1, got {self.fading_m}")
-        if not -1.0 <= self.theta <= 1.0:
-            raise ValueError(f"theta must lie in [-1, 1], got {self.theta}")
+        object.__setattr__(self, "fading_m", int(self.fading_m))  # a whole float such as 2.0 is kept as 2
+        fgm_copula(self.theta)  # the copula owns the theta range
 
 
 # The reference operating point: config files start from it, ``validate``

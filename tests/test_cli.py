@@ -71,7 +71,7 @@ def test_parse_config_errors():
     with pytest.raises(ConfigError):
         parse_config("[sweep]\nvariable = rho\n")  # no grid or start/stop/count
     with pytest.raises(ConfigError):
-        parse_config("[sweep]\nvariable = rho\ngrid = 1.5\n")  # out of domain
+        run_sweep(parse_config("[sweep]\nvariable = rho\ngrid = 1.5\n"))  # out of domain
     with pytest.raises(ConfigError):
         parse_config("m = 1\nm = 2\n[sweep]\nvariable = rho\ngrid = 0.5\n")
     with pytest.raises(ConfigError):
@@ -104,9 +104,9 @@ def test_parse_config_errors():
     ):
         with pytest.raises(ConfigError, match=message):
             parse_config(bad)
-    for variable in ("source_power", "gamma_hat_d", "threshold_db"):
+    for variable in ("source_power", "gamma_hat_d", "threshold_db"):  # judged when the points resolve
         with pytest.raises(ConfigError, match="outside the domain"):
-            parse_config(f"[sweep]\nvariable = {variable}\ngrid = 1,inf\n")
+            run_sweep(parse_config(f"[sweep]\nvariable = {variable}\ngrid = 1,inf\n"))
 
 
 @pytest.mark.parametrize("line", [
@@ -114,6 +114,12 @@ def test_parse_config_errors():
     "source_power = 1e308\n",  # finite input, infinite derived SNR scale
     "[sweep]\nvariable = gamma_hat_d\ngrid = 1e-320\n",  # scale underflows to 0
     "[sweep]\nvariable = threshold_db\ngrid = 0,4000\n",
+    # grid values outside the variable's domain, judged only when the points resolve
+    "[sweep]\nvariable = gamma_hat_r\ngrid = 1,-1\n",
+    "[sweep]\nvariable = gamma_hat_r\ngrid = 1,0\n",
+    "[sweep]\nvariable = m\ngrid = 1,1.5\n",
+    "[sweep]\nvariable = theta\ngrid = 0,2\n",
+    "[sweep]\nvariable = threshold_db\ngrid = 0,inf\n",
 ])
 def test_degenerate_grid_point_exits_2(tmp_path, capsys, line):
     text = line if line.startswith("[sweep]") else line + "[sweep]\nvariable = rho\ngrid = 0.5\n"

@@ -211,6 +211,18 @@ def test_grouped_estimates_equal_one_system_calls(workers):
         assert list(est) == ["cap_sr", "cap_rd", "cap_min", "outage", "mean_snr_d"]
 
 
+def test_no_query_forms_no_outage_and_keeps_the_other_estimates():
+    # A None query skips the outage indicator; the other four estimates are
+    # exactly those of the same system scored with a query, alone or grouped.
+    systems = [replace(FIG8, ps_factor=rho, fading_m=2, theta=0.5) for rho in (0.3, 0.6)]
+    cfg = McConfig(samples=20_000, seed=23, batch_size=5_000)
+    with_query = simulate_metrics(systems, [OutageQuery(1.0)] * 2, cfg)
+    mixed = simulate_metrics(systems, [None, OutageQuery(1.0)], cfg)
+    assert list(mixed[0]) == ["cap_sr", "cap_rd", "cap_min", "mean_snr_d"]
+    assert mixed[0] == {k: v for k, v in with_query[0].items() if k != "outage"}
+    assert mixed[1] == with_query[1]
+
+
 @pytest.mark.parametrize("other", [{"fading_m": 3}, {"theta": 0.5}])
 def test_group_with_mixed_fading_law_raises(other):
     first = replace(FIG8, fading_m=2, theta=-0.5)
