@@ -15,7 +15,9 @@ are provably non-overlapping and the estimates are bit-identical for a fixed
 (seed, samples, batch size) regardless of how many workers process the
 batches.  Batch moments are merged in batch order with Chan/Welford
 combination.  ``simulate_metrics`` scores a list of systems that share one
-fading law (m, theta) on each batch's single draw.
+fading m on each batch's single base draw: every theta among them reuses
+its Gamma pair and uniforms, and only the partner Gammas of each theta's
+dependent share are drawn for that theta.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copula import CopulaModel, fgm_copula, sample_pair
+from .copula import fgm_copula
 from .fading import NakagamiPower
 from .swipt_metrics import OutageQuery, SwiptSystem, derive_snr_scales, relay_snr_cdf
 
@@ -90,21 +92,29 @@ def _combine(acc: tuple[int, float, float], n_b: int, mean_b: float, m2_b: float
 
 def _batch_moments(x: np.ndarray) -> tuple[int, float, float]:
     mean = float(x.mean())
-    m2 = float(np.sum((x - mean) ** 2))
-    return x.size, mean, m2
+    dev = x - mean
+    dev *= dev
+    return x.size, mean, float(np.sum(dev))
+
+
+def _hit_moments(hit: np.ndarray) -> tuple[int, float, float]:
+    """Moments of a 0/1 indicator from its hit count k: mean k/n, M2 k(n - k)/n."""
+    n, k = hit.size, int(np.count_nonzero(hit))
+    return n, k / n, k * (n - k) / n
 
 
 def _estimate(cfg: McConfig, draw) -> dict:
-    """Mean estimates of the named arrays ``draw(rng, n)`` yields per batch.
+    """Mean estimates of the named quantities ``draw(rng, n)`` yields per batch.
 
     Batch i draws its n = min(batch_size, samples left) values from
-    ``batch_stream(cfg.seed, i)``; ``draw`` yields ``(key, array)`` pairs,
-    each reduced to its moments as soon as it is made.  Batches run on
-    ``cfg.workers`` threads and their moments merge strictly in batch order.
+    ``batch_stream(cfg.seed, i)``; ``draw`` yields ``(key, moments)`` pairs,
+    reducing each array to its ``(n, mean, M2)`` as soon as it is made.
+    Batches run on ``cfg.workers`` threads and their moments merge strictly
+    in batch order.
     """
     def run_batch(i: int) -> dict:
         n_b = min(cfg._batch, cfg.samples - i * cfg._batch)
-        return {k: _batch_moments(v) for k, v in draw(batch_stream(cfg.seed, i), n_b)}
+        return dict(draw(batch_stream(cfg.seed, i), n_b))
 
     if cfg.workers == 1:
         results = [run_batch(i) for i in range(cfg.n_batches)]
@@ -121,13 +131,8 @@ def _estimate(cfg: McConfig, draw) -> dict:
     return out
 
 
-def sample_fgm_powers(
-    copula: CopulaModel,
-    marg: NakagamiPower,
-    rng: np.random.Generator,
-    size: int,
-):
-    """Exact FGM-coupled pair of ``marg`` powers from order statistics.
+def sample_fgm_powers(thetas, marg: NakagamiPower, rng: np.random.Generator, size: int):
+    """Exact FGM-coupled pairs of ``marg`` powers from order statistics, one per theta.
 
     The FGM density splits as the mixture
     (1 - |theta|) * 1 + |theta| * [1 + sgn(theta) (1-2u1)(1-2u2)],
@@ -140,17 +145,36 @@ def sample_fgm_powers(
     g1 needs no coin, since the pair is exchangeable and g1 > partner tells
     which order statistic it is.  Exact for any real m >= 0.5, with no
     inversion; 2 + 2|theta| Gamma draws and one uniform per pair.
+
+    All thetas share one base draw from ``rng``: the (2, size) Gamma pair,
+    then the ``size`` uniforms.  Each theta re-reads its partner Gammas from
+    the generator state saved after the uniforms, so the ``(g1, g2)`` it
+    yields is, bit for bit, what a one-theta call on a fresh ``rng`` gives.
+    g1 is the same array for every theta and must not be written to; each
+    g2 is its own copy.
     """
+    thetas = [fgm_copula(theta).theta for theta in thetas]
     scale = marg.mean_power / marg.m
     g = rng.gamma(marg.m, scale, size=(2, size))
-    dep = np.flatnonzero(rng.random(size) < abs(copula.theta))
-    partner = rng.gamma(marg.m, scale, size=(2, dep.size))
-    # g1 is the max of its pair exactly when it beats its partner; g2 must be
-    # the same order statistic of its pair (theta > 0) or the other one.
-    want_max2 = (g[0, dep] > partner[0]) == (copula.theta > 0.0)
-    g2 = g[1, dep]
-    g[1, dep] = np.where((g2 > partner[1]) == want_max2, g2, partner[1])
-    return g[0], g[1]
+    u = rng.random(size)
+    shares = [u < abs(theta) for theta in thetas]
+    del u
+    after_uniforms = rng.bit_generator.state
+    g1, g2 = g
+    for theta, share in zip(thetas, shares):
+        rng.bit_generator.state = after_uniforms
+        dep = np.flatnonzero(share)  # integer indexing is far faster than a mask
+        # The rows of a (2, k) partner draw, read one after the other.  g1 is
+        # the max of its pair exactly when it beats its partner; g2 must be
+        # the same order statistic of its pair (theta > 0) or the other one.
+        want_max2 = (g1[dep] > rng.gamma(marg.m, scale, dep.size)) == (theta > 0.0)
+        partner = rng.gamma(marg.m, scale, dep.size)
+        own = g2[dep]
+        np.copyto(partner, own, where=(own > partner) == want_max2)
+        g2_theta = g2.copy()
+        g2_theta[dep] = partner
+        del dep, want_max2, partner, own  # free them while the caller scores the pair
+        yield g1, g2_theta
 
 
 def simulate_metrics(
@@ -158,18 +182,17 @@ def simulate_metrics(
 ) -> list[dict[str, McEstimate]]:
     """Estimate capacities, outage and mean destination SNR from joint draws.
 
-    The systems must share ``fading_m`` and ``theta``, so one fading law
-    serves them all: each batch draws its fading-power pairs once with
-    ``sample_fgm_powers`` and scores every system (with its own query) on
-    them.  A system whose query is None gets no outage estimate, and no
-    outage indicator is formed for it.  The estimates of different systems
-    thus share their draws and their errors are correlated; each one equals
-    what a one-system call gives.  Per draw: gamma_r = ghat_r * g_sr and
-    gamma_d = ghat_d * g_sr * g_rd share the same g_sr draw, the dependence
-    the physical model induces between the hops.  Note the analytic outage
-    composes the two marginals through the FGM survival copula instead; the
-    gap between the two joint laws is a reported finding, not an estimator
-    defect.
+    The systems must share ``fading_m``: each batch makes one base draw with
+    ``sample_fgm_powers`` for all their thetas and scores every system (with
+    its own query) on its theta's pair.  A system whose query is None gets no
+    outage estimate, and no outage indicator is formed for it.  The
+    estimates of different systems thus share their draws and their errors
+    are correlated; each one equals what a one-system call gives.  Per draw:
+    gamma_r = ghat_r * g_sr and gamma_d = ghat_d * g_sr * g_rd share the same
+    g_sr draw, the dependence the physical model induces between the hops.
+    Note the analytic outage composes the two marginals through the FGM
+    survival copula instead; the gap between the two joint laws is a
+    reported finding, not an estimator defect.
 
     Returns one ``{metric: McEstimate}`` per system, in order.
     """
@@ -177,28 +200,38 @@ def simulate_metrics(
         raise ValueError("need at least one system")
     if len(queries) != len(systems):
         raise ValueError(f"need one query per system, got {len(queries)} for {len(systems)}")
-    laws = {(s.fading_m, s.theta) for s in systems}
-    if len(laws) != 1:
-        raise ValueError(f"systems must share fading_m and theta, got (m, theta) in {sorted(laws)}")
-    m, theta = laws.pop()
-    marg = NakagamiPower(float(m), 1.0)
-    cop = fgm_copula(theta)
-    points = [(j, derive_snr_scales(s), q) for j, (s, q) in enumerate(zip(systems, queries))]
+    ms = {s.fading_m for s in systems}
+    if len(ms) != 1:
+        raise ValueError(f"systems must share fading_m, got m in {sorted(ms)}")
+    marg = NakagamiPower(float(ms.pop()), 1.0)
+    by_theta: dict[float, list] = {}
+    for j, (s, q) in enumerate(zip(systems, queries)):
+        by_theta.setdefault(s.theta, []).append((j, derive_snr_scales(s), q))
 
     def draw(rng: np.random.Generator, n: int):
-        g_sr, g_rd = sample_fgm_powers(cop, marg, rng, n)
-        for j, scales, q in points:
-            gamma_r = scales.gamma_hat_r * g_sr
-            gamma_d = scales.gamma_hat_d * g_sr * g_rd
-            cap_sr = 0.5 * np.log2(1.0 + gamma_r)
-            cap_rd = 0.5 * np.log2(1.0 + gamma_d)
-            yield (j, "cap_sr"), cap_sr
-            yield (j, "cap_rd"), cap_rd
-            yield (j, "cap_min"), np.minimum(cap_sr, cap_rd)
-            if q is not None:
-                yield (j, "outage"), (np.minimum(gamma_r, gamma_d) <= q.threshold).astype(float)
-            yield (j, "mean_snr_d"), gamma_d
-            del gamma_r, gamma_d, cap_sr, cap_rd  # free them before the next system's arrays
+        pairs = sample_fgm_powers(by_theta, marg, rng, n)
+        for points, (g_sr, g_rd) in zip(by_theta.values(), pairs):
+            for j, scales, q in points:
+                gamma_r = scales.gamma_hat_r * g_sr
+                gamma_d = scales.gamma_hat_d * g_sr
+                gamma_d *= g_rd
+                if q is not None:
+                    hit = gamma_r <= q.threshold
+                    hit |= gamma_d <= q.threshold
+                    outage = _hit_moments(hit)
+                    del hit
+                snr_d = _batch_moments(gamma_d)
+                # Each SNR becomes its capacity 0.5 log2(1 + gamma) in place.
+                for cap in (gamma_r, gamma_d):
+                    np.log2(np.add(cap, 1.0, out=cap), out=cap)
+                    cap *= 0.5
+                yield (j, "cap_sr"), _batch_moments(gamma_r)
+                yield (j, "cap_rd"), _batch_moments(gamma_d)
+                yield (j, "cap_min"), _batch_moments(np.minimum(gamma_r, gamma_d, out=gamma_r))
+                if q is not None:
+                    yield (j, "outage"), outage
+                yield (j, "mean_snr_d"), snr_d
+                del gamma_r, gamma_d  # free them before the next system's arrays
 
     est = _estimate(cfg, draw)
     out: list[dict[str, McEstimate]] = [{} for _ in systems]
@@ -218,15 +251,21 @@ def simulate_outage_survival_law(
     Samples (v1, v2) from the FGM copula and tests v1 <= F_r(t) or
     v2 <= F_d(t); the destination CDF value is supplied by the caller (e.g.
     from the general product-CDF quadrature) so this estimator stays
-    independent of the Bessel closed form it validates.
+    independent of the Bessel closed form it validates.  With v1 and a
+    uniform w as ``copula.sample_pair`` draws them, v2 <= u_d exactly when
+    w <= u_d (1 + theta (1 - u_d)(1 - 2 v1)), the conditional CDF at u_d, so
+    that is tested and v2 is never formed.
     """
     scales = derive_snr_scales(sys)
     u_r = relay_snr_cdf(scales.gamma_hat_r, sys.fading_m, q.threshold)
     u_d = destination_cdf_at_threshold
-    cop = fgm_copula(sys.theta)
+    slope = sys.theta * (1.0 - u_d)
 
     def draw(rng: np.random.Generator, n: int):
-        v1, v2 = sample_pair(cop, rng, size=n)
-        yield "outage", ((v1 <= u_r) | (v2 <= u_d)).astype(float)
+        v1, w = rng.random((2, n))
+        np.nextafter(v1, 1.0, out=v1)  # map 0.0 into (0, 1)
+        hit = w <= u_d * (1.0 + slope * (1.0 - 2.0 * v1))
+        hit |= v1 <= u_r
+        yield "outage", _hit_moments(hit)
 
     return _estimate(cfg, draw)["outage"]

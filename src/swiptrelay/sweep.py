@@ -77,12 +77,12 @@ def _asymptotic(spec: SweepSpec, sys: SwiptSystem, threshold) -> dict[str, float
 def _monte_carlo(spec: SweepSpec, points):
     """monte_carlo metrics of the points, in order.
 
-    The fading law depends on (theta, m) alone, so each group of points
-    sharing them is scored by one ``simulate_metrics`` call on the same draws.
+    Every theta of one m reuses the same base draw, so each group of points
+    sharing m is scored by one ``simulate_metrics`` call on the same draws.
     """
-    groups: dict[tuple[float, int], list[int]] = {}
+    groups: dict[int, list[int]] = {}
     for i, (_, sys, _) in enumerate(points):
-        groups.setdefault((sys.theta, sys.fading_m), []).append(i)
+        groups.setdefault(sys.fading_m, []).append(i)
     est: dict[int, dict[str, McEstimate]] = {}
     for members in groups.values():
         systems = [points[i][1] for i in members]
@@ -105,7 +105,7 @@ def _each(route):
 # Mode -> route(spec, points) yielding each (value, system, threshold)
 # point's ordered {metric: estimate}, in order.  The per-point routes run
 # lazily, so a sweep computes point by point; monte_carlo draws once per
-# (theta, m) group before its first point.  The lambdas look the metric
+# m group before its first point.  The lambdas look the metric
 # functions up in this module when called, so a wrapper set on the module
 # attribute sees the call.
 ROUTES = {

@@ -24,7 +24,8 @@ import numpy as np
 
 from .copula import fgm_copula
 from .fading import NakagamiPower
-from .montecarlo import McConfig, batch_stream, sample_fgm_powers, simulate_outage_survival_law
+from .montecarlo import (McConfig, _batch_moments, batch_stream, sample_fgm_powers,
+                         simulate_outage_survival_law)
 from .product_dist import closed_form_model, product_cdf_general, snr_cdf_closed
 from .specfun import NumericalGuardError
 from .swipt_metrics import (
@@ -107,7 +108,15 @@ def run_validation(
 
     try:
         for m in ms:
-            for theta in thetas:
+            # One seeded exact draw per m from the order-statistic sampler:
+            # every theta cell reuses its base Gammas and uniforms, and each
+            # cell's pair is what a draw for that theta alone gives.  It
+            # shares no code with the Bessel closed form or the quadrature it
+            # checks, and it reads the first sub-stream the outage-law
+            # simulation below never reads.
+            draws = sample_fgm_powers(thetas, NakagamiPower(float(m), 1.0),
+                                      batch_stream(seed, cfg.n_batches), samples)
+            for theta, (g1, g2) in zip(thetas, draws):
                 cell = f"m={m},theta={fmt(theta)}"
                 sys = replace(BASELINE, fading_m=m, theta=theta)
                 scales = derive_snr_scales(sys)
@@ -121,13 +130,6 @@ def run_validation(
                 report.add(cell, "cdf_supnorm_closed_vs_quadrature",
                            float(np.max(np.abs(closed - quad_cdf[:-1]))), SUPNORM_TOL)
 
-                # One seeded exact draw from the order-statistic sampler, reused
-                # by every stochastic check of the cell.  It shares no code with
-                # the Bessel closed form or the quadrature it checks, and it
-                # reads the first sub-stream the outage-law simulation below
-                # never reads.
-                marg = NakagamiPower(float(m), 1.0)
-                g1, g2 = sample_fgm_powers(cop, marg, batch_stream(seed, cfg.n_batches), samples)
                 snr = scales.gamma_hat_d * g1 * g2
 
                 # Capacities: quadrature vs the sample means at 3 standard
@@ -138,9 +140,8 @@ def run_validation(
                      ergodic_capacity_sr(scales.gamma_hat_r, m)),
                     ("capacity_rd", snr, ergodic_capacity_rd(scales.gamma_hat_d, m, theta)),
                 ):
-                    cap = 0.5 * np.log2(1.0 + hop_snr)
-                    mean = float(cap.mean())
-                    stderr = float(cap.std(ddof=1)) / math.sqrt(samples)
+                    n, mean, m2 = _batch_moments(0.5 * np.log2(1.0 + hop_snr))
+                    stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(samples)
                     capacity_units.append((name, (analytic - mean) / stderr))
 
                 snr.sort()

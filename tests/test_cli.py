@@ -288,17 +288,32 @@ MC_GROUP_CFG = ("theta = -0.5,1\nm = 1,2\nthreshold = 1\nmodes = monte_carlo\n"
 
 
 def test_mc_sweep_draws_once_per_theta_and_m(monkeypatch):
+    # One call per m: both thetas of an m share its draw.
     calls = _count_simulate_metrics(monkeypatch)
     spec = parse_config(MC_GROUP_CFG.format(variable="rho", grid="0.2,0.5,0.8"))
     rows = run_sweep(spec)
-    assert calls == [3, 3, 3, 3]
+    assert calls == [6, 6]
     assert sum(r[4] == "monte_carlo" for r in rows) == 3 * 2 * 2 * 5
 
 
 def test_mc_theta_sweep_draws_once_per_grid_point(monkeypatch):
+    # One call per m, covering its three theta grid points.
     calls = _count_simulate_metrics(monkeypatch)
     run_sweep(parse_config(MC_GROUP_CFG.format(variable="theta", grid="-1,0,0.5")))
-    assert calls == [1] * 3 * 2  # one call per (theta, m) grid point
+    assert calls == [3, 3]
+
+
+def test_mc_sweep_rows_equal_each_theta_and_m_run_alone():
+    # Sharing one draw across the thetas and grid points of an m changes no
+    # row: each (theta, m) run alone writes the same rows.
+    rows = run_sweep(parse_config(MC_GROUP_CFG.format(variable="rho", grid="0.2,0.8")))
+    for th in ("-0.5", "1"):
+        for m in ("1", "2"):
+            alone = run_sweep(parse_config(
+                MC_GROUP_CFG.format(variable="rho", grid="0.2,0.8")
+                .replace("theta = -0.5,1", f"theta = {th}").replace("m = 1,2", f"m = {m}")))
+            assert alone == [r for r in rows if r[2:4] == [th, m]]
+            assert sum(r[4] == "monte_carlo" for r in alone) == 2 * 5
 
 
 def test_parse_log_spacing():

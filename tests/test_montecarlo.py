@@ -20,8 +20,10 @@ from swiptrelay.product_dist import mean_snr_factor, product_cdf_general
 from swiptrelay.swipt_metrics import (
     BASELINE,
     OutageQuery,
+    derive_snr_scales,
     destination_snr_model,
     outage_probability,
+    relay_snr_cdf,
 )
 from swiptrelay.validation import dkw_epsilon
 
@@ -46,6 +48,11 @@ def test_estimate_from_moments():
     assert est.stderr == pytest.approx(0.5)
     assert est.ci95_low == pytest.approx(1.0 - 1.96 * 0.5)
     assert est.ci95_high == pytest.approx(1.0 + 1.96 * 0.5)
+
+
+def _fgm_powers(theta, marg, rng, n):
+    """One-theta draw of ``sample_fgm_powers``."""
+    return next(sample_fgm_powers([theta], marg, rng, n))
 
 
 def _inverted_powers(cop, marg, rng, n):
@@ -80,7 +87,7 @@ def test_fgm_powers_follow_copula_and_margins(theta, m):
     n = 200_000
     marg = NakagamiPower(m, 1.3)
     cop = fgm_copula(theta)
-    g1, g2 = sample_fgm_powers(cop, marg, batch_stream(53, 0), n)
+    g1, g2 = _fgm_powers(theta, marg, batch_stream(53, 0), n)
     u1, u2 = power_cdf(marg, g1), power_cdf(marg, g2)
     for a in (0.2, 0.5, 0.8):
         for b in (0.2, 0.5, 0.8):
@@ -99,7 +106,7 @@ def test_fgm_powers_at_the_wrong_theta_miss_the_copula():
     # the theta = -0.5 copula CDF at (0.5, 0.5) by 1/16, about 30 stderr.
     n = 200_000
     marg = NakagamiPower(2.0)
-    g1, g2 = sample_fgm_powers(fgm_copula(0.5), marg, batch_stream(53, 0), n)
+    g1, g2 = _fgm_powers(0.5, marg, batch_stream(53, 0), n)
     c = copula_cdf(fgm_copula(-0.5), 0.5, 0.5)
     emp = np.mean((power_cdf(marg, g1) <= 0.5) & (power_cdf(marg, g2) <= 0.5))
     assert abs(emp - c) > 4.0 * math.sqrt(c * (1.0 - c) / n)
@@ -110,17 +117,43 @@ def test_fgm_powers_product_mean(m, theta):
     # m=1, theta=1: E[g1 g2] = 1.25; in general the closed mean_snr_factor.
     n = 2_000_000
     marg = NakagamiPower(float(m))
-    g1, g2 = sample_fgm_powers(fgm_copula(theta), marg, batch_stream(59, 0), n)
+    g1, g2 = _fgm_powers(theta, marg, batch_stream(59, 0), n)
     prod = g1 * g2
     stderr = prod.std(ddof=1) / math.sqrt(n)
     assert abs(prod.mean() - mean_snr_factor(m, theta)) < 4.0 * stderr
+
+
+def _one_theta_reference(theta, marg, rng, size):
+    """The sampler for one theta, drawing its partner Gammas as one (2, k) array."""
+    scale = marg.mean_power / marg.m
+    g = rng.gamma(marg.m, scale, size=(2, size))
+    dep = np.flatnonzero(rng.random(size) < abs(theta))
+    partner = rng.gamma(marg.m, scale, size=(2, dep.size))
+    want_max2 = (g[0, dep] > partner[0]) == (theta > 0.0)
+    g2 = g[1, dep]
+    g[1, dep] = np.where((g2 > partner[1]) == want_max2, g2, partner[1])
+    return g[0], g[1]
+
+
+@pytest.mark.parametrize("m", [1.0, 2.5])
+def test_multi_theta_draw_equals_one_theta_draws(m):
+    # theta = 0 and +-1, a repeated |theta| and an unsorted order: each pair
+    # is bit for bit the one-theta draw on a fresh stream.
+    thetas = (0.5, -1.0, 0.0, 1.0, -0.5, 0.2)
+    marg = NakagamiPower(m, 1.3)
+    n = 50_000
+    pairs = sample_fgm_powers(thetas, marg, batch_stream(67, 3), n)
+    for theta, (g1, g2) in zip(thetas, pairs):
+        for one in (_fgm_powers(theta, marg, batch_stream(67, 3), n),
+                    _one_theta_reference(theta, marg, batch_stream(67, 3), n)):
+            assert np.array_equal(g1, one[0]) and np.array_equal(g2, one[1])
 
 
 def test_fgm_powers_agree_with_conditional_inversion():
     n = 1_000_000
     marg = NakagamiPower(2.5)
     cop = fgm_copula(0.7)
-    a = np.multiply(*sample_fgm_powers(cop, marg, batch_stream(61, 0), n))
+    a = np.multiply(*_fgm_powers(0.7, marg, batch_stream(61, 0), n))
     b = np.multiply(*_inverted_powers(cop, marg, batch_stream(61, 1), n))
     combined = math.sqrt((a.var(ddof=1) + b.var(ddof=1)) / n)
     assert abs(a.mean() - b.mean()) < 4.0 * combined
@@ -189,6 +222,24 @@ def test_survival_law_outage_matches_closed_form():
     assert abs(est.mean - p) < 3.0 * est.stderr
 
 
+@pytest.mark.parametrize("theta", [-1.0, -0.6, 0.0, 0.2, 1.0])
+def test_outage_law_test_equals_conditional_inversion(theta):
+    # The estimator tests w against the conditional CDF at u_d; inverting the
+    # conditional CDF for v2 (copula.sample_pair) on the same stream gives
+    # the same hits.
+    sys = replace(FIG8, theta=theta)
+    q = OutageQuery(1.0)
+    scales = derive_snr_scales(sys)
+    u_r = relay_snr_cdf(scales.gamma_hat_r, sys.fading_m, q.threshold)
+    u_d = product_cdf_general(destination_snr_model(sys), q.threshold)
+    n = 200_000
+    est = simulate_outage_survival_law(sys, q, McConfig(samples=n, seed=17), u_d)
+    v1, v2 = sample_pair(fgm_copula(theta), batch_stream(17, 0), size=n)
+    hits = int(np.count_nonzero((v1 <= u_r) | (v2 <= u_d)))
+    assert 0 < hits < n
+    assert est == McEstimate.from_moments(n, hits / n, hits * (n - hits) / n)
+
+
 def test_worker_count_does_not_change_estimates():
     q = OutageQuery(1.0)
     a = simulate_metrics([FIG8], [q], McConfig(samples=400_000, seed=9, workers=1, batch_size=50_000))[0]
@@ -223,12 +274,28 @@ def test_no_query_forms_no_outage_and_keeps_the_other_estimates():
     assert mixed[1] == with_query[1]
 
 
-@pytest.mark.parametrize("other", [{"fading_m": 3}, {"theta": 0.5}])
-def test_group_with_mixed_fading_law_raises(other):
+def test_group_with_mixed_fading_law_raises():
     first = replace(FIG8, fading_m=2, theta=-0.5)
-    systems = [first, replace(first, **other)]
-    with pytest.raises(ValueError, match="share fading_m and theta"):
+    systems = [first, replace(first, fading_m=3)]
+    with pytest.raises(ValueError, match="share fading_m"):
         simulate_metrics(systems, [OutageQuery(1.0)] * 2, McConfig(samples=1_000))
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_mixed_theta_group_equals_one_system_calls(workers):
+    # Systems of one m with different thetas share each batch's base draw;
+    # each one's estimates are still exactly those of a call for it alone.
+    thetas = (0.5, -1.0, 0.0, 0.5, -0.5)
+    systems = [replace(FIG8, ps_factor=rho, fading_m=2, theta=th)
+               for rho, th in zip((0.2, 0.3, 0.5, 0.7, 0.8), thetas)]
+    queries = [OutageQuery(1.0), None, OutageQuery(0.5), OutageQuery(4.0), OutageQuery(1.0)]
+    cfg = McConfig(samples=40_000, seed=25, workers=workers, batch_size=5_000)
+    assert cfg.n_batches == 8
+    grouped = simulate_metrics(systems, queries, cfg)
+    for sys, q, est in zip(systems, queries, grouped):
+        assert est == simulate_metrics([sys], [q], cfg)[0]
+    assert list(grouped[0]) == ["cap_sr", "cap_rd", "cap_min", "outage", "mean_snr_d"]
+    assert list(grouped[1]) == ["cap_sr", "cap_rd", "cap_min", "mean_snr_d"]
 
 
 def test_outage_law_worker_count_does_not_change_estimate():

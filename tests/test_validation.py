@@ -1,7 +1,5 @@
 """The validate harness: its stochastic checks must catch a wrongly drawn law."""
 
-from dataclasses import replace
-
 import swiptrelay.validation as validation
 from swiptrelay.montecarlo import sample_fgm_powers
 
@@ -10,8 +8,8 @@ def test_stochastic_checks_fail_a_draw_at_the_wrong_theta(monkeypatch):
     # Negative control: the sampler draws at -theta while the closed forms and
     # quadratures keep theta, so the DKW band and the RD capacity band must
     # both fail in every cell.
-    def flipped(cop, marg, rng, size):
-        return sample_fgm_powers(replace(cop, theta=-cop.theta), marg, rng, size)
+    def flipped(thetas, marg, rng, size):
+        return sample_fgm_powers([-theta for theta in thetas], marg, rng, size)
 
     monkeypatch.setattr(validation, "sample_fgm_powers", flipped)
     report = validation.run_validation(ms=(1, 2), thetas=(1.0,), samples=20_000, grid_points=6)
