@@ -17,7 +17,9 @@ batches.  Batch moments are merged in batch order with Chan/Welford
 combination.  ``simulate_metrics`` scores a list of systems that share one
 fading m on each batch's single base draw: every theta among them reuses
 its Gamma pair and uniforms, and only the partner Gammas of each theta's
-dependent share are drawn for that theta.
+dependent share are drawn for that theta.  ``simulate_outage_survival_law``
+likewise scores a list of cells, any m and theta, on each batch's one draw
+of uniforms.
 """
 
 from __future__ import annotations
@@ -241,31 +243,49 @@ def simulate_metrics(
 
 
 def simulate_outage_survival_law(
-    sys: SwiptSystem,
-    q: OutageQuery,
+    systems: list[SwiptSystem],
+    queries: list[OutageQuery],
     cfg: McConfig,
-    destination_cdf_at_threshold: float,
-) -> McEstimate:
-    """Outage frequency under the analytic joint law of the outage formula.
+    destination_cdfs: list[float],
+) -> list[McEstimate]:
+    """Outage frequencies under the analytic joint law of the outage formula.
 
     Samples (v1, v2) from the FGM copula and tests v1 <= F_r(t) or
-    v2 <= F_d(t); the destination CDF value is supplied by the caller (e.g.
+    v2 <= F_d(t); each destination CDF value is supplied by the caller (e.g.
     from the general product-CDF quadrature) so this estimator stays
     independent of the Bessel closed form it validates.  With v1 and a
     uniform w as ``copula.sample_pair`` draws them, v2 <= u_d exactly when
     w <= u_d (1 + theta (1 - u_d)(1 - 2 v1)), the conditional CDF at u_d, so
     that is tested and v2 is never formed.
+
+    The uniforms do not depend on the system, so each batch draws them once
+    and scores every (system, query, destination CDF) cell on them; each
+    cell's estimate equals what a one-cell call gives.  Returns one
+    ``McEstimate`` per system, in order.
     """
-    scales = derive_snr_scales(sys)
-    u_r = relay_snr_cdf(scales.gamma_hat_r, sys.fading_m, q.threshold)
-    u_d = destination_cdf_at_threshold
-    slope = sys.theta * (1.0 - u_d)
+    if not systems:
+        raise ValueError("need at least one system")
+    if not len(systems) == len(queries) == len(destination_cdfs):
+        raise ValueError(f"need one query and one destination CDF per system, got "
+                         f"{len(queries)} and {len(destination_cdfs)} for {len(systems)}")
+    cells = []
+    for sys, q, u_d in zip(systems, queries, destination_cdfs):
+        scales = derive_snr_scales(sys)
+        u_r = relay_snr_cdf(scales.gamma_hat_r, sys.fading_m, q.threshold)
+        cells.append((u_r, u_d, sys.theta * (1.0 - u_d)))
 
     def draw(rng: np.random.Generator, n: int):
         v1, w = rng.random((2, n))
         np.nextafter(v1, 1.0, out=v1)  # map 0.0 into (0, 1)
-        hit = w <= u_d * (1.0 + slope * (1.0 - 2.0 * v1))
-        hit |= v1 <= u_r
-        yield "outage", _hit_moments(hit)
+        tilt = 1.0 - 2.0 * v1
+        for j, (u_r, u_d, slope) in enumerate(cells):
+            bound = slope * tilt
+            bound += 1.0
+            bound *= u_d
+            hit = w <= bound
+            del bound
+            hit |= v1 <= u_r
+            yield j, _hit_moments(hit)
 
-    return _estimate(cfg, draw)["outage"]
+    est = _estimate(cfg, draw)
+    return [est[j] for j in range(len(systems))]

@@ -50,28 +50,44 @@ def _params(sys: SwiptSystem, threshold) -> dict[str, float]:
     return params
 
 
-def _exact(sys: SwiptSystem, threshold, capacity_sr, capacity_rd, outage, mean_snr: bool) -> dict[str, float]:
-    """Closed-form and quadrature metrics; the two modes differ only in the functions passed."""
-    scales = derive_snr_scales(sys)
-    m, th = sys.fading_m, sys.theta
-    c_sr = capacity_sr(scales.gamma_hat_r, m)
-    c_rd = capacity_rd(scales.gamma_hat_d, m, th)
-    metrics = {"capacity_sr": c_sr, "capacity_rd": c_rd, "capacity_min": min(c_sr, c_rd)}
-    if mean_snr:
-        metrics["mean_snr_d"] = scales.gamma_hat_d * mean_snr_factor(m, th)
-    if threshold is not None:
-        metrics["outage"] = outage(sys, OutageQuery(threshold))
-    return metrics
+def _exact(points, capacity_sr, capacity_rd, outage, mean_snr: bool):
+    """Closed-form or quadrature metrics of the points, in order; the two modes
+    differ only in the functions passed.
+
+    theta couples only the RD hop, so the SR capacity is computed once per
+    (gamma_hat_r, m) and read back for every other theta.
+    """
+    c_srs: dict[tuple[float, int], float] = {}
+    for _, sys, threshold in points:
+        scales = derive_snr_scales(sys)
+        m, th = sys.fading_m, sys.theta
+        key = (scales.gamma_hat_r, m)
+        if key not in c_srs:
+            c_srs[key] = capacity_sr(*key)
+        c_sr = c_srs[key]
+        c_rd = capacity_rd(scales.gamma_hat_d, m, th)
+        metrics = {"capacity_sr": c_sr, "capacity_rd": c_rd, "capacity_min": min(c_sr, c_rd)}
+        if mean_snr:
+            metrics["mean_snr_d"] = scales.gamma_hat_d * mean_snr_factor(m, th)
+        if threshold is not None:
+            metrics["outage"] = outage(sys, OutageQuery(threshold))
+        yield metrics
 
 
-def _asymptotic(spec: SweepSpec, sys: SwiptSystem, threshold) -> dict[str, float]:
-    metrics = {"capacity_sr": asymptotic_capacity_sr(derive_snr_scales(sys).gamma_hat_r, sys.fading_m)}
-    if threshold is not None:
-        try:
-            metrics["outage"] = asymptotic_outage(sys, OutageQuery(threshold))
-        except OutOfRegimeError:
-            metrics["outage"] = math.nan
-    return metrics
+def _asymptotic(spec: SweepSpec, points):
+    """High-SNR metrics of the points, in order; the SR capacity once per (gamma_hat_r, m)."""
+    c_srs: dict[tuple[float, int], float] = {}
+    for _, sys, threshold in points:
+        key = (derive_snr_scales(sys).gamma_hat_r, sys.fading_m)
+        if key not in c_srs:
+            c_srs[key] = asymptotic_capacity_sr(*key)
+        metrics = {"capacity_sr": c_srs[key]}
+        if threshold is not None:
+            try:
+                metrics["outage"] = asymptotic_outage(sys, OutageQuery(threshold))
+            except OutOfRegimeError:
+                metrics["outage"] = math.nan
+        yield metrics
 
 
 def _monte_carlo(spec: SweepSpec, points):
@@ -97,26 +113,20 @@ def _monte_carlo(spec: SweepSpec, points):
         yield metrics
 
 
-def _each(route):
-    """Apply a per-point ``route(spec, system, threshold)`` to each point as it is asked for."""
-    return lambda spec, points: (route(spec, sys, threshold) for _, sys, threshold in points)
-
-
 # Mode -> route(spec, points) yielding each (value, system, threshold)
-# point's ordered {metric: estimate}, in order.  The per-point routes run
-# lazily, so a sweep computes point by point; monte_carlo draws once per
-# m group before its first point.  The lambdas look the metric
-# functions up in this module when called, so a wrapper set on the module
-# attribute sees the call.
+# point's ordered {metric: estimate}, in order.  The routes are generators,
+# so a sweep computes point by point; monte_carlo draws once per m group
+# before its first point.  The lambdas look the metric functions up in this
+# module when the route starts, so a wrapper set on the module attribute
+# sees the calls.
 ROUTES = {
-    "closed_form": _each(lambda spec, sys, threshold: _exact(
-        sys, threshold, capacity_sr_meijer, capacity_rd_meijer, outage_probability,
-        mean_snr=True)),
-    "quadrature": _each(lambda spec, sys, threshold: _exact(
-        sys, threshold, ergodic_capacity_sr, ergodic_capacity_rd, outage_probability_quadrature,
-        mean_snr=False)),
+    "closed_form": lambda spec, points: _exact(
+        points, capacity_sr_meijer, capacity_rd_meijer, outage_probability, mean_snr=True),
+    "quadrature": lambda spec, points: _exact(
+        points, ergodic_capacity_sr, ergodic_capacity_rd, outage_probability_quadrature,
+        mean_snr=False),
     "monte_carlo": _monte_carlo,
-    "asymptotic": _each(_asymptotic),
+    "asymptotic": _asymptotic,
 }
 
 

@@ -34,7 +34,6 @@ from .swipt_metrics import (
     adjudicate_closed_forms,
     derive_snr_scales,
     ergodic_capacity_rd,
-    ergodic_capacity_sr,
     outage_probability,
     outage_probability_quadrature,
 )
@@ -103,11 +102,28 @@ def run_validation(
         raise ConfigError(str(exc)) from None
     if grid_points < 1:
         raise ConfigError(f"grid_points must be >= 1, got {grid_points}")
+    if samples < 2:  # the capacity checks take a sample standard deviation
+        raise ConfigError(f"validate needs samples >= 2, got {samples}")
     report = ValidationReport()
     err_factor = 1.0 + 1e-3 if inject_coefficient_error else 1.0
+    # Every cell has the baseline's SNR scales: m and theta change no link budget.
+    scales = derive_snr_scales(BASELINE)
+    q = OutageQuery(OUTAGE_THRESHOLD)
+    # Per (m, theta) cell: its name, its checks but the outage-law one and its
+    # closed-form outage; and the system and quadrature destination CDF at q
+    # that the outage-law simulation takes.
+    cells, systems, destination_cdfs = [], [], []
+    adjudications = []
 
     try:
         for m in ms:
+            # Convention adjudication of the two ambiguous closed forms, at the
+            # baseline scales and theta = 0.5.  Its SR quadrature is the SR
+            # capacity of every cell of this m (theta does not enter the SR
+            # hop), and its RD quadrature that of a theta = 0.5 cell.
+            cell = f"adjudication,m={m}"
+            adj = adjudicate_closed_forms(scales.gamma_hat_r, scales.gamma_hat_d, m, 0.5)
+            adjudications.append((cell, adj))
             # One seeded exact draw per m from the order-statistic sampler:
             # every theta cell reuses its base Gammas and uniforms, and each
             # cell's pair is what a draw for that theta alone gives.  It
@@ -116,64 +132,65 @@ def run_validation(
             # simulation below never reads.
             draws = sample_fgm_powers(thetas, NakagamiPower(float(m), 1.0),
                                       batch_stream(seed, cfg.n_batches), samples)
+            sr_moments = None
             for theta, (g1, g2) in zip(thetas, draws):
                 cell = f"m={m},theta={fmt(theta)}"
                 sys = replace(BASELINE, fading_m=m, theta=theta)
-                scales = derive_snr_scales(sys)
-                cop = fgm_copula(theta)
-                model = closed_form_model(scales.gamma_hat_d, m, cop)
+                model = closed_form_model(scales.gamma_hat_d, m, fgm_copula(theta))
                 grid = _threshold_grid(scales.gamma_hat_d, grid_points)
 
                 closed = err_factor * snr_cdf_closed(model, grid)
                 # One vector quadrature for the grid and, last, the outage threshold.
                 quad_cdf = product_cdf_general(model, np.append(grid, OUTAGE_THRESHOLD))
-                report.add(cell, "cdf_supnorm_closed_vs_quadrature",
-                           float(np.max(np.abs(closed - quad_cdf[:-1]))), SUPNORM_TOL)
+                checks = [("cdf_supnorm_closed_vs_quadrature",
+                           float(np.max(np.abs(closed - quad_cdf[:-1]))), SUPNORM_TOL)]
 
+                # Capacities: quadrature vs the sample means, taken before snr
+                # is sorted in place for the DKW check.  g1 is the same array
+                # for every theta, so the SR sample moments are taken once per m.
+                if sr_moments is None:
+                    sr_moments = _batch_moments(0.5 * np.log2(1.0 + scales.gamma_hat_r * g1))
                 snr = scales.gamma_hat_d * g1 * g2
-
-                # Capacities: quadrature vs the sample means at 3 standard
-                # errors, taken before snr is sorted in place for the DKW check.
-                capacity_units = []
-                for name, hop_snr, analytic in (
-                    ("capacity_sr", scales.gamma_hat_r * g1,
-                     ergodic_capacity_sr(scales.gamma_hat_r, m)),
-                    ("capacity_rd", snr, ergodic_capacity_rd(scales.gamma_hat_d, m, theta)),
-                ):
-                    n, mean, m2 = _batch_moments(0.5 * np.log2(1.0 + hop_snr))
-                    stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(samples)
-                    capacity_units.append((name, (analytic - mean) / stderr))
+                rd_moments = _batch_moments(0.5 * np.log2(1.0 + snr))
+                rd_quad = (adj["rd_quadrature"] if theta == 0.5
+                           else ergodic_capacity_rd(scales.gamma_hat_d, m, theta))
 
                 snr.sort()
                 emp = np.searchsorted(snr, grid, side="right") / samples
                 gap = float(np.max(np.abs(emp - closed)))
-                report.add(cell, "cdf_dkw_gap_minus_band", gap - dkw_epsilon(samples),
-                           0.0, ok=gap <= dkw_epsilon(samples))
-                for name, units in capacity_units:
-                    report.add(cell, f"{name}_quadrature_vs_mc_stderr_units", units, 3.0)
+                checks.append(("cdf_dkw_gap_minus_band", gap - dkw_epsilon(samples), 0.0,
+                               gap <= dkw_epsilon(samples)))
+                for name, analytic, (n, mean, m2) in (
+                        ("capacity_sr", adj["sr_quadrature"], sr_moments),
+                        ("capacity_rd", rd_quad, rd_moments)):
+                    stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(samples)
+                    checks.append((f"{name}_quadrature_vs_mc_stderr_units",
+                                   (analytic - mean) / stderr, 3.0))
+                # Release the draw before the next theta's (or m's) is made.
+                del g1, g2, snr
 
-                q = OutageQuery(OUTAGE_THRESHOLD)
                 p_closed = err_factor * outage_probability(sys, q)
                 p_quad = outage_probability_quadrature(sys, q)
-                report.add(cell, "outage_closed_vs_quadrature",
-                           p_closed - p_quad, QUAD_OUTAGE_TOL)
-                mc = simulate_outage_survival_law(sys, q, cfg, quad_cdf[-1])
-                stderr = max(mc.stderr, 1e-12)
-                report.add(cell, "outage_closed_vs_mc_stderr_units",
-                           (p_closed - mc.mean) / stderr, 3.0)
-
-        # Convention adjudication of the two ambiguous closed forms, reported
-        # once at the baseline scales.
-        scales = derive_snr_scales(BASELINE)
-        for m in ms:
-            cell = f"adjudication,m={m}"
-            adj = adjudicate_closed_forms(scales.gamma_hat_r, scales.gamma_hat_d, m, 0.5)
-            report.add(cell, "sr_upper_param_is_1_minus_m", adj["sr_match_abs_error"],
-                       1e-9, ok=adj["sr_matching_variant"] == "1-m"
-                       and adj["sr_match_abs_error"] < 1e-9)
-            report.add(cell, "rd_prefactor_has_no_pi", adj["rd_match_abs_error"],
-                       1e-9, ok=adj["rd_matching_variant"] == "prefactor-times-bracket-no-pi"
-                       and adj["rd_match_abs_error"] < 1e-9)
+                checks.append(("outage_closed_vs_quadrature", p_closed - p_quad, QUAD_OUTAGE_TOL))
+                cells.append((cell, checks, p_closed))
+                systems.append(sys)
+                destination_cdfs.append(quad_cdf[-1])
     except NumericalGuardError as exc:
         raise type(exc)(f"validate cell {cell}: {exc}") from None
+
+    # The outage-law simulation scores every cell on one draw per batch.
+    mc = simulate_outage_survival_law(systems, [q] * len(systems), cfg,
+                                      destination_cdfs) if systems else []
+    for (cell, checks, p_closed), est in zip(cells, mc):
+        for check in checks:
+            report.add(cell, *check)
+        report.add(cell, "outage_closed_vs_mc_stderr_units",
+                   (p_closed - est.mean) / max(est.stderr, 1e-12), 3.0)
+    for cell, adj in adjudications:
+        report.add(cell, "sr_upper_param_is_1_minus_m", adj["sr_match_abs_error"],
+                   1e-9, ok=adj["sr_matching_variant"] == "1-m"
+                   and adj["sr_match_abs_error"] < 1e-9)
+        report.add(cell, "rd_prefactor_has_no_pi", adj["rd_match_abs_error"],
+                   1e-9, ok=adj["rd_matching_variant"] == "prefactor-times-bracket-no-pi"
+                   and adj["rd_match_abs_error"] < 1e-9)
     return report

@@ -219,7 +219,7 @@ def test_criterion_6_outage_agreement():
             sys = replace(FIG8, ps_factor=float(rho), theta=theta)
             f_d = product_cdf_general(destination_snr_model(sys), q.threshold)
             cfg = McConfig(samples=n, seed=60_000 + i)
-            est = simulate_outage_survival_law(sys, q, cfg, f_d)
+            est, = simulate_outage_survival_law([sys], [q], cfg, [f_d])
             p = outage_probability(sys, q)
             dev = abs(p - est.mean) / max(est.stderr, 1e-12)
             worst = max(worst, dev)

@@ -140,6 +140,7 @@ def test_degenerate_grid_point_exits_2(tmp_path, capsys, line):
     ["validate", "--m", "x"],
     ["validate", "--theta", "2"],
     ["validate", "--samples", "0"],
+    ["validate", "--samples", "1"],
     ["validate", "--grid-points", "0"],
     ["validate", "--seed", "-1"],
 ])
@@ -188,6 +189,19 @@ def test_validate_quadrature_error_exits_2_naming_the_cell(tmp_path, capsys, mon
     assert main(argv) == 2
     assert capsys.readouterr().err == (
         "error: validate cell m=1,theta=-0.5: RD capacity quadrature error 1.00e-03\n")
+    assert not out.exists()
+
+
+def test_validate_adjudication_error_names_the_adjudication(tmp_path, capsys, monkeypatch):
+    import swiptrelay.swipt_metrics as swipt_metrics_mod
+
+    out = tmp_path / "v.csv"
+    # validation binds its own ergodic_capacity_rd; only adjudication calls this one.
+    monkeypatch.setattr(swipt_metrics_mod, "ergodic_capacity_rd", _raise_quadrature_error)
+    argv = ["validate", "--m", "2", "--theta=-0.5", "--samples", "1000", "-o", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: validate cell adjudication,m=2: RD capacity quadrature error 1.00e-03\n")
     assert not out.exists()
 
 
@@ -314,6 +328,29 @@ def test_mc_sweep_rows_equal_each_theta_and_m_run_alone():
                 .replace("theta = -0.5,1", f"theta = {th}").replace("m = 1,2", f"m = {m}")))
             assert alone == [r for r in rows if r[2:4] == [th, m]]
             assert sum(r[4] == "monte_carlo" for r in alone) == 2 * 5
+
+
+def test_deterministic_sweep_computes_each_sr_capacity_once(monkeypatch):
+    # theta does not enter the SR hop: each deterministic route computes its
+    # SR capacity once per (gamma_hat_r, m), here 2 rho x 2 m, not once per
+    # theta as well, and the rows are those of the unwrapped functions.
+    import swiptrelay.sweep as sweep_mod
+
+    cfg = ("theta = -0.5,1\nm = 1,2\nthreshold = 1\nmodes = closed_form,quadrature,asymptotic\n"
+           "[sweep]\nvariable = rho\ngrid = 0.2,0.8\n")
+    expected = run_sweep(parse_config(cfg))
+    calls = {}
+    for name in ("capacity_sr_meijer", "ergodic_capacity_sr", "asymptotic_capacity_sr"):
+        def counted(gamma_hat_r, m, _name=name, _real=getattr(sweep_mod, name)):
+            calls.setdefault(_name, []).append((gamma_hat_r, m))
+            return _real(gamma_hat_r, m)
+        monkeypatch.setattr(sweep_mod, name, counted)
+    rows = run_sweep(parse_config(cfg))
+    assert rows == expected
+    assert sorted(calls) == ["asymptotic_capacity_sr", "capacity_sr_meijer", "ergodic_capacity_sr"]
+    for args in calls.values():
+        assert len(args) == len(set(args)) == 2 * 2
+    assert sum(r[4] == "closed_form" and r[5] == "capacity_sr" for r in rows) == 2 * 2 * 2
 
 
 def test_parse_log_spacing():

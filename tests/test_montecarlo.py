@@ -217,7 +217,7 @@ def test_survival_law_outage_matches_closed_form():
     sys = replace(FIG8, theta=1.0)
     q = OutageQuery(1.0)
     f_d = product_cdf_general(destination_snr_model(sys), q.threshold)
-    est = simulate_outage_survival_law(sys, q, McConfig(samples=1_000_000, seed=7), f_d)
+    est, = simulate_outage_survival_law([sys], [q], McConfig(samples=1_000_000, seed=7), [f_d])
     p = outage_probability(sys, q)
     assert abs(est.mean - p) < 3.0 * est.stderr
 
@@ -233,7 +233,7 @@ def test_outage_law_test_equals_conditional_inversion(theta):
     u_r = relay_snr_cdf(scales.gamma_hat_r, sys.fading_m, q.threshold)
     u_d = product_cdf_general(destination_snr_model(sys), q.threshold)
     n = 200_000
-    est = simulate_outage_survival_law(sys, q, McConfig(samples=n, seed=17), u_d)
+    est, = simulate_outage_survival_law([sys], [q], McConfig(samples=n, seed=17), [u_d])
     v1, v2 = sample_pair(fgm_copula(theta), batch_stream(17, 0), size=n)
     hits = int(np.count_nonzero((v1 <= u_r) | (v2 <= u_d)))
     assert 0 < hits < n
@@ -303,10 +303,37 @@ def test_outage_law_worker_count_does_not_change_estimate():
     q = OutageQuery(1.0)
     f_d = product_cdf_general(destination_snr_model(sys), q.threshold)
     a, b = (simulate_outage_survival_law(
-        sys, q, McConfig(samples=40_000, seed=9, workers=w, batch_size=5_000), f_d)
+        [sys], [q], McConfig(samples=40_000, seed=9, workers=w, batch_size=5_000), [f_d])[0]
         for w in (1, 4))
     assert a == b
     assert a.n == 40_000
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_outage_law_cells_equal_one_cell_calls(workers):
+    # Every cell is scored on each batch's one uniform draw; each estimate is
+    # exactly what a call for that cell alone gives.
+    systems = [replace(FIG8, ps_factor=rho, fading_m=m, theta=th)
+               for rho, m, th in ((0.2, 1, -1.0), (0.5, 2, 0.0), (0.7, 1, 0.2), (0.9, 3, 1.0))]
+    queries = [OutageQuery(t) for t in (1.0, 0.5, 2.0, 1.0)]
+    f_ds = [product_cdf_general(destination_snr_model(s), q.threshold)
+            for s, q in zip(systems, queries)]
+    cfg = McConfig(samples=30_000, seed=27, workers=workers, batch_size=4_000)
+    assert cfg.n_batches == 8
+    cells = simulate_outage_survival_law(systems, queries, cfg, f_ds)
+    assert len(cells) == 4
+    for sys, q, f_d, est in zip(systems, queries, f_ds, cells):
+        assert est == simulate_outage_survival_law([sys], [q], cfg, [f_d])[0]
+        assert est.n == 30_000
+    assert len({est.mean for est in cells}) == 4
+
+
+def test_outage_law_needs_one_query_and_cdf_per_system():
+    cfg = McConfig(samples=1_000)
+    with pytest.raises(ValueError, match="at least one system"):
+        simulate_outage_survival_law([], [], cfg, [])
+    with pytest.raises(ValueError, match="one query and one destination CDF per system"):
+        simulate_outage_survival_law([FIG8, FIG8], [OutageQuery(1.0)] * 2, cfg, [0.5])
 
 
 def test_same_seed_reproduces_different_seed_differs():

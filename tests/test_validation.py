@@ -1,5 +1,6 @@
 """The validate harness: its stochastic checks must catch a wrongly drawn law."""
 
+import swiptrelay.swipt_metrics as swipt_metrics
 import swiptrelay.validation as validation
 from swiptrelay.montecarlo import sample_fgm_powers
 
@@ -20,3 +21,33 @@ def test_stochastic_checks_fail_a_draw_at_the_wrong_theta(monkeypatch):
         # The deterministic checks of the cell are untouched by the draw.
         assert status[(cell, "cdf_supnorm_closed_vs_quadrature")] is True
         assert status[(cell, "outage_closed_vs_quadrature")] is True
+
+
+def test_each_quadrature_and_the_outage_law_draw_run_once(monkeypatch):
+    # The SR quadrature is adjudication's, once per m; a theta = 0.5 cell
+    # takes adjudication's RD quadrature; one outage-law call scores all cells.
+    calls = []
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls.append((name, args))
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    count(swipt_metrics, "ergodic_capacity_sr")
+    count(swipt_metrics, "ergodic_capacity_rd")
+    count(validation, "ergodic_capacity_rd")
+    count(validation, "simulate_outage_survival_law")
+    report = validation.run_validation(ms=(1, 2), thetas=(0.5, -1.0), samples=4_000, grid_points=4)
+    assert report.passed
+    names = [name for name, _ in calls]
+    assert names.count("ergodic_capacity_sr") == 2
+    assert [args[1:] for name, args in calls if name == "ergodic_capacity_rd"] == [
+        (1, 0.5), (1, -1.0), (2, 0.5), (2, -1.0)]
+    assert names.count("simulate_outage_survival_law") == 1
+    (systems, queries, _, cdfs), = [args for name, args in calls
+                                    if name == "simulate_outage_survival_law"]
+    assert [(s.fading_m, s.theta) for s in systems] == [(1, 0.5), (1, -1.0), (2, 0.5), (2, -1.0)]
+    assert len(queries) == len(cdfs) == 4
