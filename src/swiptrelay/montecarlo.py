@@ -14,10 +14,12 @@ streams: batch i draws from ``Philox(key=seed).jumped(i)``, so sub-streams
 are provably non-overlapping and the estimates are bit-identical for a fixed
 (seed, samples, batch size) regardless of how many workers process the
 batches.  Batch moments are merged in batch order with Chan/Welford
-combination.  ``simulate_metrics`` scores a list of systems that share one
-fading m on each batch's single base draw: every theta among them reuses
-its Gamma pair and uniforms, and only the partner Gammas of each theta's
-dependent share are drawn for that theta.  ``simulate_outage_survival_law``
+combination.  ``simulate_metrics`` scores any list of systems and decides
+itself what shares a draw: each batch makes one base draw per fading m,
+every m starting from the batch's sub-stream start, so an m's estimates
+do not depend on which other m are scored with it.  Every theta of an m
+reuses its Gamma pair and uniforms, and only the partner Gammas of each
+theta's dependent share are drawn for that theta.  ``simulate_outage_survival_law``
 likewise scores a list of cells, any m and theta, on each batch's one draw
 of uniforms.
 """
@@ -105,18 +107,18 @@ def _hit_moments(hit: np.ndarray) -> tuple[int, float, float]:
     return n, k / n, k * (n - k) / n
 
 
-def _estimate(cfg: McConfig, draw) -> dict:
-    """Mean estimates of the named quantities ``draw(rng, n)`` yields per batch.
+def _estimate(cfg: McConfig, count: int, draw) -> list[dict[str, McEstimate]]:
+    """Mean estimates of the quantities ``draw(rng, n)`` yields per batch, for ``count`` systems.
 
     Batch i draws its n = min(batch_size, samples left) values from
-    ``batch_stream(cfg.seed, i)``; ``draw`` yields ``(key, moments)`` pairs,
-    reducing each array to its ``(n, mean, M2)`` as soon as it is made.
-    Batches run on ``cfg.workers`` threads and their moments merge strictly
-    in batch order.
+    ``batch_stream(cfg.seed, i)``; ``draw`` yields ``(j, metric, moments)``
+    triples, reducing each array to its ``(n, mean, M2)`` as soon as it is
+    made.  Batches run on ``cfg.workers`` threads and their moments merge
+    strictly in batch order.  Returns one ``{metric: McEstimate}`` per system.
     """
-    def run_batch(i: int) -> dict:
+    def run_batch(i: int) -> list:
         n_b = min(cfg._batch, cfg.samples - i * cfg._batch)
-        return dict(draw(batch_stream(cfg.seed, i), n_b))
+        return list(draw(batch_stream(cfg.seed, i), n_b))
 
     if cfg.workers == 1:
         results = [run_batch(i) for i in range(cfg.n_batches)]
@@ -124,13 +126,11 @@ def _estimate(cfg: McConfig, draw) -> dict:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(run_batch, range(cfg.n_batches)))
 
-    out: dict = {}
-    for key in results[0]:
-        acc = (0, 0.0, 0.0)
-        for res in results:
-            acc = _combine(acc, *res[key])
-        out[key] = McEstimate.from_moments(*acc)
-    return out
+    acc: list[dict] = [{} for _ in range(count)]
+    for res in results:
+        for j, metric, moments in res:
+            acc[j][metric] = _combine(acc[j].get(metric, (0, 0.0, 0.0)), *moments)
+    return [{metric: McEstimate.from_moments(*a) for metric, a in est.items()} for est in acc]
 
 
 def sample_fgm_powers(thetas, marg: NakagamiPower, rng: np.random.Generator, size: int):
@@ -184,17 +184,19 @@ def simulate_metrics(
 ) -> list[dict[str, McEstimate]]:
     """Estimate capacities, outage and mean destination SNR from joint draws.
 
-    The systems must share ``fading_m``: each batch makes one base draw with
-    ``sample_fgm_powers`` for all their thetas and scores every system (with
-    its own query) on its theta's pair.  A system whose query is None gets no
-    outage estimate, and no outage indicator is formed for it.  The
-    estimates of different systems thus share their draws and their errors
-    are correlated; each one equals what a one-system call gives.  Per draw:
-    gamma_r = ghat_r * g_sr and gamma_d = ghat_d * g_sr * g_rd share the same
-    g_sr draw, the dependence the physical model induces between the hops.
-    Note the analytic outage composes the two marginals through the FGM
-    survival copula instead; the gap between the two joint laws is a
-    reported finding, not an estimator defect.
+    Each batch groups the systems by ``fading_m`` and, within an m, by theta.
+    Every m group reads the batch's Philox sub-stream from its start: one
+    base draw with ``sample_fgm_powers`` serves all its thetas, and each
+    system (with its own query) is scored on its theta's pair.  A system
+    whose query is None gets no outage estimate, and no outage indicator is
+    formed for it.  The estimates of different systems thus share their
+    draws and their errors are correlated; each one equals what a
+    one-system call gives.  Per draw: gamma_r = ghat_r * g_sr and
+    gamma_d = ghat_d * g_sr * g_rd share the same g_sr draw, the dependence
+    the physical model induces between the hops.  Note the analytic outage
+    composes the two marginals through the FGM survival copula instead; the
+    gap between the two joint laws is a reported finding, not an estimator
+    defect.
 
     Returns one ``{metric: McEstimate}`` per system, in order.
     """
@@ -202,44 +204,40 @@ def simulate_metrics(
         raise ValueError("need at least one system")
     if len(queries) != len(systems):
         raise ValueError(f"need one query per system, got {len(queries)} for {len(systems)}")
-    ms = {s.fading_m for s in systems}
-    if len(ms) != 1:
-        raise ValueError(f"systems must share fading_m, got m in {sorted(ms)}")
-    marg = NakagamiPower(float(ms.pop()), 1.0)
-    by_theta: dict[float, list] = {}
+    groups: dict[int, dict[float, list]] = {}
     for j, (s, q) in enumerate(zip(systems, queries)):
-        by_theta.setdefault(s.theta, []).append((j, derive_snr_scales(s), q))
+        groups.setdefault(s.fading_m, {}).setdefault(s.theta, []).append((j, derive_snr_scales(s), q))
 
     def draw(rng: np.random.Generator, n: int):
-        pairs = sample_fgm_powers(by_theta, marg, rng, n)
-        for points, (g_sr, g_rd) in zip(by_theta.values(), pairs):
-            for j, scales, q in points:
-                gamma_r = scales.gamma_hat_r * g_sr
-                gamma_d = scales.gamma_hat_d * g_sr
-                gamma_d *= g_rd
-                if q is not None:
-                    hit = gamma_r <= q.threshold
-                    hit |= gamma_d <= q.threshold
-                    outage = _hit_moments(hit)
-                    del hit
-                snr_d = _batch_moments(gamma_d)
-                # Each SNR becomes its capacity 0.5 log2(1 + gamma) in place.
-                for cap in (gamma_r, gamma_d):
-                    np.log2(np.add(cap, 1.0, out=cap), out=cap)
-                    cap *= 0.5
-                yield (j, "cap_sr"), _batch_moments(gamma_r)
-                yield (j, "cap_rd"), _batch_moments(gamma_d)
-                yield (j, "cap_min"), _batch_moments(np.minimum(gamma_r, gamma_d, out=gamma_r))
-                if q is not None:
-                    yield (j, "outage"), outage
-                yield (j, "mean_snr_d"), snr_d
-                del gamma_r, gamma_d  # free them before the next system's arrays
+        start = rng.bit_generator.state
+        for m, by_theta in groups.items():
+            rng.bit_generator.state = start
+            pairs = sample_fgm_powers(by_theta, NakagamiPower(float(m), 1.0), rng, n)
+            for points, (g_sr, g_rd) in zip(by_theta.values(), pairs):
+                for j, scales, q in points:
+                    gamma_r = scales.gamma_hat_r * g_sr
+                    gamma_d = scales.gamma_hat_d * g_sr
+                    gamma_d *= g_rd
+                    if q is not None:
+                        hit = gamma_r <= q.threshold
+                        hit |= gamma_d <= q.threshold
+                        outage = _hit_moments(hit)
+                        del hit
+                    snr_d = _batch_moments(gamma_d)
+                    # Each SNR becomes its capacity 0.5 log2(1 + gamma) in place.
+                    for cap in (gamma_r, gamma_d):
+                        np.log2(np.add(cap, 1.0, out=cap), out=cap)
+                        cap *= 0.5
+                    yield j, "cap_sr", _batch_moments(gamma_r)
+                    yield j, "cap_rd", _batch_moments(gamma_d)
+                    yield j, "cap_min", _batch_moments(np.minimum(gamma_r, gamma_d, out=gamma_r))
+                    if q is not None:
+                        yield j, "outage", outage
+                    yield j, "mean_snr_d", snr_d
+                    del gamma_r, gamma_d, cap  # free them before the next system's arrays
+            del pairs, g_sr, g_rd  # free this m's draw before the next m draws
 
-    est = _estimate(cfg, draw)
-    out: list[dict[str, McEstimate]] = [{} for _ in systems]
-    for (j, metric), value in est.items():
-        out[j][metric] = value
-    return out
+    return _estimate(cfg, len(systems), draw)
 
 
 def simulate_outage_survival_law(
@@ -285,7 +283,6 @@ def simulate_outage_survival_law(
             hit = w <= bound
             del bound
             hit |= v1 <= u_r
-            yield j, _hit_moments(hit)
+            yield j, "outage", _hit_moments(hit)
 
-    est = _estimate(cfg, draw)
-    return [est[j] for j in range(len(systems))]
+    return [est["outage"] for est in _estimate(cfg, len(systems), draw)]

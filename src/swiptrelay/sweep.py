@@ -7,6 +7,7 @@ reproduces the file byte for byte.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import tempfile
@@ -57,14 +58,11 @@ def _exact(points, capacity_sr, capacity_rd, outage, mean_snr: bool):
     theta couples only the RD hop, so the SR capacity is computed once per
     (gamma_hat_r, m) and read back for every other theta.
     """
-    c_srs: dict[tuple[float, int], float] = {}
+    capacity_sr = functools.cache(capacity_sr)
     for _, sys, threshold in points:
         scales = derive_snr_scales(sys)
         m, th = sys.fading_m, sys.theta
-        key = (scales.gamma_hat_r, m)
-        if key not in c_srs:
-            c_srs[key] = capacity_sr(*key)
-        c_sr = c_srs[key]
+        c_sr = capacity_sr(scales.gamma_hat_r, m)
         c_rd = capacity_rd(scales.gamma_hat_d, m, th)
         metrics = {"capacity_sr": c_sr, "capacity_rd": c_rd, "capacity_min": min(c_sr, c_rd)}
         if mean_snr:
@@ -76,12 +74,9 @@ def _exact(points, capacity_sr, capacity_rd, outage, mean_snr: bool):
 
 def _asymptotic(spec: SweepSpec, points):
     """High-SNR metrics of the points, in order; the SR capacity once per (gamma_hat_r, m)."""
-    c_srs: dict[tuple[float, int], float] = {}
+    capacity_sr = functools.cache(asymptotic_capacity_sr)
     for _, sys, threshold in points:
-        key = (derive_snr_scales(sys).gamma_hat_r, sys.fading_m)
-        if key not in c_srs:
-            c_srs[key] = asymptotic_capacity_sr(*key)
-        metrics = {"capacity_sr": c_srs[key]}
+        metrics = {"capacity_sr": capacity_sr(derive_snr_scales(sys).gamma_hat_r, sys.fading_m)}
         if threshold is not None:
             try:
                 metrics["outage"] = asymptotic_outage(sys, OutageQuery(threshold))
@@ -90,35 +85,24 @@ def _asymptotic(spec: SweepSpec, points):
         yield metrics
 
 
-def _monte_carlo(spec: SweepSpec, points):
-    """monte_carlo metrics of the points, in order.
+_MC_METRICS = {"cap_sr": "capacity_sr", "cap_rd": "capacity_rd", "cap_min": "capacity_min",
+               "outage": "outage", "mean_snr_d": "mean_snr_d"}
 
-    Every theta of one m reuses the same base draw, so each group of points
-    sharing m is scored by one ``simulate_metrics`` call on the same draws.
-    """
-    groups: dict[int, list[int]] = {}
-    for i, (_, sys, _) in enumerate(points):
-        groups.setdefault(sys.fading_m, []).append(i)
-    est: dict[int, dict[str, McEstimate]] = {}
-    for members in groups.values():
-        systems = [points[i][1] for i in members]
-        queries = [None if points[i][2] is None else OutageQuery(points[i][2]) for i in members]
-        est.update(zip(members, simulate_metrics(systems, queries, spec.mc)))
-    for i, (_, _, threshold) in enumerate(points):
-        e = est[i]
-        metrics = {"capacity_sr": e["cap_sr"], "capacity_rd": e["cap_rd"], "capacity_min": e["cap_min"]}
-        if threshold is not None:
-            metrics["outage"] = e["outage"]
-        metrics["mean_snr_d"] = e["mean_snr_d"]
-        yield metrics
+
+def _monte_carlo(spec: SweepSpec, points):
+    """monte_carlo metrics of the points, in order, from one ``simulate_metrics`` call."""
+    queries = [None if threshold is None else OutageQuery(threshold) for _, _, threshold in points]
+    for e in simulate_metrics([sys for _, sys, _ in points], queries, spec.mc):
+        yield {_MC_METRICS[key]: estimate for key, estimate in e.items()}
 
 
 # Mode -> route(spec, points) yielding each (value, system, threshold)
 # point's ordered {metric: estimate}, in order.  The routes are generators,
-# so a sweep computes point by point; monte_carlo draws once per m group
-# before its first point.  The lambdas look the metric functions up in this
-# module when the route starts, so a wrapper set on the module attribute
-# sees the calls.
+# so a sweep computes point by point; monte_carlo scores every point in one
+# simulate_metrics call before its first point.  The lambdas look the metric
+# functions up in this module when the route starts, and each route caches
+# its SR capacity from there, so a wrapper set on the module attribute sees
+# the calls.
 ROUTES = {
     "closed_form": lambda spec, points: _exact(
         points, capacity_sr_meijer, capacity_rd_meijer, outage_probability, mean_snr=True),

@@ -58,6 +58,8 @@ class SweepSpec:
         for mode in self.modes:
             if mode not in MODES:
                 raise ConfigError(f"unknown mode {mode!r}")
+            if self.modes.count(mode) > 1:
+                raise ConfigError(f"mode {mode!r} is listed twice")
         if self.rd_total is not None and self.variable != "dist_sr":
             raise ConfigError("rd_total coupling only applies to dist_sr sweeps")
 
@@ -193,6 +195,8 @@ def parse_config(text: str) -> SweepSpec:
     modes = tuple(v.strip() for v in top.get("modes", "closed_form,quadrature,monte_carlo").split(","))
 
     if "grid" in sweep:
+        if set(sweep) & {"start", "stop", "count", "spacing"}:
+            raise ConfigError("give either [sweep] 'grid' or start/stop/count/spacing, not both")
         grid = _floats(sweep["grid"])
     else:
         missing = {"start", "stop", "count"} - set(sweep)

@@ -244,11 +244,9 @@ def _outage(sys: SwiptSystem, q: OutageQuery, relay_cdf, destination_survival) -
     return 1.0 - copula_cdf(fgm_copula(sys.theta), surv_r, surv_d)
 
 
-# The lambdas look the survival functions up at call time, so a wrapper
-# installed on this module's attributes (the benchmark tracer) sees each call.
 def outage_probability(sys: SwiptSystem, q: OutageQuery) -> float:
     """P(min(gamma_r, gamma_d) <= threshold) via the FGM survival-copula composition."""
-    return _outage(sys, q, relay_snr_cdf, lambda model, y: snr_survival_closed(model, y))
+    return _outage(sys, q, relay_snr_cdf, snr_survival_closed)
 
 
 def outage_probability_quadrature(sys: SwiptSystem, q: OutageQuery) -> float:
@@ -284,7 +282,7 @@ def _relay_cdf_high_snr(gamma_hat_r: float, m: int, t: float) -> float:
 
 def asymptotic_outage(sys: SwiptSystem, q: OutageQuery) -> float:
     """High-SNR outage: the outage composition with the polynomial relay CDF, refused (not clamped) above 1."""
-    return _outage(sys, q, _relay_cdf_high_snr, lambda model, y: snr_survival_closed(model, y))
+    return _outage(sys, q, _relay_cdf_high_snr, snr_survival_closed)
 
 
 def adjudicate_closed_forms(gamma_hat_r: float, gamma_hat_d: float, m: int, theta: float) -> dict:

@@ -101,6 +101,9 @@ def test_parse_config_errors():
         ("[sweep]\nvariable = rho\ngrid = 0.5\n[mc]\nsamples = 0\n", "samples must be >= 1"),
         ("[sweep]\nvariable = rho\ngrid = 0.5\n[mc]\nseed = -1\n", "seed must lie in"),
         ("theta = 0,2\n[sweep]\nvariable = rho\ngrid = 0.5\n", "theta must lie in"),
+        ("[sweep]\nvariable = rho\ngrid = 0.3\nstart = 0.1\nstop = 0.9\ncount = 5\n", "grid.*not both"),
+        ("[sweep]\nvariable = rho\ngrid = 0.3\nspacing = log\n", "grid.*not both"),
+        ("modes = closed_form,closed_form\n[sweep]\nvariable = rho\ngrid = 0.5\n", "listed twice"),
     ):
         with pytest.raises(ConfigError, match=message):
             parse_config(bad)
@@ -143,6 +146,7 @@ def test_degenerate_grid_point_exits_2(tmp_path, capsys, line):
     ["validate", "--samples", "1"],
     ["validate", "--grid-points", "0"],
     ["validate", "--seed", "-1"],
+    ["sweep", "{cfg}", "--modes", "quadrature,closed_form,quadrature"],
 ])
 def test_refused_argument_exits_2(tmp_path, capsys, args):
     cfg = tmp_path / "ok.cfg"
@@ -283,18 +287,19 @@ def test_routes_cover_every_mode():
     assert tuple(ROUTES) == MODES
 
 
-def _count_simulate_metrics(monkeypatch) -> list:
-    import swiptrelay.sweep as sweep_mod
+def _count_base_draws(monkeypatch) -> dict:
+    """Per batch, the (m, theta count) of each ``sample_fgm_powers`` base draw it makes."""
+    import swiptrelay.montecarlo as mc_mod
 
-    calls = []
-    real = sweep_mod.simulate_metrics
+    draws: dict = {}
+    real = mc_mod.sample_fgm_powers
 
-    def counted(systems, queries, cfg):
-        calls.append(len(systems))
-        return real(systems, queries, cfg)
+    def counted(thetas, marg, rng, size):
+        draws.setdefault(rng, []).append((marg.m, len(thetas)))
+        return real(thetas, marg, rng, size)
 
-    monkeypatch.setattr(sweep_mod, "simulate_metrics", counted)
-    return calls
+    monkeypatch.setattr(mc_mod, "sample_fgm_powers", counted)
+    return draws
 
 
 MC_GROUP_CFG = ("theta = -0.5,1\nm = 1,2\nthreshold = 1\nmodes = monte_carlo\n"
@@ -302,19 +307,19 @@ MC_GROUP_CFG = ("theta = -0.5,1\nm = 1,2\nthreshold = 1\nmodes = monte_carlo\n"
 
 
 def test_mc_sweep_draws_once_per_theta_and_m(monkeypatch):
-    # One call per m: both thetas of an m share its draw.
-    calls = _count_simulate_metrics(monkeypatch)
+    # The one batch makes one base draw per m, shared by both thetas.
+    draws = _count_base_draws(monkeypatch)
     spec = parse_config(MC_GROUP_CFG.format(variable="rho", grid="0.2,0.5,0.8"))
     rows = run_sweep(spec)
-    assert calls == [6, 6]
+    assert list(draws.values()) == [[(1.0, 2), (2.0, 2)]]
     assert sum(r[4] == "monte_carlo" for r in rows) == 3 * 2 * 2 * 5
 
 
 def test_mc_theta_sweep_draws_once_per_grid_point(monkeypatch):
-    # One call per m, covering its three theta grid points.
-    calls = _count_simulate_metrics(monkeypatch)
+    # One base draw per m, covering its three theta grid points.
+    draws = _count_base_draws(monkeypatch)
     run_sweep(parse_config(MC_GROUP_CFG.format(variable="theta", grid="-1,0,0.5")))
-    assert calls == [3, 3]
+    assert list(draws.values()) == [[(1.0, 3), (2.0, 3)]]
 
 
 def test_mc_sweep_rows_equal_each_theta_and_m_run_alone():

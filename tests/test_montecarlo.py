@@ -274,11 +274,20 @@ def test_no_query_forms_no_outage_and_keeps_the_other_estimates():
     assert mixed[1] == with_query[1]
 
 
-def test_group_with_mixed_fading_law_raises():
-    first = replace(FIG8, fading_m=2, theta=-0.5)
-    systems = [first, replace(first, fading_m=3)]
-    with pytest.raises(ValueError, match="share fading_m"):
-        simulate_metrics(systems, [OutageQuery(1.0)] * 2, McConfig(samples=1_000))
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mixed_m_call_equals_one_call_per_m(workers):
+    # Each m group of a batch reads the batch's sub-stream from its start, so
+    # one call over several m gives every system what the call for its m alone gives.
+    systems = [replace(FIG8, ps_factor=rho, fading_m=m, theta=th)
+               for rho, m, th in ((0.2, 2, -0.5), (0.5, 3, -0.5), (0.7, 1, 1.0), (0.8, 2, 0.5), (0.3, 3, 0.0))]
+    queries = [OutageQuery(1.0), None, OutageQuery(0.5), OutageQuery(4.0), OutageQuery(1.0)]
+    cfg = McConfig(samples=40_000, seed=27, workers=workers, batch_size=5_000)
+    assert cfg.n_batches == 8
+    mixed = simulate_metrics(systems, queries, cfg)
+    for m in (1, 2, 3):
+        members = [j for j, s in enumerate(systems) if s.fading_m == m]
+        alone = simulate_metrics([systems[j] for j in members], [queries[j] for j in members], cfg)
+        assert [mixed[j] for j in members] == alone
 
 
 @pytest.mark.parametrize("workers", [1, 4])
