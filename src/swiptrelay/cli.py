@@ -62,8 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_options(p_val)
     p_val.add_argument("--grid-points", type=int,
                        help="threshold grid size for the CDF sup-norm check")
-    p_val.add_argument("--m", help="comma list of shapes")
-    p_val.add_argument("--theta", help="comma list of dependence values")
+    p_val.add_argument("--m", help="comma list of distinct shapes")
+    p_val.add_argument("--theta", help="comma list of distinct dependence values")
     p_val.add_argument("--inject-coefficient-error", action="store_true",
                        help=argparse.SUPPRESS)
     return parser

@@ -15,6 +15,16 @@ Two routes are provided and cross-checked against each other:
   its own scalar call, and every guard holds per element, its error
   naming the first offending y.
 
+Each takes one model, or a sequence of models that differ only in the
+copula's theta: theta enters only through the FGM weight, so the terms free
+of theta (the Bessel sums, the incomplete gammas) are evaluated once per
+node, and each theta's value is formed from them in the order a one-model
+call uses.  A sequence gives one value per model along a last axis (shape
+y.shape + (k,)); a one-model sequence equals the one-model call bit for bit,
+and a guard names the theta it fails at.  The closed forms' values equal
+the one-model calls bit for bit for any k; the quadrature shares its panels
+over the k models, so its values move at the rounding level.
+
 The printed closed forms weigh Bessel terms by powers of snr_scale that all
 cancel: they depend on y only through z = zeta sqrt(y), zeta = 2m / sqrt(snr_scale).
 With alpha_n = (z/2)^n / n! and beta_n = (z/(2 sqrt2))^n / n! for n < m, r(alpha)
@@ -35,7 +45,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import beta, gammainc, gammaincinv, gammainccinv, gammaln
@@ -92,6 +102,27 @@ def closed_form_model(snr_scale: float, m: int, copula: CopulaModel) -> EndToEnd
     return EndToEndSnrModel(snr_scale, marg, marg, copula)
 
 
+def _split_theta(model) -> tuple[EndToEndSnrModel, np.ndarray, bool]:
+    """(the model, the (k,) array of its thetas, whether one model was given)
+    for one model or a sequence of models that differ only in theta."""
+    if isinstance(model, EndToEndSnrModel):
+        return model, np.array([model.copula.theta]), True
+    models = list(model)
+    if not models:
+        raise ValueError("no model given")
+    first = models[0]
+    if any(replace(other, copula=first.copula) != first for other in models):
+        raise ValueError("the models of one call may differ only in theta")
+    return first, np.array([other.copula.theta for other in models]), False
+
+
+def _unsplit(values: np.ndarray, one: bool):
+    """A (..., k) result as the caller's shape: one model drops the last axis, a scalar is a float."""
+    if one:
+        values = values[..., 0]
+    return float(values) if values.ndim == 0 else values
+
+
 @dataclass(frozen=True)
 class ClosedFormCoefficients:
     """What the closed forms need of a model: m and zeta, with z = zeta sqrt(y)."""
@@ -122,17 +153,20 @@ def product_cdf_general(model: EndToEndSnrModel, y):
 
     The substitution g = sqrt(y') e^s puts every threshold's split point
     g = sqrt(y') at s = 0, so all thresholds share one ``gauss_kronrod``
-    call, which evaluates nodes by thresholds as one array.
+    call, which evaluates nodes by thresholds (by thetas) as one array.
     The s range runs from the SR marginal's ``_TAIL`` lower quantile at the
     largest threshold to its ``_TAIL`` upper quantile at the smallest, so
     each threshold leaves at most 2 * ``_TAIL`` of the SR mass out, at any
     scale of y'.
 
-    ``y`` is a scalar or an array of thresholds: a scalar gives a float, an
-    array an array of its shape.  y = 0 maps to 0.  A negative or nan y, or
-    a y whose y' is not finite, raises ``ValueError``; an error estimate
-    above 1e-6 raises ``QuadratureError``.
+    ``model`` is one model or a sequence that differs only in theta (module
+    docstring).  ``y`` is a scalar or an array of thresholds: a scalar gives
+    a float, an array an array of its shape.  y = 0 maps to 0.  A negative
+    or nan y, or a y whose y' is not finite, raises ``ValueError``; an error
+    estimate above 1e-6 at any threshold raises ``QuadratureError`` naming
+    its theta.
     """
+    model, thetas, one = _split_theta(model)
     ys = np.asarray(y, dtype=float)
     if not np.all(ys >= 0.0):
         raise ValueError(f"SNR threshold must be non-negative, got {y}")
@@ -140,29 +174,30 @@ def product_cdf_general(model: EndToEndSnrModel, y):
         yp = ys / model.snr_scale
     if not np.all(np.isfinite(yp)):
         raise ValueError(f"y / snr_scale must be finite, got {y} / {model.snr_scale}")
-    cdf = np.zeros(ys.shape)
+    cdf = np.zeros(ys.shape + thetas.shape)
     positive = yp > 0.0
     if np.any(positive):
-        cdf[positive] = _integrate_cdf(model, yp[positive])
-    return float(cdf) if cdf.ndim == 0 else cdf
+        cdf[positive] = _integrate_cdf(model, thetas, yp[positive])
+    return _unsplit(cdf, one)
 
 
-def _integrate_cdf(model: EndToEndSnrModel, yp: np.ndarray) -> np.ndarray:
-    """The CDF at positive, finite scaled thresholds ``yp`` (1-D)."""
-    sr, rd, theta = model.marginal_sr, model.marginal_rd, model.copula.theta
+def _integrate_cdf(model: EndToEndSnrModel, thetas: np.ndarray, yp: np.ndarray) -> np.ndarray:
+    """The CDF at positive, finite scaled thresholds ``yp`` (1-D): rows thresholds, columns ``thetas``."""
+    sr, rd = model.marginal_sr, model.marginal_rd
     m1, r1, m2, r2 = sr.m, sr.rate, rd.m, rd.rate
     half = 0.5 * np.log(yp)
     ln_norm = m1 * math.log(r1) - gammaln(m1)
 
     def integrand(s: np.ndarray) -> np.ndarray:
         # f_sr(g) dg = g f_sr(g) ds, with g = sqrt(y') e^s and y'/g = sqrt(y') e^-s;
-        # rows are nodes s, columns thresholds.
+        # axes are nodes s, thresholds, thetas: only the last product takes theta.
         ln_g = half + s[:, None]
         g = np.exp(ln_g)
         u1 = gammainc(m1, r1 * g)
         u2 = gammainc(m2, r2 * np.exp(half - s[:, None]))
         weight = np.exp(ln_norm + m1 * ln_g - r1 * g)
-        return weight * u2 * (1.0 + theta * (1.0 - 2.0 * u1) * (1.0 - u2))
+        return (weight * u2)[..., None] * (1.0 + thetas * (1.0 - 2.0 * u1)[..., None]
+                                           * (1.0 - u2)[..., None])
 
     lo = math.log(gammaincinv(m1, _TAIL) / r1) - half.max()
     hi = math.log(gammainccinv(m1, _TAIL) / r1) - half.min()
@@ -171,8 +206,8 @@ def _integrate_cdf(model: EndToEndSnrModel, yp: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         val, err = gauss_kronrod(integrand, lo, hi, epsabs=5e-11, epsrel=1e-10, limit=10000,
                                  points=(0.0,))
-    if not err <= 1e-6:
-        raise QuadratureError(f"product CDF quadrature error estimate {err:.2e} too large")
+    _check(err <= 1e-6, QuadratureError,
+           "product CDF quadrature error estimate {:.2e} too large at theta = {:.6g}", err, thetas)
     return np.clip(val, 0.0, 1.0)
 
 
@@ -215,42 +250,49 @@ def _bessel_sum(weights: np.ndarray, first_order: int, x: np.ndarray) -> np.ndar
 
 
 def _check(ok: np.ndarray, error: type, message: str, *columns: np.ndarray) -> None:
-    """Raise ``error`` with ``message`` formatted at the first point where ``ok`` is false."""
+    """Raise ``error`` with ``message`` formatted at the first point where ``ok``
+    is false; ``columns`` broadcast to the shape of ``ok``."""
+    ok = np.asarray(ok)
     if not ok.all():
-        i = int(np.argmin(ok))
-        raise error(message.format(*(c[i] for c in columns)))
+        i = int(np.argmin(ok.ravel()))
+        raise error(message.format(*(np.broadcast_to(c, ok.shape).flat[i] for c in columns)))
 
 
 def snr_survival_closed(model: EndToEndSnrModel, y):
     """Survival 1 - F(y) by the Bessel sums of the module docstring; y = 0 maps to 1.
 
-    A negative or nan y raises ``ValueError``, a value off [0, 1] beyond 1e-9
-    (nan included) ``ClosedFormRangeError``.
+    ``model`` is one model or a sequence that differs only in theta (module
+    docstring).  A negative or nan y raises ``ValueError``, a value off
+    [0, 1] beyond 1e-9 (nan included) ``ClosedFormRangeError``.
     """
+    model, th, one = _split_theta(model)
     ys = np.asarray(y, dtype=float)
     flat = ys.ravel()
     _check(flat >= 0.0, ValueError, "SNR threshold must be non-negative, got y = {:.6g}", flat)
     cf = ClosedFormCoefficients.build(model._closed_form_m(), model.snr_scale)
-    th, m, z = model.copula.theta, cf.m, cf.zeta * np.sqrt(flat)
-    surv = np.where(flat == 0.0, 1.0, 0.0)
+    m, z = cf.m, cf.zeta * np.sqrt(flat)
+    surv = np.where(flat == 0.0, 1.0, 0.0)[:, None].repeat(len(th), axis=1)
     # exp(-z) == 0 is z > 745: the survival is below 1e-124 for every m <= 100
     live = (flat > 0.0) & (_exp_neg(z) > 0.0)
     z = z[live]
+    dep = th != 0.0  # theta = 0 leaves the dependence terms out, as they may be inf
     # Tiny z may overflow a Bessel term and give inf or nan: the range check refuses it.
     with np.errstate(over="ignore", invalid="ignore"):
         alpha = _series(0.5 * z, m)
-        bracket = (1.0 + th) * _bessel_sum(alpha, -m, z)
-        if th != 0.0:
+        bracket = (1.0 + th) * _bessel_sum(alpha, -m, z)[:, None]
+        if dep.any():
+            t = th[dep]
             beta = _series(z / (2.0 * _SQRT2), m)
-            bracket -= th * 2.0 ** (m / 2.0 + 1.0) * _bessel_sum(_product(beta, beta), -m, _SQRT2 * z)
-            bracket += 2.0 * th * _bessel_sum(_product(_product(alpha, alpha), alpha[::-1]),
-                                              1 - 2 * m, 2.0 * z)
-        val = z * alpha[-1] * bracket  # 2 (z/2)^m / Gamma(m) = z alpha_{m-1}
+            bracket[:, dep] -= t * 2.0 ** (m / 2.0 + 1.0) * _bessel_sum(
+                _product(beta, beta), -m, _SQRT2 * z)[:, None]
+            bracket[:, dep] += 2.0 * t * _bessel_sum(_product(_product(alpha, alpha), alpha[::-1]),
+                                                     1 - 2 * m, 2.0 * z)[:, None]
+        val = (z * alpha[-1])[:, None] * bracket  # 2 (z/2)^m / Gamma(m) = z alpha_{m-1}
     _check((val >= -1e-9) & (val <= 1.0 + 1e-9), ClosedFormRangeError,
-           "closed-form survival {:.6g} at y = {:.6g} escapes [0, 1] beyond slack", val, flat[live])
+           "closed-form survival {:.6g} (theta = {:.6g}) at y = {:.6g} escapes [0, 1] beyond slack",
+           val, th, flat[live][:, None])
     surv[live] = np.clip(val, 0.0, 1.0)
-    surv = surv.reshape(ys.shape)
-    return float(surv) if surv.ndim == 0 else surv
+    return _unsplit(surv.reshape(ys.shape + th.shape), one)
 
 
 def snr_cdf_closed(model: EndToEndSnrModel, y):
@@ -261,29 +303,36 @@ def snr_cdf_closed(model: EndToEndSnrModel, y):
 def snr_pdf_closed(model: EndToEndSnrModel, y):
     """Density by the Bessel sums of the module docstring.
 
-    A y <= 0 or nan raises ``ValueError``, a non-finite value ``ClosedFormRangeError``.
+    ``model`` is one model or a sequence that differs only in theta (module
+    docstring).  A y <= 0 or nan raises ``ValueError``, a non-finite value
+    ``ClosedFormRangeError``.
     """
+    model, th, one = _split_theta(model)
     ys = np.asarray(y, dtype=float)
     flat = ys.ravel()
     _check(flat > 0.0, ValueError, "density defined for y > 0, got y = {:.6g}", flat)
     cf = ClosedFormCoefficients.build(model._closed_form_m(), model.snr_scale)
-    th, m, z = model.copula.theta, cf.m, cf.zeta * np.sqrt(flat)
-    pdf = np.zeros(flat.shape)
+    m, z = cf.m, cf.zeta * np.sqrt(flat)
+    pdf = np.zeros((len(flat), len(th)))
     live = _exp_neg(z) > 0.0  # as in snr_survival_closed
     z = z[live]
+    dep = th != 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         alpha = _series(0.5 * z, m)
-        bracket = (1.0 + th) * _bessel_sum(np.ones((1, len(z))), 0, z)
-        if th != 0.0:
-            bracket -= 4.0 * th * _bessel_sum(_series(z / (2.0 * _SQRT2), m), 0, _SQRT2 * z)
-            bracket += 4.0 * th * _bessel_sum(_product(alpha, alpha[::-1]), 1 - m, 2.0 * z)
+        bracket = (1.0 + th) * _bessel_sum(np.ones((1, len(z))), 0, z)[:, None]
+        if dep.any():
+            t = th[dep]
+            bracket[:, dep] -= 4.0 * t * _bessel_sum(_series(z / (2.0 * _SQRT2), m), 0,
+                                                     _SQRT2 * z)[:, None]
+            bracket[:, dep] += 4.0 * t * _bessel_sum(_product(alpha, alpha[::-1]), 1 - m,
+                                                     2.0 * z)[:, None]
         # (2/y) ((z/2)^m / Gamma(m))^2 = (zeta^2 / 2) alpha_{m-1}^2, free of 1/y
-        val = 0.5 * cf.zeta**2 * alpha[-1] ** 2 * bracket
+        val = (0.5 * cf.zeta**2 * alpha[-1] ** 2)[:, None] * bracket
     _check(np.isfinite(val), ClosedFormRangeError,
-           "closed-form density {} at y = {:.6g} is not finite", val, flat[live])
+           "closed-form density {} (theta = {:.6g}) at y = {:.6g} is not finite",
+           val, th, flat[live][:, None])
     pdf[live] = np.maximum(val, 0.0)
-    pdf = pdf.reshape(ys.shape)
-    return float(pdf) if pdf.ndim == 0 else pdf
+    return _unsplit(pdf.reshape(ys.shape + th.shape), one)
 
 
 def mean_snr_factor(m: int, theta: float) -> float:

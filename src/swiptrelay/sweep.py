@@ -51,37 +51,87 @@ def _params(sys: SwiptSystem, threshold) -> dict[str, float]:
     return params
 
 
+def _shared(points, key, compute):
+    """Each point's value, in order, from one ``compute(key, systems)`` call per
+    key: made at the key's first point, with the systems of all its points in
+    order, and returning one value per system."""
+    members: dict = {}
+    for i, (_, sys, threshold) in enumerate(points):
+        members.setdefault(key(sys, threshold), []).append(i)
+    values: dict = {}
+    for i, (_, sys, threshold) in enumerate(points):
+        k = key(sys, threshold)
+        if k not in values:
+            values[k] = dict(zip(members[k], compute(k, [points[j][1] for j in members[k]])))
+        yield values[k].pop(i)
+
+
+def _rd_key(sys: SwiptSystem, threshold=None) -> tuple:
+    """What the RD hop depends on besides theta: (gamma_hat_d, m)."""
+    return derive_snr_scales(sys).gamma_hat_d, sys.fading_m
+
+
+def _each_theta(capacity_rd, key: tuple, systems) -> list:
+    """The RD capacity of each system, from one call over their distinct thetas."""
+    thetas = list(dict.fromkeys(sys.theta for sys in systems))
+    by_theta = dict(zip(thetas, capacity_rd(*key, thetas)))
+    return [by_theta[sys.theta] for sys in systems]
+
+
+def _outages(outage, key: tuple, systems) -> list:
+    """Each system's outage at the key's last entry, the threshold (None: no outage)."""
+    if key[-1] is None:
+        return [None] * len(systems)
+    return outage(systems, OutageQuery(key[-1]))
+
+
 def _exact(points, capacity_sr, capacity_rd, outage, mean_snr: bool):
     """Closed-form or quadrature metrics of the points, in order; the two modes
     differ only in the functions passed.
 
     theta couples only the RD hop, so the SR capacity is computed once per
-    (gamma_hat_r, m) and read back for every other theta.
+    (gamma_hat_r, m), the RD capacity once per (gamma_hat_d, m) for all the
+    thetas its points use, and the outage once per (gamma_hat_d, m,
+    threshold), whose destination survival takes all their thetas in one call.
     """
     capacity_sr = functools.cache(capacity_sr)
+    c_rds = _shared(points, _rd_key, functools.partial(_each_theta, capacity_rd))
+    outages = _shared(points, lambda sys, threshold: _rd_key(sys) + (threshold,),
+                      functools.partial(_outages, outage))
     for _, sys, threshold in points:
         scales = derive_snr_scales(sys)
-        m, th = sys.fading_m, sys.theta
-        c_sr = capacity_sr(scales.gamma_hat_r, m)
-        c_rd = capacity_rd(scales.gamma_hat_d, m, th)
+        c_sr = capacity_sr(scales.gamma_hat_r, sys.fading_m)
+        c_rd = next(c_rds)
         metrics = {"capacity_sr": c_sr, "capacity_rd": c_rd, "capacity_min": min(c_sr, c_rd)}
         if mean_snr:
-            metrics["mean_snr_d"] = scales.gamma_hat_d * mean_snr_factor(m, th)
+            metrics["mean_snr_d"] = scales.gamma_hat_d * mean_snr_factor(sys.fading_m, sys.theta)
+        p_out = next(outages)
         if threshold is not None:
-            metrics["outage"] = outage(sys, OutageQuery(threshold))
+            metrics["outage"] = p_out
         yield metrics
 
 
+def _asymptotic_outages(key: tuple, systems) -> list:
+    """High-SNR outage of systems that share the key (gamma_hat_r, gamma_hat_d, m,
+    threshold); nan for all where the relay CDF leaves the high-SNR regime."""
+    try:
+        return _outages(asymptotic_outage, key, systems)
+    except OutOfRegimeError:
+        return [math.nan] * len(systems)
+
+
 def _asymptotic(spec: SweepSpec, points):
-    """High-SNR metrics of the points, in order; the SR capacity once per (gamma_hat_r, m)."""
+    """High-SNR metrics of the points, in order; the SR capacity once per
+    (gamma_hat_r, m), the outage once per (gamma_hat_r, gamma_hat_d, m,
+    threshold), as its regime check takes gamma_hat_r."""
     capacity_sr = functools.cache(asymptotic_capacity_sr)
-    for _, sys, threshold in points:
+    outages = _shared(points, lambda sys, threshold: (derive_snr_scales(sys).gamma_hat_r,
+                                                      *_rd_key(sys), threshold),
+                      _asymptotic_outages)
+    for (_, sys, threshold), p_out in zip(points, outages):
         metrics = {"capacity_sr": capacity_sr(derive_snr_scales(sys).gamma_hat_r, sys.fading_m)}
         if threshold is not None:
-            try:
-                metrics["outage"] = asymptotic_outage(sys, OutageQuery(threshold))
-            except OutOfRegimeError:
-                metrics["outage"] = math.nan
+            metrics["outage"] = p_out
         yield metrics
 
 

@@ -55,13 +55,20 @@ class SweepSpec:
             raise ConfigError(f"unknown sweep variable {self.variable!r}")
         if not self.grid:
             raise ConfigError("sweep grid is empty")
+        _once("grid value", self.grid)
         for mode in self.modes:
             if mode not in MODES:
                 raise ConfigError(f"unknown mode {mode!r}")
-            if self.modes.count(mode) > 1:
-                raise ConfigError(f"mode {mode!r} is listed twice")
+        _once("mode", self.modes)
         if self.rd_total is not None and self.variable != "dist_sr":
             raise ConfigError("rd_total coupling only applies to dist_sr sweeps")
+
+
+def _once(what: str, values) -> None:
+    """Refuse a value listed twice: it would repeat every row (or cell) it makes."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{what} {value!r} is listed twice")
 
 
 def fmt(x: float) -> str:
@@ -141,15 +148,18 @@ def _checked(make, *args, where: str = "", **kwargs):
 
 
 def parse_ms(value: str) -> tuple[int, ...]:
-    """A comma list of fading shapes, each in SwiptSystem's domain."""
-    return tuple(_checked(replace, BASELINE, fading_m=m).fading_m for m in _floats(value))
+    """A comma list of distinct fading shapes, each in SwiptSystem's domain."""
+    ms = tuple(_checked(replace, BASELINE, fading_m=m).fading_m for m in _floats(value))
+    _once("m", ms)
+    return ms
 
 
 def parse_thetas(value: str) -> tuple[float, ...]:
-    """A comma list of FGM dependence values, each in SwiptSystem's range."""
+    """A comma list of distinct FGM dependence values, each in SwiptSystem's range."""
     thetas = _floats(value)
     for theta in thetas:
         _checked(replace, BASELINE, theta=theta)
+    _once("theta", thetas)
     return thetas
 
 

@@ -4,6 +4,14 @@ The quadrature of each defining integral is the authoritative value.  The
 Bessel/Meijer-G closed forms are evaluated alongside; two printed closed
 forms carry ambiguities, so ``adjudicate_closed_forms`` reports which
 reading matches quadrature (see the convention notes in each docstring).
+
+theta couples only the RD hop, through the FGM weight.  So the RD-hop
+functions take a scalar theta, which gives a float, or a sequence of k
+theta, which gives an array of k values from one evaluation of the terms
+free of theta; a one-theta sequence gives the scalar call's value bit for
+bit, and every guard holds per theta and names the theta it fails at.  The
+outage functions likewise take one system, or a sequence of systems that
+share gamma_hat_d and m, whose destination survival is one such call.
 """
 
 from __future__ import annotations
@@ -158,16 +166,30 @@ def capacity_sr_meijer(gamma_hat_r: float, m: int, printed_variant: bool = False
     return g / (2.0 * math.exp(gammaln(m)) * _LN2)
 
 
-def ergodic_capacity_rd(gamma_hat_d: float, m: int, theta: float) -> float:
-    """RD-hop ergodic capacity by quadrature of ln(1+y) against the product-SNR density."""
+def _rd_models(gamma_hat_d: float, m: int, theta) -> list[EndToEndSnrModel]:
+    """The destination SNR models at each theta of a scalar or a sequence."""
+    return [closed_form_model(gamma_hat_d, m, fgm_copula(t)) for t in np.atleast_1d(theta)]
+
+
+def _per_theta(theta, values: np.ndarray):
+    """A float for a scalar theta, else the array of one value per theta."""
+    return float(values[0]) if np.ndim(theta) == 0 else values
+
+
+def ergodic_capacity_rd(gamma_hat_d: float, m: int, theta) -> float | np.ndarray:
+    """RD-hop ergodic capacity by quadrature of ln(1+y) against the product-SNR density.
+
+    A scalar theta gives a float; a sequence gives one capacity per theta
+    from one quadrature, whose nodes evaluate the density's Bessel sums once.
+    """
     if gamma_hat_d <= 0.0:
         raise ValueError("gamma_hat_d must be positive")
-    model = closed_form_model(gamma_hat_d, m, fgm_copula(theta))
+    models = _rd_models(gamma_hat_d, m, theta)
 
     def integrand(s: np.ndarray) -> np.ndarray:
         # y = s^2 smooths the sqrt(y) Bessel arguments; one density call per round.
         y = s * s
-        return 2.0 * s * np.log1p(y) * snr_pdf_closed(model, y)
+        return (2.0 * s * np.log1p(y))[:, None] * snr_pdf_closed(models, y)
 
     # The density's mass sits at s ~ sqrt(gamma_hat_d).  Below gamma_hat_d = 1
     # the interval and the absolute tolerance shrink with it, or the quadrature
@@ -177,12 +199,14 @@ def ergodic_capacity_rd(gamma_hat_d: float, m: int, theta: float) -> float:
     hi = math.sqrt(gamma_hat_d) * float(gammainccinv(m, 1e-17)) / m + 40.0 * math.sqrt(small)
     val, err = specfun.gauss_kronrod(integrand, 0.0, hi, epsabs=1e-11 * small, epsrel=1e-10,
                                      limit=400, points=[math.sqrt(gamma_hat_d)])
-    if not err <= 1e-7 * max(abs(val), 1.0):
-        raise specfun.QuadratureError(f"RD capacity quadrature error {err:.2e}")
-    return val / (2.0 * _LN2)
+    for model, v, e in zip(models, np.atleast_1d(val), np.atleast_1d(err)):
+        if not e <= 1e-7 * max(abs(v), 1.0):
+            raise specfun.QuadratureError(
+                f"RD capacity quadrature error {e:.2e} at theta = {model.copula.theta:.6g}")
+    return _per_theta(theta, val / (2.0 * _LN2))
 
 
-def capacity_rd_meijer(gamma_hat_d: float, m: int, theta: float) -> float:
+def capacity_rd_meijer(gamma_hat_d: float, m: int, theta) -> float | np.ndarray:
     """RD capacity via the G^{1,4}_{4,2} closed form, summed as one contour integral.
 
     The prefactor multiplies the whole bracket.  The printed prefactor has a
@@ -199,10 +223,13 @@ def capacity_rd_meijer(gamma_hat_d: float, m: int, theta: float) -> float:
           / (Gamma(m)^2 Gamma(1-s)) x^-s (1 + theta (1 - u)^2)] dt,
 
     with 1 / Gamma(m)^2 in the log integrand, so the peak stays in range up
-    to m = 100.  No power of gamma_hat_d is formed.
+    to m = 100.  No power of gamma_hat_d is formed.  A scalar theta gives a
+    float; a sequence gives one capacity per theta from one contour
+    quadrature, whose nodes evaluate the log-gammas and u once.
     """
     x = gamma_hat_d / (m * m)
     ln_x, ln_gamma_m2 = math.log(x), 2.0 * float(gammaln(m))
+    thetas = np.atleast_1d(np.asarray(theta, dtype=float))
 
     def ln_integrand(s: np.ndarray) -> np.ndarray:
         q, term = 0.0, 1.0
@@ -210,14 +237,14 @@ def capacity_rd_meijer(gamma_hat_d: float, m: int, theta: float) -> float:
             q += term
             term *= (m + k - s) / (2.0 * k + 2.0)
         # For theta < 0 the weight vanishes at u = 1 +- 1/sqrt(-theta); its log is -inf there.
-        weight = 1.0 + theta * (1.0 - 2.0 ** (1 - m + s) * q) ** 2
+        weight = 1.0 + thetas * ((1.0 - 2.0 ** (1 - m + s) * q) ** 2)[:, None]
         with np.errstate(divide="ignore"):
             ln_weight = np.log(weight)
         return (_loggamma(1.0 + s) + 2.0 * _loggamma(-s) + 2.0 * _loggamma(m - s) - _loggamma(1.0 - s)
-                - ln_gamma_m2 - s * ln_x + ln_weight)
+                - ln_gamma_m2 - s * ln_x)[:, None] + ln_weight
 
-    return specfun.mellin_barnes(ln_integrand, -0.5, f"RD capacity contour (m={m}, "
-                                 f"theta={theta:.6g}) at x={x:.6g}") / (2.0 * _LN2)
+    names = [f"RD capacity contour (m={m}, theta={t:.6g}) at x={x:.6g}" for t in thetas]
+    return _per_theta(theta, specfun.mellin_barnes(ln_integrand, -0.5, names) / (2.0 * _LN2))
 
 
 def ergodic_capacity_system(sys: SwiptSystem) -> dict:
@@ -233,27 +260,50 @@ def ergodic_capacity_system(sys: SwiptSystem) -> dict:
     return {"capacity_sr": c_sr, "capacity_rd": c_rd, "min_of_means": min(c_sr, c_rd)}
 
 
-def _outage(sys: SwiptSystem, q: OutageQuery, relay_cdf, destination_survival) -> float:
-    # P(min(gamma_r, gamma_d) <= t) = 1 - C(S_r(t), S_d(t)): the FGM survival
-    # copula coincides with the FGM copula itself.
+def _outage(sys, q: OutageQuery, relay_cdf, destination_survival):
+    """P(min(gamma_r, gamma_d) <= t) = 1 - C(S_r(t), S_d(t)): the FGM survival
+    copula coincides with the FGM copula itself.
+
+    ``sys`` is one system, which gives a float, or a sequence of systems
+    that share gamma_hat_d and fading_m, which gives a list.  Each system's
+    relay CDF comes first, then one ``destination_survival(models, t)`` call
+    takes the destination models at their distinct thetas (first-seen order)
+    and returns one survival per model.
+    """
+    systems = [sys] if isinstance(sys, SwiptSystem) else list(sys)
     if q.threshold == 0.0:
-        return 0.0
-    scales = derive_snr_scales(sys)
-    surv_r = 1.0 - relay_cdf(scales.gamma_hat_r, sys.fading_m, q.threshold)
-    surv_d = destination_survival(destination_snr_model(sys), q.threshold)
-    return 1.0 - copula_cdf(fgm_copula(sys.theta), surv_r, surv_d)
+        outages = [0.0] * len(systems)
+    else:
+        scales = [derive_snr_scales(s) for s in systems]
+        gamma_hat_d, m = scales[0].gamma_hat_d, systems[0].fading_m
+        if any((sc.gamma_hat_d, s.fading_m) != (gamma_hat_d, m) for s, sc in zip(systems, scales)):
+            raise ValueError("the systems of one outage call must share gamma_hat_d and fading_m")
+        surv_r = [1.0 - relay_cdf(sc.gamma_hat_r, m, q.threshold) for sc in scales]
+        thetas = list(dict.fromkeys(s.theta for s in systems))
+        surv_d = dict(zip(thetas, destination_survival(_rd_models(gamma_hat_d, m, thetas),
+                                                       q.threshold)))
+        outages = [1.0 - copula_cdf(fgm_copula(s.theta), r, surv_d[s.theta])
+                   for s, r in zip(systems, surv_r)]
+    return outages[0] if isinstance(sys, SwiptSystem) else outages
 
 
-def outage_probability(sys: SwiptSystem, q: OutageQuery) -> float:
-    """P(min(gamma_r, gamma_d) <= threshold) via the FGM survival-copula composition."""
+def outage_probability(sys, q: OutageQuery):
+    """P(min(gamma_r, gamma_d) <= threshold) via the FGM survival-copula composition
+    (one system, or a sequence sharing gamma_hat_d and m: ``_outage``)."""
     return _outage(sys, q, relay_snr_cdf, snr_survival_closed)
 
 
-def outage_probability_quadrature(sys: SwiptSystem, q: OutageQuery) -> float:
-    """Same composition with the destination CDF from the general product integral
-    (survival 0 where y / gamma_hat_d overflows, which the integral refuses)."""
-    return _outage(sys, q, relay_snr_cdf, lambda model, y: 0.0 if y / model.snr_scale == math.inf
-                   else 1.0 - product_cdf_general(model, y))
+def _survival_quadrature(models, y: float) -> np.ndarray:
+    """1 - the general product CDF of each model at y; 0 where y / gamma_hat_d
+    overflows, which the integral refuses."""
+    if y / models[0].snr_scale == math.inf:
+        return np.zeros(len(models))
+    return 1.0 - product_cdf_general(models, y)
+
+
+def outage_probability_quadrature(sys, q: OutageQuery):
+    """Same composition with the destination CDF from the general product integral."""
+    return _outage(sys, q, relay_snr_cdf, _survival_quadrature)
 
 
 def asymptotic_capacity_sr(gamma_hat_r: float, m: int) -> float:
@@ -280,7 +330,7 @@ def _relay_cdf_high_snr(gamma_hat_r: float, m: int, t: float) -> float:
     return f_r
 
 
-def asymptotic_outage(sys: SwiptSystem, q: OutageQuery) -> float:
+def asymptotic_outage(sys, q: OutageQuery):
     """High-SNR outage: the outage composition with the polynomial relay CDF, refused (not clamped) above 1."""
     return _outage(sys, q, _relay_cdf_high_snr, snr_survival_closed)
 

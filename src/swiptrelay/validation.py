@@ -31,11 +31,12 @@ from .specfun import NumericalGuardError
 from .swipt_metrics import (
     BASELINE,
     OutageQuery,
+    _outage,
     adjudicate_closed_forms,
     derive_snr_scales,
     ergodic_capacity_rd,
     outage_probability,
-    outage_probability_quadrature,
+    relay_snr_cdf,
 )
 from .sweepcfg import ConfigError, fmt
 
@@ -66,7 +67,7 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
     def add(self, cell: str, name: str, value: float, bound: float, ok=None) -> None:
-        passed = (abs(value) <= bound) if ok is None else bool(ok)
+        passed = bool(abs(value) <= bound if ok is None else ok)
         self.checks.append(CheckResult(cell, name, float(value), float(bound), passed))
 
     def csv_rows(self) -> list[list[str]]:
@@ -119,11 +120,19 @@ def run_validation(
         for m in ms:
             # Convention adjudication of the two ambiguous closed forms, at the
             # baseline scales and theta = 0.5.  Its SR quadrature is the SR
-            # capacity of every cell of this m (theta does not enter the SR
-            # hop), and its RD quadrature that of a theta = 0.5 cell.
+            # capacity of every cell of this m (theta does not enter the SR hop).
             cell = f"adjudication,m={m}"
             adj = adjudicate_closed_forms(scales.gamma_hat_r, scales.gamma_hat_d, m, 0.5)
             adjudications.append((cell, adj))
+            if not thetas:
+                continue
+            # One vector quadrature per m serves every cell: the product CDF on
+            # the grid and, last, at the outage threshold; and the RD capacity.
+            cell = f"m={m},theta={','.join(fmt(theta) for theta in thetas)}"
+            models = [closed_form_model(scales.gamma_hat_d, m, fgm_copula(theta)) for theta in thetas]
+            grid = _threshold_grid(scales.gamma_hat_d, grid_points)
+            quad_cdfs = product_cdf_general(models, np.append(grid, OUTAGE_THRESHOLD))
+            rd_quads = ergodic_capacity_rd(scales.gamma_hat_d, m, thetas)
             # One seeded exact draw per m from the order-statistic sampler:
             # every theta cell reuses its base Gammas and uniforms, and each
             # cell's pair is what a draw for that theta alone gives.  It
@@ -133,15 +142,11 @@ def run_validation(
             draws = sample_fgm_powers(thetas, NakagamiPower(float(m), 1.0),
                                       batch_stream(seed, cfg.n_batches), samples)
             sr_moments = None
-            for theta, (g1, g2) in zip(thetas, draws):
+            for j, (theta, (g1, g2)) in enumerate(zip(thetas, draws)):
                 cell = f"m={m},theta={fmt(theta)}"
                 sys = replace(BASELINE, fading_m=m, theta=theta)
-                model = closed_form_model(scales.gamma_hat_d, m, fgm_copula(theta))
-                grid = _threshold_grid(scales.gamma_hat_d, grid_points)
-
-                closed = err_factor * snr_cdf_closed(model, grid)
-                # One vector quadrature for the grid and, last, the outage threshold.
-                quad_cdf = product_cdf_general(model, np.append(grid, OUTAGE_THRESHOLD))
+                quad_cdf = quad_cdfs[:, j]
+                closed = err_factor * snr_cdf_closed(models[j], grid)
                 checks = [("cdf_supnorm_closed_vs_quadrature",
                            float(np.max(np.abs(closed - quad_cdf[:-1]))), SUPNORM_TOL)]
 
@@ -152,8 +157,6 @@ def run_validation(
                     sr_moments = _batch_moments(0.5 * np.log2(1.0 + scales.gamma_hat_r * g1))
                 snr = scales.gamma_hat_d * g1 * g2
                 rd_moments = _batch_moments(0.5 * np.log2(1.0 + snr))
-                rd_quad = (adj["rd_quadrature"] if theta == 0.5
-                           else ergodic_capacity_rd(scales.gamma_hat_d, m, theta))
 
                 snr.sort()
                 emp = np.searchsorted(snr, grid, side="right") / samples
@@ -162,7 +165,7 @@ def run_validation(
                                gap <= dkw_epsilon(samples)))
                 for name, analytic, (n, mean, m2) in (
                         ("capacity_sr", adj["sr_quadrature"], sr_moments),
-                        ("capacity_rd", rd_quad, rd_moments)):
+                        ("capacity_rd", rd_quads[j], rd_moments)):
                     stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(samples)
                     checks.append((f"{name}_quadrature_vs_mc_stderr_units",
                                    (analytic - mean) / stderr, 3.0))
@@ -170,7 +173,8 @@ def run_validation(
                 del g1, g2, snr
 
                 p_closed = err_factor * outage_probability(sys, q)
-                p_quad = outage_probability_quadrature(sys, q)
+                # The quadrature outage composes the grid call's CDF at q.
+                p_quad = _outage(sys, q, relay_snr_cdf, lambda models, y: 1.0 - quad_cdf[-1:])
                 checks.append(("outage_closed_vs_quadrature", p_closed - p_quad, QUAD_OUTAGE_TOL))
                 cells.append((cell, checks, p_closed))
                 systems.append(sys)

@@ -104,6 +104,15 @@ def test_parse_config_errors():
         ("[sweep]\nvariable = rho\ngrid = 0.3\nstart = 0.1\nstop = 0.9\ncount = 5\n", "grid.*not both"),
         ("[sweep]\nvariable = rho\ngrid = 0.3\nspacing = log\n", "grid.*not both"),
         ("modes = closed_form,closed_form\n[sweep]\nvariable = rho\ngrid = 0.5\n", "listed twice"),
+        # A repeated value would repeat every row it makes.
+        ("m = 1,1\n[sweep]\nvariable = rho\ngrid = 0.5\n", "m 1 is listed twice"),
+        ("m = 2,1,2.0\n[sweep]\nvariable = rho\ngrid = 0.5\n", "m 2 is listed twice"),
+        ("theta = 0.5,0.5\n[sweep]\nvariable = rho\ngrid = 0.5\n", "theta 0.5 is listed twice"),
+        ("[sweep]\nvariable = rho\ngrid = 0.3,0.3\n", "grid value 0.3 is listed twice"),
+        ("[sweep]\nvariable = theta\ngrid = -1,0,-1\n", "grid value -1.0 is listed twice"),
+        ("[sweep]\nvariable = rho\nstart = 0.3\nstop = 0.3\ncount = 2\n", "grid value 0.3 is listed twice"),
+        ("[sweep]\nvariable = noise_power\nstart = 1e-2\nstop = 1e-2\ncount = 3\nspacing = log\n",
+         "listed twice"),
     ):
         with pytest.raises(ConfigError, match=message):
             parse_config(bad)
@@ -147,6 +156,9 @@ def test_degenerate_grid_point_exits_2(tmp_path, capsys, line):
     ["validate", "--grid-points", "0"],
     ["validate", "--seed", "-1"],
     ["sweep", "{cfg}", "--modes", "quadrature,closed_form,quadrature"],
+    ["validate", "--m", "1,1"],
+    ["validate", "--theta", "0.5,0.5"],
+    ["validate", "--m", "1,2", "--theta=-1,0,-1.0"],
 ])
 def test_refused_argument_exits_2(tmp_path, capsys, args):
     cfg = tmp_path / "ok.cfg"
@@ -356,6 +368,72 @@ def test_deterministic_sweep_computes_each_sr_capacity_once(monkeypatch):
     for args in calls.values():
         assert len(args) == len(set(args)) == 2 * 2
     assert sum(r[4] == "closed_form" and r[5] == "capacity_sr" for r in rows) == 2 * 2 * 2
+
+
+def _sweep_points(spec):
+    """(gamma_hat_d, m, theta) of each point, in the order run_sweep visits them."""
+    from swiptrelay.swipt_metrics import derive_snr_scales
+    from swiptrelay.sweepcfg import resolve_point
+
+    points = []
+    for value in spec.grid:
+        for th in ((value,) if spec.variable == "theta" else spec.thetas):
+            for m in ((value,) if spec.variable == "m" else spec.ms):
+                sys, _ = resolve_point(spec, value, th, m)
+                points.append((derive_snr_scales(sys).gamma_hat_d, sys.fading_m, sys.theta))
+    return points
+
+
+@pytest.mark.parametrize("variable, grid", [("theta", "-1,0,0.5,1"), ("gamma_hat_r", "10,100,1000")])
+def test_deterministic_sweep_computes_each_rd_capacity_once_per_gamma_hat_d_and_m(
+        monkeypatch, variable, grid):
+    # theta enters only the RD hop's FGM weight: each route makes one RD
+    # capacity call per (gamma_hat_d, m), over the thetas of its points in
+    # first-seen order, and one outage call per (gamma_hat_d, m, threshold).
+    import swiptrelay.sweep as sweep_mod
+
+    cfg = ("theta = -0.5,1\nm = 1,2\nthreshold = 1\nmodes = closed_form,quadrature,asymptotic\n"
+           f"[sweep]\nvariable = {variable}\ngrid = {grid}\n")
+    spec = parse_config(cfg)
+    expected = run_sweep(spec)
+    calls = {}
+    for name in ("capacity_rd_meijer", "ergodic_capacity_rd", "outage_probability",
+                 "outage_probability_quadrature"):
+        def counted(*args, _name=name, _real=getattr(sweep_mod, name)):
+            calls.setdefault(_name, []).append(args)
+            return _real(*args)
+        monkeypatch.setattr(sweep_mod, name, counted)
+    rows = run_sweep(spec)
+    assert rows == expected
+    groups = {}
+    for ghd, m, theta in _sweep_points(spec):
+        groups.setdefault((ghd, m), {})[theta] = None
+    want = [(ghd, m, tuple(thetas)) for (ghd, m), thetas in groups.items()]
+    assert len(want) < len(_sweep_points(spec))
+    if variable == "theta":  # gamma_hat_d is fixed: one call per m
+        assert [w[1] for w in want] == [1, 2] and all(len(w[2]) == 4 for w in want)
+    for name in ("capacity_rd_meijer", "ergodic_capacity_rd"):
+        assert [(ghd, m, tuple(thetas)) for ghd, m, thetas in calls[name]] == want
+    for name in ("outage_probability", "outage_probability_quadrature"):
+        assert [len(systems) for systems, _ in calls[name]] == [
+            sum(1 for p in _sweep_points(spec) if p[:2] == key) for key in groups]
+
+
+def test_theta_group_sweep_rows_match_each_theta_run_alone():
+    # Grouping the thetas of a (gamma_hat_d, m) moves a quadrature value by
+    # rounding only: each theta run alone gives the same rows within 1e-11.
+    cfg = ("theta = {theta}\nm = 1,3\nthreshold = 1\nmodes = closed_form,quadrature,asymptotic\n"
+           "[sweep]\nvariable = rho\ngrid = 0.2,0.7\n")
+    rows = run_sweep(parse_config(cfg.format(theta="-1,0.25,1")))
+    for th in ("-1", "0.25", "1"):
+        alone = run_sweep(parse_config(cfg.format(theta=th)))
+        mine = [r for r in rows if r[2] == th]
+        assert [r[:6] for r in mine] == [r[:6] for r in alone]
+        for a, b in zip(mine, alone):
+            if a[6] == "nan":
+                assert b[6] == "nan"
+            else:
+                assert float(a[6]) == pytest.approx(float(b[6]), rel=1e-11, abs=0.0), a
 
 
 def test_parse_log_spacing():

@@ -4,7 +4,8 @@ The configs cover every mode (Monte Carlo at 2000 samples with a fixed
 seed) and every kind of sweep variable: a system field (rho, with a
 threshold), a coupled field (dist_sr with rd_total), a direct SNR scale
 (gamma_hat_d), the threshold (threshold_db, whose last point leaves the
-asymptotic regime and prints nan) and the fading shape (m).  The CSVs pin
+asymptotic regime and prints nan), the fading shape (m) and the dependence
+(theta, where every theta of an m shares one RD-hop evaluation).  The CSVs pin
 the output across refactors; a deliberate change of any value must
 regenerate them with ``swiptrelay sweep tests/data/NAME.cfg -o
 tests/data/NAME.csv`` and say why.  The quadratures use the package's own
@@ -36,7 +37,7 @@ def test_every_mode_and_variable_kind_is_covered():
     variables = {line.split("=", 1)[1].strip() for t in texts for line in t.splitlines()
                  if line.startswith("variable")}
     assert modes == {"closed_form", "quadrature", "monte_carlo", "asymptotic"}
-    assert variables == {"rho", "dist_sr", "gamma_hat_d", "threshold_db", "m"}
+    assert variables == {"rho", "dist_sr", "gamma_hat_d", "threshold_db", "m", "theta"}
 
 
 @pytest.mark.parametrize("name", CONFIGS)

@@ -231,10 +231,13 @@ def test_gauss_kronrod_vector_output():
     rates = np.array([0.5, 1.0, 2.0, 4.0])
     val, err = gauss_kronrod(lambda x: np.exp(-np.outer(x, rates)), 0.0, 3.0,
                              epsabs=1e-14, epsrel=1e-14, limit=50)
-    assert val.shape == (4,) and err <= 1e-13
+    # The error is each column's own estimate.
+    assert val.shape == err.shape == (4,) and np.all(err <= 1e-13)
     assert val == pytest.approx(-np.expm1(-3.0 * rates) / rates, rel=1e-14, abs=0.0)
-    scalar, _ = gauss_kronrod(lambda x: np.exp(-x), 0.0, 3.0, epsabs=1e-14, epsrel=1e-14, limit=50)
+    scalar, scalar_err = gauss_kronrod(lambda x: np.exp(-x), 0.0, 3.0, epsabs=1e-14, epsrel=1e-14,
+                                       limit=50)
     assert isinstance(scalar, float) and scalar == pytest.approx(val[1], rel=1e-15, abs=0.0)
+    assert isinstance(scalar_err, float)
 
 
 def test_gauss_kronrod_breakpoint_at_kink():

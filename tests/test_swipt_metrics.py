@@ -10,7 +10,13 @@ from scipy.special import exp1
 from swiptrelay.montecarlo import McConfig, batch_stream, simulate_metrics
 from swiptrelay.copula import copula_cdf, fgm_copula, sample_pair
 from swiptrelay.fading import NakagamiPower, power_quantile
-from swiptrelay.product_dist import snr_pdf_closed, snr_survival_closed
+from swiptrelay.product_dist import (
+    ClosedFormRangeError,
+    closed_form_model,
+    product_cdf_general,
+    snr_pdf_closed,
+    snr_survival_closed,
+)
 from swiptrelay.specfun import QuadratureError
 from swiptrelay.swipt_metrics import (
     OutOfRegimeError,
@@ -360,3 +366,120 @@ def test_adjudication_report():
     assert abs(adj["sr_upper_param_printed"] - adj["sr_quadrature"]) > 1e-3
     assert abs(adj["rd_prefactor_printed_pi"] - adj["rd_quadrature"]) > 1e-3
     assert adj["rd_prefactor_printed_pi"] == adj["rd_prefactor_no_pi"] / math.pi
+
+
+# theta groups: one call for k thetas against k one-theta calls.
+THETA_GROUPS = [(-1.0, 0.0, 1.0), tuple(float(t) for t in np.linspace(-1.0, 1.0, 11))]
+RD_SCALES = [1e-8, 6.5625, 1e8]
+
+
+def _rd_hop_calls(ghd, m):
+    """Each RD-hop function as f(thetas): a scalar theta gives a float, a
+    sequence one value per theta (the product distributions at three y)."""
+    ys = np.array([0.1, 1.0, 10.0]) * ghd
+
+    def models(theta):
+        if np.ndim(theta) == 0:
+            return closed_form_model(ghd, m, fgm_copula(theta))
+        return [closed_form_model(ghd, m, fgm_copula(t)) for t in theta]
+
+    return {
+        "ergodic_capacity_rd": lambda theta: ergodic_capacity_rd(ghd, m, theta),
+        "capacity_rd_meijer": lambda theta: capacity_rd_meijer(ghd, m, theta),
+        "snr_survival_closed": lambda theta: snr_survival_closed(models(theta), ys),
+        "snr_pdf_closed": lambda theta: snr_pdf_closed(models(theta), ys),
+        "product_cdf_general": lambda theta: product_cdf_general(models(theta), ys),
+    }
+
+
+@pytest.mark.parametrize("ghd", RD_SCALES)
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_rd_hop_theta_group_agrees_with_one_theta_calls(ghd, m):
+    # theta enters only the FGM weight: the theta-free terms are evaluated
+    # once per node, and each theta's value moves by rounding at most (the
+    # quadratures share their panels over the group).
+    for name, call in _rd_hop_calls(ghd, m).items():
+        for group in THETA_GROUPS:
+            together = call(group)
+            assert np.shape(together)[-1] == len(group), name
+            for j, theta in enumerate(group):
+                alone = call(theta)
+                np.testing.assert_allclose(np.moveaxis(together, -1, 0)[j], alone, rtol=1e-12,
+                                           atol=0.0, err_msg=f"{name} theta={theta}")
+                if name.startswith("snr_"):  # no quadrature: the group changes no bit
+                    assert np.array_equal(np.moveaxis(together, -1, 0)[j], alone), name
+
+
+@pytest.mark.parametrize("ghd", RD_SCALES)
+@pytest.mark.parametrize("m", [1, 3])
+def test_rd_hop_one_theta_sequence_is_the_scalar_call_bit_for_bit(ghd, m):
+    for name, call in _rd_hop_calls(ghd, m).items():
+        for theta in (-1.0, 0.0, 0.3):
+            alone = call(theta)
+            assert isinstance(alone, float) or alone.shape == (3,), name
+            one = call([theta])
+            assert np.array_equal(np.moveaxis(one, -1, 0)[0], alone), f"{name} theta={theta}"
+
+
+def _spoil_column(monkeypatch, module, j):
+    """Let ``module``'s gauss_kronrod report a large error for column j only."""
+    real = module.gauss_kronrod
+
+    def spoiled(*args, **kwargs):
+        val, err = real(*args, **kwargs)
+        err = np.array(err, dtype=float)
+        np.moveaxis(err, -1, 0)[j] = 0.5
+        return val, err
+
+    monkeypatch.setattr(module, "gauss_kronrod", spoiled)
+
+
+@pytest.mark.parametrize("name, message", [
+    ("ergodic_capacity_rd", "RD capacity quadrature error 5.00e-01 at theta = 0.25"),
+    ("capacity_rd_meijer", r"RD capacity contour \(m=2, theta=0.25\) at x=1.64062: "
+                           "Mellin-Barnes quadrature error 5.00e-01"),
+    ("product_cdf_general", "product CDF quadrature error estimate 5.00e-01 too large at theta = 0.25"),
+])
+def test_rd_hop_guard_names_the_failing_theta_of_a_group(monkeypatch, name, message):
+    import swiptrelay.product_dist as product_dist_mod
+    import swiptrelay.specfun as specfun_mod
+
+    _spoil_column(monkeypatch, specfun_mod, 1)
+    _spoil_column(monkeypatch, product_dist_mod, 1)
+    with pytest.raises(QuadratureError, match=message):
+        _rd_hop_calls(6.5625, 2)[name]((-1.0, 0.25, 1.0))
+
+
+def test_closed_form_guard_names_the_failing_theta_of_a_group():
+    # At m = 3 and y = 1e-200 a Bessel term overflows where theta != 0, but
+    # theta = 0 leaves those terms out and gives the survival 1.
+    models = [closed_form_model(6.5625, 3, fgm_copula(t)) for t in (0.0, 0.5)]
+    assert snr_survival_closed(models[:1], 1e-200).tolist() == [1.0]
+    with pytest.raises(ClosedFormRangeError, match=r"\(theta = 0.5\) at y = 1e-200 escapes"):
+        snr_survival_closed(models, 1e-200)
+
+
+def test_a_group_of_models_may_differ_only_in_theta():
+    with pytest.raises(ValueError, match="differ only in theta"):
+        snr_survival_closed([closed_form_model(1.0, 2, fgm_copula(0.5)),
+                             closed_form_model(2.0, 2, fgm_copula(0.5))], 1.0)
+    with pytest.raises(ValueError, match="share gamma_hat_d and fading_m"):
+        outage_probability([BASE, replace(BASE, fading_m=2)], OutageQuery(1.0))
+
+
+@pytest.mark.parametrize("outage", [outage_probability, outage_probability_quadrature,
+                                    asymptotic_outage])
+def test_outage_of_a_system_group_equals_each_system_alone(outage):
+    # One destination survival call over the group's distinct thetas; each
+    # system keeps its own relay CDF.  Swapping rho and kappa keeps
+    # gamma_hat_d (kappa rho) bit for bit and moves gamma_hat_r.
+    swapped = replace(BASE, ps_factor=BASE.eh_efficiency, eh_efficiency=BASE.ps_factor)
+    assert derive_snr_scales(swapped).gamma_hat_d == derive_snr_scales(BASE).gamma_hat_d
+    assert derive_snr_scales(swapped).gamma_hat_r != derive_snr_scales(BASE).gamma_hat_r
+    systems = [replace(base, theta=t) for base, t in
+               ((BASE, 0.5), (swapped, -1.0), (swapped, 0.5), (BASE, 0.0))]
+    q = OutageQuery(0.5)
+    together = outage(systems, q)
+    assert len(together) == len(systems)
+    for sys, value in zip(systems, together):
+        assert value == outage(sys, q)

@@ -24,8 +24,10 @@ def test_stochastic_checks_fail_a_draw_at_the_wrong_theta(monkeypatch):
 
 
 def test_each_quadrature_and_the_outage_law_draw_run_once(monkeypatch):
-    # The SR quadrature is adjudication's, once per m; a theta = 0.5 cell
-    # takes adjudication's RD quadrature; one outage-law call scores all cells.
+    # The SR quadrature is adjudication's, once per m.  Per m, one RD
+    # quadrature and one product-CDF call take every cell's theta, and the
+    # quadrature outage composes that call's CDF at the threshold; one
+    # outage-law call scores all cells.
     calls = []
 
     def count(module, name):
@@ -38,14 +40,23 @@ def test_each_quadrature_and_the_outage_law_draw_run_once(monkeypatch):
 
     count(swipt_metrics, "ergodic_capacity_sr")
     count(swipt_metrics, "ergodic_capacity_rd")
+    count(swipt_metrics, "outage_probability_quadrature")
     count(validation, "ergodic_capacity_rd")
+    count(validation, "product_cdf_general")
     count(validation, "simulate_outage_survival_law")
-    report = validation.run_validation(ms=(1, 2), thetas=(0.5, -1.0), samples=4_000, grid_points=4)
+    thetas = (0.5, -1.0)
+    report = validation.run_validation(ms=(1, 2), thetas=thetas, samples=4_000, grid_points=4)
     assert report.passed
     names = [name for name, _ in calls]
     assert names.count("ergodic_capacity_sr") == 2
+    # Adjudication's at theta = 0.5, then the cells' group, per m.
     assert [args[1:] for name, args in calls if name == "ergodic_capacity_rd"] == [
-        (1, 0.5), (1, -1.0), (2, 0.5), (2, -1.0)]
+        (1, 0.5), (1, thetas), (2, 0.5), (2, thetas)]
+    cdf_calls = [args for name, args in calls if name == "product_cdf_general"]
+    assert [[model.copula.theta for model in models] for models, _ in cdf_calls] == [
+        list(thetas)] * 2
+    assert [len(y) for _, y in cdf_calls] == [4 + 1] * 2
+    assert "outage_probability_quadrature" not in names
     assert names.count("simulate_outage_survival_law") == 1
     (systems, queries, _, cdfs), = [args for name, args in calls
                                     if name == "simulate_outage_survival_law"]
