@@ -201,11 +201,10 @@ def _integrate_cdf(model: EndToEndSnrModel, thetas: np.ndarray, yp: np.ndarray) 
 
     lo = math.log(gammaincinv(m1, _TAIL) / r1) - half.max()
     hi = math.log(gammainccinv(m1, _TAIL) / r1) - half.min()
-    # exp(half + s) may overflow at the far end of a wide threshold range;
-    # inf then gives a zero weight and u = 1, both correct limits.
-    with np.errstate(over="ignore"):
-        val, err = gauss_kronrod(integrand, lo, hi, epsabs=5e-11, epsrel=1e-10, limit=10000,
-                                 points=(0.0,))
+    # exp(half + s) may overflow at the far end of a wide threshold range: inf
+    # gives a zero weight and u = 1, both correct limits (gauss_kronrod is quiet).
+    val, err = gauss_kronrod(integrand, lo, hi, epsabs=5e-11, epsrel=1e-10, limit=10000,
+                             points=(0.0,))
     _check(err <= 1e-6, QuadratureError,
            "product CDF quadrature error estimate {:.2e} too large at theta = {:.6g}", err, thetas)
     return np.clip(val, 0.0, 1.0)
@@ -329,8 +328,8 @@ def snr_pdf_closed(model: EndToEndSnrModel, y):
         # (2/y) ((z/2)^m / Gamma(m))^2 = (zeta^2 / 2) alpha_{m-1}^2, free of 1/y
         val = (0.5 * cf.zeta**2 * alpha[-1] ** 2)[:, None] * bracket
     _check(np.isfinite(val), ClosedFormRangeError,
-           "closed-form density {} (theta = {:.6g}) at y = {:.6g} is not finite",
-           val, th, flat[live][:, None])
+           "closed-form density {} (theta = {:.6g}) at y = {:.6g} is not finite at m = {}",
+           val, th, flat[live][:, None], m)
     pdf[live] = np.maximum(val, 0.0)
     return _unsplit(pdf.reshape(ys.shape + th.shape), one)
 

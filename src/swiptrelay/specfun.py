@@ -5,12 +5,12 @@ Everything here is reentrant and free of global state.  ``bessel_k_scaled``
 is exp(x) K_v(x) from scipy's ``kve``, with a domain check and a guard
 where ``kve`` gives nan.  scipy has no Meijer G, so ``meijer_g``
 integrates the Mellin-Barnes contour of the one family the capacities use,
-G^{1,p}_{p,2}(a; 1, 0 | x), through ``mellin_barnes``; the RD capacity
-calls that contour quadrature directly.  ``gauss_kronrod`` is QUADPACK's
-21-point Gauss-Kronrod rule with global adaptive bisection, vectorized over
-panels and over vector-valued integrands; the contour, both capacity
-quadratures and the product CDF call it.  The gamma-family values come
-straight from ``scipy.special`` at their call sites.
+G^{1,p}_{p,2}(a; 1, 0 | x), through ``mellin_barnes``; both capacity
+closed forms call that contour quadrature directly.  ``gauss_kronrod`` is
+QUADPACK's 21-point Gauss-Kronrod rule with global adaptive bisection,
+vectorized over panels and over vector-valued integrands; the contour, both
+capacity quadratures and the product CDF call it.  The gamma-family values
+come straight from ``scipy.special`` at their call sites.
 """
 
 from __future__ import annotations
@@ -100,16 +100,15 @@ def _gk21(f, lo: np.ndarray, hi: np.ndarray):
     shape = fx.shape[1:]
     fx = fx.reshape(len(lo), len(_NODES), -1).transpose(0, 2, 1)  # (panels, k, nodes)
     width = np.abs(half)[:, None]
-    # A non-finite f reaches the caller as a nan value and error, not as a warning.
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        resk = fx @ _KRONROD
-        diff = np.abs(fx @ _GAUSS - resk) * width
-        resabs = (np.abs(fx) @ _KRONROD) * width
-        resasc = (np.abs(fx - 0.5 * resk[:, :, None]) @ _KRONROD) * width
-        err, floor = _error(diff.max(axis=1), resabs.max(axis=1), resasc.max(axis=1))
-        column_err, _ = _error(diff, resabs, resasc)
-        val = (resk * half[:, None]).reshape(len(lo), *shape)
-    return val, column_err.reshape(len(lo), *shape), err, floor
+    resk = fx @ _KRONROD
+    diff = np.abs(fx @ _GAUSS - resk) * width
+    resabs = (np.abs(fx) @ _KRONROD) * width
+    resasc = (np.abs(fx - 0.5 * resk[:, :, None]) @ _KRONROD) * width
+    # One _error call: column 0 is the max norm over the columns, the rest each column's own.
+    err, floor = _error(*(np.concatenate((r.max(axis=1, keepdims=True), r), axis=1)
+                          for r in (diff, resabs, resasc)))
+    val = (resk * half[:, None]).reshape(len(lo), *shape)
+    return val, err[:, 1:].reshape(len(lo), *shape), err[:, 0], floor[:, 0]
 
 
 def gauss_kronrod(f, a: float, b: float, epsabs: float, epsrel: float, limit: int,
@@ -128,34 +127,36 @@ def gauss_kronrod(f, a: float, b: float, epsabs: float, epsrel: float, limit: in
     kept, but never bisected again.  ``limit`` caps the panel count; the
     caller checks the returned error.
     """
-    edges = np.array([a, *sorted(p for p in points if a < p < b), b], dtype=float)
+    edges = np.array([a, *sorted({p for p in points if a < p < b}), b], dtype=float)
     lo, hi = edges[:-1], edges[1:]
-    val, column_err, err, floor = _gk21(f, lo, hi)
-    done = np.zeros(len(lo), dtype=bool)
-    while True:
-        total, total_err = val.sum(axis=0), float(err.sum())
-        excess = total_err - max(epsabs, epsrel * float(np.abs(total).max()))
-        if not excess > 0.0:  # converged, or a nan error for the caller to refuse
-            break
-        live = np.flatnonzero(~done)
-        live = live[np.argsort(-err[live], kind="stable")]
-        count = min(int(np.searchsorted(np.cumsum(err[live]), excess)) + 1, len(live),
-                    limit - len(lo))
-        if count <= 0:
-            break
-        split, keep = live[:count], np.ones(len(lo), dtype=bool)
-        keep[split] = False
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo, new_hi = np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split]))
-        new_val, new_column_err, new_err, new_floor = _gk21(f, new_lo, new_hi)
-        lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))
-        val, err = np.concatenate((val[keep], new_val)), np.concatenate((err[keep], new_err))
-        column_err = np.concatenate((column_err[keep], new_column_err))
-        # The extra bisection averages the integrand's own rounding over twice
-        # the nodes: on Mellin-Barnes contours that cancel 400-fold it took
-        # the error from 8e-13 to 1.5e-13, against 30-digit mpmath.
-        done = np.concatenate((done[keep], new_floor & np.tile(floor[split], 2)))
-        floor = np.concatenate((floor[keep], new_floor))
+    # f and the rule share one error state: a non-finite f gives a nan value and error, no warning.
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        val, column_err, err, floor = _gk21(f, lo, hi)
+        done = np.zeros(len(lo), dtype=bool)
+        while True:
+            total, total_err = val.sum(axis=0), float(err.sum())
+            excess = total_err - max(epsabs, epsrel * float(np.abs(total).max()))
+            if not excess > 0.0:  # converged, or a nan error for the caller to refuse
+                break
+            live = np.flatnonzero(~done)
+            live = live[np.argsort(-err[live], kind="stable")]
+            count = min(int(np.searchsorted(np.cumsum(err[live]), excess)) + 1, len(live),
+                        limit - len(lo))
+            if count <= 0:
+                break
+            split, keep = live[:count], np.ones(len(lo), dtype=bool)
+            keep[split] = False
+            mid = 0.5 * (lo[split] + hi[split])
+            new_lo, new_hi = np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split]))
+            new_val, new_column_err, new_err, new_floor = _gk21(f, new_lo, new_hi)
+            lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))
+            val, err = np.concatenate((val[keep], new_val)), np.concatenate((err[keep], new_err))
+            column_err = np.concatenate((column_err[keep], new_column_err))
+            # The extra bisection averages the integrand's own rounding over twice
+            # the nodes: on Mellin-Barnes contours that cancel 400-fold it took
+            # the error from 8e-13 to 1.5e-13, against 30-digit mpmath.
+            done = np.concatenate((done[keep], new_floor & np.concatenate((floor[split],) * 2)))
+            floor = np.concatenate((floor[keep], new_floor))
     total_err = column_err.sum(axis=0)
     return (float(total), float(total_err)) if total.ndim == 0 else (total, total_err)
 
@@ -168,26 +169,23 @@ def gauss_kronrod(f, a: float, b: float, epsabs: float, epsrel: float, limit: in
 MEIJER_G_ROUNDOFF_TOL = 1e-6
 
 
-def mellin_barnes(ln_integrand, c: float, what):
-    """(1 / 2 pi i) times the integral of exp(ln_integrand(s)) up the line Re s = c.
+def mellin_barnes(ln_integrand, c: float, names):
+    """(1 / 2 pi i) times the integrals of exp(ln_integrand(s)) up the line Re s = c.
 
-    ``ln_integrand`` maps a complex array of shape (n,) to one of shape (n,),
-    or (n, k) for k integrands on the same nodes; the value is then a float,
-    or an array of k.  Each integrand must be real on the real axis, so this
-    is (1/pi) times the integral of Re exp(ln_integrand(c + it)) over t > 0,
-    and decay at least like exp(-pi t).  ``what`` names the integrand, or is
-    a sequence of k names.  Raises ``QuadratureError`` naming the integrand
-    whose peak at t = 0 overflows, or whose value fails
-    ``MEIJER_G_ROUNDOFF_TOL``.  k integrands share one ``gauss_kronrod``
+    ``ln_integrand`` maps a complex array of shape (n,) to one of shape (n, *k),
+    integrands on the same nodes named by ``names`` in C order; the value has
+    shape k (a float for k = ()).  Each integrand must be real on the real
+    axis, so this is (1/pi) times the integral of Re exp(ln_integrand(c + it))
+    over t > 0, and decay at least like exp(-pi t).  Raises ``QuadratureError``
+    naming the integrand whose peak at t = 0 overflows, or whose value fails
+    ``MEIJER_G_ROUNDOFF_TOL``.  The integrands share one ``gauss_kronrod``
     call up to the highest of their truncation heights, at the smallest of
     their absolute tolerances.
     """
     # The peak at t = 0, and the truncation height: the first of 4, 8, ...,
     # 4096 where the integrand is 40 nats below the peak.
     heights = np.concatenate(([0.0], 4.0 * 2.0 ** np.arange(11)))
-    scan = ln_integrand(c + 1j * heights).real
-    names = [what] if scan.ndim == 1 else list(what)
-    scan = scan.reshape(len(heights), -1)
+    scan = ln_integrand(c + 1j * heights).real.reshape(len(heights), -1)
     t_hi = max(next((t for t, v in zip(heights[1:], tail) if v <= peak - 40.0), heights[-1])
                for peak, tail in zip(scan[0], scan[1:].T))
     scales = []
@@ -199,7 +197,7 @@ def mellin_barnes(ln_integrand, c: float, what):
     epsabs = min(min(1e-12, 1e-14 * scale) if scale > 0 else 1e-14 for scale in scales)
     val, err = gauss_kronrod(lambda t: np.exp(ln_integrand(c + 1j * t)).real, 0.0, float(t_hi),
                              epsabs=epsabs, epsrel=1e-12, limit=500)
-    for name, scale, v, e in zip(names, scales, np.atleast_1d(val), np.atleast_1d(err)):
+    for name, scale, v, e in zip(names, scales, np.ravel(val), np.ravel(err)):
         if not (math.isfinite(v) and max(e, sys.float_info.epsilon * scale) <= MEIJER_G_ROUNDOFF_TOL * abs(v)):
             raise QuadratureError(f"{name}: Mellin-Barnes quadrature error "
                                   f"{e:.2e} and peak {scale:.3g} against value {v:.6g}")
@@ -226,4 +224,4 @@ def meijer_g(a: tuple[float, ...], x: float) -> float:
         return val
 
     return mellin_barnes(ln_integrand, 0.5 * (-1.0 + min(1.0 - aj for aj in a)),
-                         f"Meijer G {(1, len(a), len(a), 2)} at x={x:.6g}")
+                         [f"Meijer G {(1, len(a), len(a), 2)} at x={x:.6g}"])

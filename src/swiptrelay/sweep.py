@@ -66,16 +66,14 @@ def _shared(points, key, compute):
         yield values[k].pop(i)
 
 
-def _rd_key(sys: SwiptSystem, threshold=None) -> tuple:
-    """What the RD hop depends on besides theta: (gamma_hat_d, m)."""
-    return derive_snr_scales(sys).gamma_hat_d, sys.fading_m
-
-
-def _each_theta(capacity_rd, key: tuple, systems) -> list:
-    """The RD capacity of each system, from one call over their distinct thetas."""
-    thetas = list(dict.fromkeys(sys.theta for sys in systems))
-    by_theta = dict(zip(thetas, capacity_rd(*key, thetas)))
-    return [by_theta[sys.theta] for sys in systems]
+def _hop(points, capacity, scale: str, column):
+    """Each point's hop capacity: one ``capacity(value, *columns)`` call per value of its
+    SNR ``scale``, over the distinct ``column(sys)`` of its points in first-seen order."""
+    def compute(key, systems):
+        distinct = list(dict.fromkeys(map(column, systems)))
+        values = dict(zip(distinct, capacity(key, *map(list, zip(*distinct))).tolist()))
+        return [values[column(sys)] for sys in systems]
+    return _shared(points, lambda sys, threshold: getattr(derive_snr_scales(sys), scale), compute)
 
 
 def _outages(outage, key: tuple, systems) -> list:
@@ -87,25 +85,18 @@ def _outages(outage, key: tuple, systems) -> list:
 
 def _exact(points, capacity_sr, capacity_rd, outage, mean_snr: bool):
     """Closed-form or quadrature metrics of the points, in order; the two modes
-    differ only in the functions passed.
-
-    theta couples only the RD hop, so the SR capacity is computed once per
-    (gamma_hat_r, m), the RD capacity once per (gamma_hat_d, m) for all the
-    thetas its points use, and the outage once per (gamma_hat_d, m,
-    threshold), whose destination survival takes all their thetas in one call.
-    """
-    capacity_sr = functools.cache(capacity_sr)
-    c_rds = _shared(points, _rd_key, functools.partial(_each_theta, capacity_rd))
-    outages = _shared(points, lambda sys, threshold: _rd_key(sys) + (threshold,),
+    differ only in the functions passed.  Each hop capacity is one call per SNR
+    scale over the m (SR) or the (m, theta) pairs (RD) of its points, and the
+    outage one call per (gamma_hat_d, m, threshold) over their thetas."""
+    c_srs = _hop(points, capacity_sr, "gamma_hat_r", lambda sys: (sys.fading_m,))
+    c_rds = _hop(points, capacity_rd, "gamma_hat_d", lambda sys: (sys.fading_m, sys.theta))
+    outages = _shared(points, lambda sys, t: (derive_snr_scales(sys).gamma_hat_d, sys.fading_m, t),
                       functools.partial(_outages, outage))
-    for _, sys, threshold in points:
-        scales = derive_snr_scales(sys)
-        c_sr = capacity_sr(scales.gamma_hat_r, sys.fading_m)
-        c_rd = next(c_rds)
+    for (_, sys, threshold), c_sr, c_rd, p_out in zip(points, c_srs, c_rds, outages):
         metrics = {"capacity_sr": c_sr, "capacity_rd": c_rd, "capacity_min": min(c_sr, c_rd)}
         if mean_snr:
-            metrics["mean_snr_d"] = scales.gamma_hat_d * mean_snr_factor(sys.fading_m, sys.theta)
-        p_out = next(outages)
+            metrics["mean_snr_d"] = (derive_snr_scales(sys).gamma_hat_d
+                                     * mean_snr_factor(sys.fading_m, sys.theta))
         if threshold is not None:
             metrics["outage"] = p_out
         yield metrics
@@ -125,8 +116,8 @@ def _asymptotic(spec: SweepSpec, points):
     (gamma_hat_r, m), the outage once per (gamma_hat_r, gamma_hat_d, m,
     threshold), as its regime check takes gamma_hat_r."""
     capacity_sr = functools.cache(asymptotic_capacity_sr)
-    outages = _shared(points, lambda sys, threshold: (derive_snr_scales(sys).gamma_hat_r,
-                                                      *_rd_key(sys), threshold),
+    outages = _shared(points, lambda sys, t: (derive_snr_scales(sys).gamma_hat_r,
+                                              derive_snr_scales(sys).gamma_hat_d, sys.fading_m, t),
                       _asymptotic_outages)
     for (_, sys, threshold), p_out in zip(points, outages):
         metrics = {"capacity_sr": capacity_sr(derive_snr_scales(sys).gamma_hat_r, sys.fading_m)}
@@ -150,9 +141,8 @@ def _monte_carlo(spec: SweepSpec, points):
 # point's ordered {metric: estimate}, in order.  The routes are generators,
 # so a sweep computes point by point; monte_carlo scores every point in one
 # simulate_metrics call before its first point.  The lambdas look the metric
-# functions up in this module when the route starts, and each route caches
-# its SR capacity from there, so a wrapper set on the module attribute sees
-# the calls.
+# functions up in this module when the route starts, so a wrapper set on the
+# module attribute sees the calls.
 ROUTES = {
     "closed_form": lambda spec, points: _exact(
         points, capacity_sr_meijer, capacity_rd_meijer, outage_probability, mean_snr=True),

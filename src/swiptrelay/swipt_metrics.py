@@ -5,13 +5,13 @@ Bessel/Meijer-G closed forms are evaluated alongside; two printed closed
 forms carry ambiguities, so ``adjudicate_closed_forms`` reports which
 reading matches quadrature (see the convention notes in each docstring).
 
-theta couples only the RD hop, through the FGM weight.  So the RD-hop
-functions take a scalar theta, which gives a float, or a sequence of k
-theta, which gives an array of k values from one evaluation of the terms
-free of theta; a one-theta sequence gives the scalar call's value bit for
-bit, and every guard holds per theta and names the theta it fails at.  The
-outage functions likewise take one system, or a sequence of systems that
-share gamma_hat_d and m, whose destination survival is one such call.
+The hop capacities take one SNR scale and broadcast: the SR ones over m,
+the RD ones over m and theta, scalars (a float) or arrays (an array of
+the broadcast shape).  All columns share one quadrature or contour whose
+nodes evaluate the terms free of m and theta once; more than one column
+moves a value at the rounding level, and every guard names its column's
+m and theta.  The outage functions take one system, or a sequence of
+systems that share gamma_hat_d and m.
 """
 
 from __future__ import annotations
@@ -125,45 +125,57 @@ def relay_snr_cdf(gamma_hat_r: float, m: int, gamma: float) -> float:
     return power_cdf(NakagamiPower(m, gamma_hat_r), gamma)
 
 
-def ergodic_capacity_sr(gamma_hat_r: float, m: int) -> float:
+def ergodic_capacity_sr(gamma_hat_r: float, m) -> float | np.ndarray:
     """SR-hop ergodic capacity (bits/channel use, incl. the half-duplex 1/2).
 
     Authoritative route: adaptive quadrature of E[ln(1+gamma)]/(2 ln 2) with
-    gamma ~ Gamma(m, gamma_hat_r/m).
+    gamma ~ Gamma(m, gamma_hat_r/m), one quadrature for every m (module docstring).
     """
     if gamma_hat_r <= 0.0:
         raise ValueError("gamma_hat_r must be positive")
-    s, small, ln_gamma_m = gamma_hat_r / m, min(1.0, gamma_hat_r), float(gammaln(m))
+    ms = np.asarray(m)
+    s, small, nodes = gamma_hat_r / ms, min(1.0, gamma_hat_r), (slice(None),) + (None,) * ms.ndim
 
     def integrand(v: np.ndarray) -> np.ndarray:
         # Over v = ln u, where the kink of ln(1 + s u) near u = 1/s is as
         # smooth as the Gamma mass near u = m; in logs, so u ** m and
         # Gamma(m) cannot overflow at large m.
-        u = np.exp(v)
-        return np.log1p(s * u) * np.exp(m * v - u - ln_gamma_m)
+        u = np.exp(v)[nodes]
+        return np.log1p(s * u) * np.exp(ms * v[nodes] - u - gammaln(ms))
 
     # Between the gain's 1e-17 quantiles, as in the RD quadrature, split at
     # the kink v = -ln s and the mode v = ln m; the mass left out costs at
     # most 1e-17 of the capacity.  Both tolerances shrink with the capacity, about
     # gamma_hat_r / (2 ln 2) below 1.
-    val, err = specfun.gauss_kronrod(integrand, math.log(gammaincinv(m, 1e-17)),
-                                     math.log(gammainccinv(m, 1e-17)),
+    val, err = specfun.gauss_kronrod(integrand, math.log(gammaincinv(ms, 1e-17).min()),
+                                     math.log(gammainccinv(ms, 1e-17).max()),
                                      epsabs=1e-12 * small, epsrel=1e-11, limit=300,
-                                     points=(-math.log(s), math.log(m)))
-    if not err <= 1e-8 * max(abs(val), small):
-        raise specfun.QuadratureError(f"SR capacity quadrature error {err:.2e}")
+                                     points=np.concatenate((-np.log(s), np.log(ms)), axis=None))
+    for mj, v, e in zip(ms.ravel(), np.ravel(val), np.ravel(err)):
+        if not e <= 1e-8 * max(abs(v), small):
+            raise specfun.QuadratureError(f"SR capacity quadrature error {e:.2e} at m = {mj}")
     return val / (2.0 * _LN2)
 
 
-def capacity_sr_meijer(gamma_hat_r: float, m: int, printed_variant: bool = False) -> float:
-    """SR capacity via the G^{1,3}_{3,2} closed form.
+def capacity_sr_meijer(gamma_hat_r: float, m, printed_variant: bool = False) -> float | np.ndarray:
+    """SR capacity G^{1,3}_{3,2}(a1, 1, 1; 1, 0 | gamma_hat_r / m) / (2 Gamma(m) ln 2),
+    one Mellin-Barnes contour at Re s = -1/2 for every m (module docstring).
 
-    The default reading uses upper parameter 1-m, which matches quadrature;
-    ``printed_variant=True`` evaluates the 1 - m/gamma_hat_r reading instead.
+    The default reading uses upper parameter a1 = 1-m, which matches
+    quadrature; ``printed_variant=True`` evaluates the 1 - m/gamma_hat_r reading.
     """
-    a1 = 1.0 - m / gamma_hat_r if printed_variant else 1.0 - float(m)
-    g = specfun.meijer_g((a1, 1.0, 1.0), gamma_hat_r / m)
-    return g / (2.0 * math.exp(gammaln(m)) * _LN2)
+    if not gamma_hat_r > 0.0:
+        raise ValueError("gamma_hat_r must be positive")
+    ms = np.asarray(m)
+    x, nodes = gamma_hat_r / ms, (slice(None),) + (None,) * ms.ndim
+    b = ms / gamma_hat_r if printed_variant else ms  # 1 - a1
+
+    def ln_integrand(s: np.ndarray) -> np.ndarray:
+        return ((_loggamma(1.0 + s) + 2.0 * _loggamma(-s) - _loggamma(1.0 - s))[nodes]
+                + _loggamma(b - s[nodes]) - gammaln(ms) - s[nodes] * np.log(x))
+
+    names = [f"Meijer G (1, 3, 3, 2) at x={v:.6g}, m={mj}" for v, mj in zip(x.flat, ms.flat)]
+    return specfun.mellin_barnes(ln_integrand, -0.5, names) / (2.0 * _LN2)
 
 
 def _rd_models(gamma_hat_d: float, m: int, theta) -> list[EndToEndSnrModel]:
@@ -171,42 +183,40 @@ def _rd_models(gamma_hat_d: float, m: int, theta) -> list[EndToEndSnrModel]:
     return [closed_form_model(gamma_hat_d, m, fgm_copula(t)) for t in np.atleast_1d(theta)]
 
 
-def _per_theta(theta, values: np.ndarray):
-    """A float for a scalar theta, else the array of one value per theta."""
-    return float(values[0]) if np.ndim(theta) == 0 else values
-
-
-def ergodic_capacity_rd(gamma_hat_d: float, m: int, theta) -> float | np.ndarray:
-    """RD-hop ergodic capacity by quadrature of ln(1+y) against the product-SNR density.
-
-    A scalar theta gives a float; a sequence gives one capacity per theta
-    from one quadrature, whose nodes evaluate the density's Bessel sums once.
-    """
+def ergodic_capacity_rd(gamma_hat_d: float, m, theta) -> float | np.ndarray:
+    """RD-hop ergodic capacity by quadrature of ln(1+y) against the product-SNR density,
+    one quadrature for every (m, theta) column (module docstring)."""
     if gamma_hat_d <= 0.0:
         raise ValueError("gamma_hat_d must be positive")
-    models = _rd_models(gamma_hat_d, m, theta)
+    ms, thetas = np.broadcast_arrays(m, theta)
+    distinct = list(dict.fromkeys(ms.ravel().tolist()))
+    groups = [(ms.ravel() == mj, _rd_models(gamma_hat_d, mj, thetas[ms == mj])) for mj in distinct]
 
     def integrand(s: np.ndarray) -> np.ndarray:
-        # y = s^2 smooths the sqrt(y) Bessel arguments; one density call per round.
+        # y = s^2 smooths the sqrt(y) Bessel arguments; one density call per m and round.
         y = s * s
-        return (2.0 * s * np.log1p(y))[:, None] * snr_pdf_closed(models, y)
+        weight, out = (2.0 * s * np.log1p(y))[:, None], np.empty((len(s), ms.size))
+        for cols, models in groups:
+            out[:, cols] = weight * snr_pdf_closed(models, y)
+        return out.reshape(len(s), *ms.shape)
 
     # The density's mass sits at s ~ sqrt(gamma_hat_d).  Below gamma_hat_d = 1
     # the interval and the absolute tolerance shrink with it, or the quadrature
     # never samples the mass and returns about 0 with a tiny error estimate.  Above,
     # the interval ends where both hop gains pass their 1e-17 upper quantile.
     small = min(1.0, gamma_hat_d)
-    hi = math.sqrt(gamma_hat_d) * float(gammainccinv(m, 1e-17)) / m + 40.0 * math.sqrt(small)
-    val, err = specfun.gauss_kronrod(integrand, 0.0, hi, epsabs=1e-11 * small, epsrel=1e-10,
-                                     limit=400, points=[math.sqrt(gamma_hat_d)])
-    for model, v, e in zip(models, np.atleast_1d(val), np.atleast_1d(err)):
+    hi = max(math.sqrt(gamma_hat_d) * float(gammainccinv(mj, 1e-17)) / mj for mj in distinct)
+    val, err = specfun.gauss_kronrod(integrand, 0.0, hi + 40.0 * math.sqrt(small),
+                                     epsabs=1e-11 * small, epsrel=1e-10, limit=400,
+                                     points=[math.sqrt(gamma_hat_d)])
+    for mj, t, v, e in zip(ms.ravel(), thetas.ravel(), np.ravel(val), np.ravel(err)):
         if not e <= 1e-7 * max(abs(v), 1.0):
             raise specfun.QuadratureError(
-                f"RD capacity quadrature error {e:.2e} at theta = {model.copula.theta:.6g}")
-    return _per_theta(theta, val / (2.0 * _LN2))
+                f"RD capacity quadrature error {e:.2e} at theta = {t:.6g}, m = {mj}")
+    return val / (2.0 * _LN2)
 
 
-def capacity_rd_meijer(gamma_hat_d: float, m: int, theta) -> float | np.ndarray:
+def capacity_rd_meijer(gamma_hat_d: float, m, theta) -> float | np.ndarray:
     """RD capacity via the G^{1,4}_{4,2} closed form, summed as one contour integral.
 
     The prefactor multiplies the whole bracket.  The printed prefactor has a
@@ -223,28 +233,32 @@ def capacity_rd_meijer(gamma_hat_d: float, m: int, theta) -> float | np.ndarray:
           / (Gamma(m)^2 Gamma(1-s)) x^-s (1 + theta (1 - u)^2)] dt,
 
     with 1 / Gamma(m)^2 in the log integrand, so the peak stays in range up
-    to m = 100.  No power of gamma_hat_d is formed.  A scalar theta gives a
-    float; a sequence gives one capacity per theta from one contour
-    quadrature, whose nodes evaluate the log-gammas and u once.
+    to m = 100.  No power of gamma_hat_d is formed.  Every (m, theta) column
+    shares one contour quadrature (module docstring).
     """
-    x = gamma_hat_d / (m * m)
-    ln_x, ln_gamma_m2 = math.log(x), 2.0 * float(gammaln(m))
-    thetas = np.atleast_1d(np.asarray(theta, dtype=float))
+    ms, thetas = np.broadcast_arrays(m, theta)
+    distinct = list(dict.fromkeys(ms.ravel().tolist()))
+    column = np.reshape([distinct.index(mj) for mj in ms.flat], ms.shape)
 
     def ln_integrand(s: np.ndarray) -> np.ndarray:
-        q, term = 0.0, 1.0
-        for k in range(m):
-            q += term
-            term *= (m + k - s) / (2.0 * k + 2.0)
+        front, back = _loggamma(1.0 + s) + 2.0 * _loggamma(-s), _loggamma(1.0 - s)
+        ln_kernel, u = [], []
+        for mj in distinct:
+            q, term = 0.0, 1.0
+            for k in range(mj):
+                q += term
+                term *= (mj + k - s) / (2.0 * k + 2.0)
+            u.append((1.0 - 2.0 ** (1 - mj + s) * q) ** 2)
+            ln_kernel.append(front + 2.0 * _loggamma(mj - s) - back - 2.0 * float(gammaln(mj))
+                             - s * math.log(gamma_hat_d / (mj * mj)))
         # For theta < 0 the weight vanishes at u = 1 +- 1/sqrt(-theta); its log is -inf there.
-        weight = 1.0 + thetas * ((1.0 - 2.0 ** (1 - m + s) * q) ** 2)[:, None]
         with np.errstate(divide="ignore"):
-            ln_weight = np.log(weight)
-        return (_loggamma(1.0 + s) + 2.0 * _loggamma(-s) + 2.0 * _loggamma(m - s) - _loggamma(1.0 - s)
-                - ln_gamma_m2 - s * ln_x)[:, None] + ln_weight
+            ln_weight = np.log(1.0 + thetas * np.stack(u, axis=1)[:, column])
+        return np.stack(ln_kernel, axis=1)[:, column] + ln_weight
 
-    names = [f"RD capacity contour (m={m}, theta={t:.6g}) at x={x:.6g}" for t in thetas]
-    return _per_theta(theta, specfun.mellin_barnes(ln_integrand, -0.5, names) / (2.0 * _LN2))
+    names = [f"RD capacity contour (m={mj}, theta={t:.6g}) at x={gamma_hat_d / (mj * mj):.6g}"
+             for mj, t in zip(ms.ravel().tolist(), thetas.ravel())]
+    return specfun.mellin_barnes(ln_integrand, -0.5, names) / (2.0 * _LN2)
 
 
 def ergodic_capacity_system(sys: SwiptSystem) -> dict:
@@ -335,20 +349,15 @@ def asymptotic_outage(sys, q: OutageQuery):
     return _outage(sys, q, _relay_cdf_high_snr, snr_survival_closed)
 
 
-def adjudicate_closed_forms(gamma_hat_r: float, gamma_hat_d: float, m: int, theta: float) -> dict:
+def adjudicate_closed_forms(gamma_hat_r: float, gamma_hat_d: float, m, theta: float):
     """Compare every closed-form reading against its quadrature oracle.
 
-    Returns the absolute discrepancies and the name of the matching
-    convention for the SR-capacity upper parameter and the RD-capacity
-    prefactor; consumed by the validation report.
+    Returns the absolute discrepancies and the name of the matching convention
+    for the SR-capacity upper parameter and the RD-capacity prefactor: a dict,
+    or one per m of a sequence (one call per route and reading for all m).
     """
-    sr_quad = ergodic_capacity_sr(gamma_hat_r, m)
-    sr_std = capacity_sr_meijer(gamma_hat_r, m, printed_variant=False)
-    sr_printed = capacity_sr_meijer(gamma_hat_r, m, printed_variant=True)
-    rd_quad = ergodic_capacity_rd(gamma_hat_d, m, theta)
-    rd_no_pi = capacity_rd_meijer(gamma_hat_d, m, theta)
-    rd_pi = rd_no_pi / math.pi
-    return {
+    ms = np.atleast_1d(m)
+    reports = [{
         "sr_quadrature": sr_quad,
         "sr_upper_param_1_minus_m": sr_std,
         "sr_upper_param_printed": sr_printed,
@@ -356,9 +365,13 @@ def adjudicate_closed_forms(gamma_hat_r: float, gamma_hat_d: float, m: int, thet
         "sr_match_abs_error": abs(sr_std - sr_quad),
         "rd_quadrature": rd_quad,
         "rd_prefactor_no_pi": rd_no_pi,
-        "rd_prefactor_printed_pi": rd_pi,
+        "rd_prefactor_printed_pi": rd_no_pi / math.pi,
         "rd_matching_variant": "prefactor-times-bracket-no-pi"
-        if abs(rd_no_pi - rd_quad) <= abs(rd_pi - rd_quad)
+        if abs(rd_no_pi - rd_quad) <= abs(rd_no_pi / math.pi - rd_quad)
         else "printed-pi",
         "rd_match_abs_error": abs(rd_no_pi - rd_quad),
-    }
+    } for sr_quad, sr_std, sr_printed, rd_quad, rd_no_pi in zip(*(values.tolist() for values in (
+        ergodic_capacity_sr(gamma_hat_r, ms), capacity_sr_meijer(gamma_hat_r, ms),
+        capacity_sr_meijer(gamma_hat_r, ms, printed_variant=True),
+        ergodic_capacity_rd(gamma_hat_d, ms, theta), capacity_rd_meijer(gamma_hat_d, ms, theta))))]
+    return reports[0] if np.ndim(m) == 0 else reports

@@ -105,6 +105,8 @@ def run_validation(
         raise ConfigError(f"grid_points must be >= 1, got {grid_points}")
     if samples < 2:  # the capacity checks take a sample standard deviation
         raise ConfigError(f"validate needs samples >= 2, got {samples}")
+    if not (ms and thetas):
+        raise ConfigError("validate needs at least one m and one theta")
     report = ValidationReport()
     err_factor = 1.0 + 1e-3 if inject_coefficient_error else 1.0
     # Every cell has the baseline's SNR scales: m and theta change no link budget.
@@ -114,25 +116,23 @@ def run_validation(
     # closed-form outage; and the system and quadrature destination CDF at q
     # that the outage-law simulation takes.
     cells, systems, destination_cdfs = [], [], []
-    adjudications = []
 
     try:
-        for m in ms:
-            # Convention adjudication of the two ambiguous closed forms, at the
-            # baseline scales and theta = 0.5.  Its SR quadrature is the SR
-            # capacity of every cell of this m (theta does not enter the SR hop).
-            cell = f"adjudication,m={m}"
-            adj = adjudicate_closed_forms(scales.gamma_hat_r, scales.gamma_hat_d, m, 0.5)
-            adjudications.append((cell, adj))
-            if not thetas:
-                continue
-            # One vector quadrature per m serves every cell: the product CDF on
-            # the grid and, last, at the outage threshold; and the RD capacity.
+        # Convention adjudication of the two ambiguous closed forms for every m,
+        # at the baseline scales and theta = 0.5.  Its SR quadratures are the
+        # cells' SR capacities (theta does not enter the SR hop).
+        cell = f"adjudication,m={','.join(str(m) for m in ms)}"
+        adjudications = adjudicate_closed_forms(scales.gamma_hat_r, scales.gamma_hat_d, ms, 0.5)
+        # One RD quadrature serves every (m, theta) cell.
+        cell = f"m={','.join(str(m) for m in ms)},theta={','.join(fmt(t) for t in thetas)}"
+        rd_quads = ergodic_capacity_rd(scales.gamma_hat_d, np.reshape(ms, (-1, 1)), thetas)
+        for i, m in enumerate(ms):
+            # One vector quadrature per m serves every cell's product CDF: on
+            # the grid and, last, at the outage threshold.
             cell = f"m={m},theta={','.join(fmt(theta) for theta in thetas)}"
             models = [closed_form_model(scales.gamma_hat_d, m, fgm_copula(theta)) for theta in thetas]
             grid = _threshold_grid(scales.gamma_hat_d, grid_points)
             quad_cdfs = product_cdf_general(models, np.append(grid, OUTAGE_THRESHOLD))
-            rd_quads = ergodic_capacity_rd(scales.gamma_hat_d, m, thetas)
             # One seeded exact draw per m from the order-statistic sampler:
             # every theta cell reuses its base Gammas and uniforms, and each
             # cell's pair is what a draw for that theta alone gives.  It
@@ -164,8 +164,8 @@ def run_validation(
                 checks.append(("cdf_dkw_gap_minus_band", gap - dkw_epsilon(samples), 0.0,
                                gap <= dkw_epsilon(samples)))
                 for name, analytic, (n, mean, m2) in (
-                        ("capacity_sr", adj["sr_quadrature"], sr_moments),
-                        ("capacity_rd", rd_quads[j], rd_moments)):
+                        ("capacity_sr", adjudications[i]["sr_quadrature"], sr_moments),
+                        ("capacity_rd", rd_quads[i, j], rd_moments)):
                     stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(samples)
                     checks.append((f"{name}_quadrature_vs_mc_stderr_units",
                                    (analytic - mean) / stderr, 3.0))
@@ -183,14 +183,13 @@ def run_validation(
         raise type(exc)(f"validate cell {cell}: {exc}") from None
 
     # The outage-law simulation scores every cell on one draw per batch.
-    mc = simulate_outage_survival_law(systems, [q] * len(systems), cfg,
-                                      destination_cdfs) if systems else []
+    mc = simulate_outage_survival_law(systems, [q] * len(systems), cfg, destination_cdfs)
     for (cell, checks, p_closed), est in zip(cells, mc):
         for check in checks:
             report.add(cell, *check)
         report.add(cell, "outage_closed_vs_mc_stderr_units",
                    (p_closed - est.mean) / max(est.stderr, 1e-12), 3.0)
-    for cell, adj in adjudications:
+    for cell, adj in zip((f"adjudication,m={m}" for m in ms), adjudications):
         report.add(cell, "sr_upper_param_is_1_minus_m", adj["sr_match_abs_error"],
                    1e-9, ok=adj["sr_matching_variant"] == "1-m"
                    and adj["sr_match_abs_error"] < 1e-9)

@@ -348,9 +348,10 @@ def test_mc_sweep_rows_equal_each_theta_and_m_run_alone():
 
 
 def test_deterministic_sweep_computes_each_sr_capacity_once(monkeypatch):
-    # theta does not enter the SR hop: each deterministic route computes its
-    # SR capacity once per (gamma_hat_r, m), here 2 rho x 2 m, not once per
-    # theta as well, and the rows are those of the unwrapped functions.
+    # theta does not enter the SR hop, and one call takes every m: each exact
+    # route makes one SR call per gamma_hat_r (here 2 rho) over the m of its
+    # points, the asymptotic route one call per (gamma_hat_r, m), and the
+    # rows are those of the unwrapped functions.
     import swiptrelay.sweep as sweep_mod
 
     cfg = ("theta = -0.5,1\nm = 1,2\nthreshold = 1\nmodes = closed_form,quadrature,asymptotic\n"
@@ -359,14 +360,17 @@ def test_deterministic_sweep_computes_each_sr_capacity_once(monkeypatch):
     calls = {}
     for name in ("capacity_sr_meijer", "ergodic_capacity_sr", "asymptotic_capacity_sr"):
         def counted(gamma_hat_r, m, _name=name, _real=getattr(sweep_mod, name)):
-            calls.setdefault(_name, []).append((gamma_hat_r, m))
+            calls.setdefault(_name, []).append((gamma_hat_r, m if isinstance(m, int) else tuple(m)))
             return _real(gamma_hat_r, m)
         monkeypatch.setattr(sweep_mod, name, counted)
     rows = run_sweep(parse_config(cfg))
     assert rows == expected
     assert sorted(calls) == ["asymptotic_capacity_sr", "capacity_sr_meijer", "ergodic_capacity_sr"]
-    for args in calls.values():
-        assert len(args) == len(set(args)) == 2 * 2
+    for name in ("capacity_sr_meijer", "ergodic_capacity_sr"):
+        assert len({ghr for ghr, _ in calls[name]}) == 2
+        assert [ms for _, ms in calls[name]] == [(1, 2)] * 2
+    args = calls["asymptotic_capacity_sr"]
+    assert len(args) == len(set(args)) == 2 * 2
     assert sum(r[4] == "closed_form" and r[5] == "capacity_sr" for r in rows) == 2 * 2 * 2
 
 
@@ -387,9 +391,10 @@ def _sweep_points(spec):
 @pytest.mark.parametrize("variable, grid", [("theta", "-1,0,0.5,1"), ("gamma_hat_r", "10,100,1000")])
 def test_deterministic_sweep_computes_each_rd_capacity_once_per_gamma_hat_d_and_m(
         monkeypatch, variable, grid):
-    # theta enters only the RD hop's FGM weight: each route makes one RD
-    # capacity call per (gamma_hat_d, m), over the thetas of its points in
-    # first-seen order, and one outage call per (gamma_hat_d, m, threshold).
+    # theta enters only the RD hop's FGM weight, and one call takes every
+    # (m, theta): each route makes one RD capacity call per gamma_hat_d, over
+    # the distinct (m, theta) pairs of its points in first-seen order, and one
+    # outage call per (gamma_hat_d, m, threshold).
     import swiptrelay.sweep as sweep_mod
 
     cfg = ("theta = -0.5,1\nm = 1,2\nthreshold = 1\nmodes = closed_form,quadrature,asymptotic\n"
@@ -405,35 +410,38 @@ def test_deterministic_sweep_computes_each_rd_capacity_once_per_gamma_hat_d_and_
         monkeypatch.setattr(sweep_mod, name, counted)
     rows = run_sweep(spec)
     assert rows == expected
-    groups = {}
-    for ghd, m, theta in _sweep_points(spec):
-        groups.setdefault((ghd, m), {})[theta] = None
-    want = [(ghd, m, tuple(thetas)) for (ghd, m), thetas in groups.items()]
-    assert len(want) < len(_sweep_points(spec))
-    if variable == "theta":  # gamma_hat_d is fixed: one call per m
-        assert [w[1] for w in want] == [1, 2] and all(len(w[2]) == 4 for w in want)
+    points = _sweep_points(spec)
+    pairs, outage_groups = {}, {}
+    for ghd, m, theta in points:
+        pairs.setdefault(ghd, {})[(m, theta)] = None
+        outage_groups[(ghd, m)] = outage_groups.get((ghd, m), 0) + 1
+    want = [(ghd, tuple(columns)) for ghd, columns in pairs.items()]
+    assert len(want) < len(outage_groups) < len(points)
+    if variable == "theta":  # gamma_hat_d is fixed: one call over 2 m x 4 theta
+        assert len(want) == 1 and len(want[0][1]) == 2 * 4
     for name in ("capacity_rd_meijer", "ergodic_capacity_rd"):
-        assert [(ghd, m, tuple(thetas)) for ghd, m, thetas in calls[name]] == want
+        assert [(ghd, tuple(zip(ms, thetas))) for ghd, ms, thetas in calls[name]] == want
     for name in ("outage_probability", "outage_probability_quadrature"):
-        assert [len(systems) for systems, _ in calls[name]] == [
-            sum(1 for p in _sweep_points(spec) if p[:2] == key) for key in groups]
+        assert [len(systems) for systems, _ in calls[name]] == list(outage_groups.values())
 
 
 def test_theta_group_sweep_rows_match_each_theta_run_alone():
-    # Grouping the thetas of a (gamma_hat_d, m) moves a quadrature value by
-    # rounding only: each theta run alone gives the same rows within 1e-11.
-    cfg = ("theta = {theta}\nm = 1,3\nthreshold = 1\nmodes = closed_form,quadrature,asymptotic\n"
+    # Grouping the m and thetas of a hop's SNR scale into one call moves a
+    # quadrature or contour value by rounding only: each (theta, m) run alone
+    # gives the same rows within 1e-11.
+    cfg = ("theta = {theta}\nm = {m}\nthreshold = 1\nmodes = closed_form,quadrature,asymptotic\n"
            "[sweep]\nvariable = rho\ngrid = 0.2,0.7\n")
-    rows = run_sweep(parse_config(cfg.format(theta="-1,0.25,1")))
+    rows = run_sweep(parse_config(cfg.format(theta="-1,0.25,1", m="1,3")))
     for th in ("-1", "0.25", "1"):
-        alone = run_sweep(parse_config(cfg.format(theta=th)))
-        mine = [r for r in rows if r[2] == th]
-        assert [r[:6] for r in mine] == [r[:6] for r in alone]
-        for a, b in zip(mine, alone):
-            if a[6] == "nan":
-                assert b[6] == "nan"
-            else:
-                assert float(a[6]) == pytest.approx(float(b[6]), rel=1e-11, abs=0.0), a
+        for m in ("1", "3"):
+            alone = run_sweep(parse_config(cfg.format(theta=th, m=m)))
+            mine = [r for r in rows if r[2:4] == [th, m]]
+            assert [r[:6] for r in mine] == [r[:6] for r in alone]
+            for a, b in zip(mine, alone):
+                if a[6] == "nan":
+                    assert b[6] == "nan"
+                else:
+                    assert float(a[6]) == pytest.approx(float(b[6]), rel=1e-11, abs=0.0), a
 
 
 def test_parse_log_spacing():

@@ -150,6 +150,13 @@ def test_sr_capacity_meijer_matches_quadrature():
         assert capacity_sr_meijer(s, m) == pytest.approx(
             ergodic_capacity_sr(s, m), abs=1e-9
         )
+    # An array of m shares one call, and each column matches its one-m call.
+    ms = np.array([1, 2, 3, 8])
+    for capacity in (capacity_sr_meijer, ergodic_capacity_sr):
+        together = capacity(123.74, ms)
+        assert together.shape == ms.shape
+        for m, value in zip(ms.tolist(), together):
+            assert value == pytest.approx(capacity(123.74, m), rel=1e-13, abs=0.0)
 
 
 def test_sr_capacity_mc_oracle():
@@ -183,6 +190,15 @@ def test_rd_capacity_meijer_matches_quadrature():
         assert capacity_rd_meijer(6.5625, m, theta) == pytest.approx(
             ergodic_capacity_rd(6.5625, m, theta), abs=1e-9
         )
+    # m and theta broadcast: one call gives the (m, theta) grid, and each
+    # column matches its one-column call.
+    ms, thetas = np.array([[1], [2], [3], [8]]), np.array([-1.0, 0.0, 0.5, 1.0])
+    for capacity in (capacity_rd_meijer, ergodic_capacity_rd):
+        together = capacity(6.5625, ms, thetas)
+        assert together.shape == (4, 4)
+        for (i, j), value in np.ndenumerate(together):
+            assert value == pytest.approx(capacity(6.5625, int(ms[i, 0]), thetas[j]),
+                                          rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("ghd", [1e-4, 1e-5, 1e-6, 1e-8])

@@ -1,8 +1,12 @@
 """The validate harness: its stochastic checks must catch a wrongly drawn law."""
 
+import numpy as np
+import pytest
+
 import swiptrelay.swipt_metrics as swipt_metrics
 import swiptrelay.validation as validation
 from swiptrelay.montecarlo import sample_fgm_powers
+from swiptrelay.sweepcfg import ConfigError
 
 
 def test_stochastic_checks_fail_a_draw_at_the_wrong_theta(monkeypatch):
@@ -24,34 +28,41 @@ def test_stochastic_checks_fail_a_draw_at_the_wrong_theta(monkeypatch):
 
 
 def test_each_quadrature_and_the_outage_law_draw_run_once(monkeypatch):
-    # The SR quadrature is adjudication's, once per m.  Per m, one RD
-    # quadrature and one product-CDF call take every cell's theta, and the
-    # quadrature outage composes that call's CDF at the threshold; one
-    # outage-law call scores all cells.
+    # One call per capacity route and contour reading takes every m: the
+    # adjudication's SR quadrature (the cells' SR capacities), its two SR
+    # contour readings, its RD quadrature and contour at theta = 0.5, then one
+    # RD quadrature over every (m, theta) cell.  Per m, one product-CDF call
+    # takes every cell's theta, and the quadrature outage composes that
+    # call's CDF at the threshold; one outage-law call scores all cells.
     calls = []
 
     def count(module, name):
         real = getattr(module, name)
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append((name, args))
-            return real(*args)
+            return real(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
-    count(swipt_metrics, "ergodic_capacity_sr")
-    count(swipt_metrics, "ergodic_capacity_rd")
-    count(swipt_metrics, "outage_probability_quadrature")
+    for name in ("ergodic_capacity_sr", "capacity_sr_meijer", "ergodic_capacity_rd",
+                 "capacity_rd_meijer", "outage_probability_quadrature"):
+        count(swipt_metrics, name)
     count(validation, "ergodic_capacity_rd")
     count(validation, "product_cdf_general")
     count(validation, "simulate_outage_survival_law")
-    thetas = (0.5, -1.0)
-    report = validation.run_validation(ms=(1, 2), thetas=thetas, samples=4_000, grid_points=4)
+    ms, thetas = (1, 2), (0.5, -1.0)
+    report = validation.run_validation(ms=ms, thetas=thetas, samples=4_000, grid_points=4)
     assert report.passed
     names = [name for name, _ in calls]
-    assert names.count("ergodic_capacity_sr") == 2
-    # Adjudication's at theta = 0.5, then the cells' group, per m.
-    assert [args[1:] for name, args in calls if name == "ergodic_capacity_rd"] == [
-        (1, 0.5), (1, thetas), (2, 0.5), (2, thetas)]
+    capacities = [(name, args) for name, args in calls if "capacity" in name]
+    assert [name for name, _ in capacities] == [
+        "ergodic_capacity_sr", "capacity_sr_meijer", "capacity_sr_meijer",
+        "ergodic_capacity_rd", "capacity_rd_meijer", "ergodic_capacity_rd"]
+    for _, args in capacities:
+        assert np.ravel(args[1]).tolist() == list(ms)
+    assert [args[2] for _, args in capacities[3:5]] == [0.5, 0.5]
+    (_, cells), = capacities[5:]
+    assert np.shape(cells[1]) == (len(ms), 1) and tuple(cells[2]) == thetas
     cdf_calls = [args for name, args in calls if name == "product_cdf_general"]
     assert [[model.copula.theta for model in models] for models, _ in cdf_calls] == [
         list(thetas)] * 2
@@ -62,3 +73,11 @@ def test_each_quadrature_and_the_outage_law_draw_run_once(monkeypatch):
                                     if name == "simulate_outage_survival_law"]
     assert [(s.fading_m, s.theta) for s in systems] == [(1, 0.5), (1, -1.0), (2, 0.5), (2, -1.0)]
     assert len(queries) == len(cdfs) == 4
+
+
+@pytest.mark.parametrize("ms, thetas", [((), (0.5,)), ((1,), ())])
+def test_an_empty_matrix_is_refused(ms, thetas):
+    # The CLI refuses an empty --m or --theta list; a library call is refused
+    # the same way, not answered by an empty report that passes.
+    with pytest.raises(ConfigError, match="at least one m and one theta"):
+        validation.run_validation(ms=ms, thetas=thetas, samples=100, grid_points=2)
