@@ -11,7 +11,6 @@ from .swipt_metrics import (
     OutageQuery,
     SwiptSystem,
     derive_snr_scales,
-    ergodic_capacity_system,
     outage_probability,
 )
 
@@ -26,7 +25,6 @@ __all__ = [
     "SwiptSystem",
     "closed_form_model",
     "derive_snr_scales",
-    "ergodic_capacity_system",
     "fgm_copula",
     "outage_probability",
     "product_copula",

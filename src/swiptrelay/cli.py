@@ -4,7 +4,6 @@ Subcommands:
 
 * ``sweep <config> -o <csv>``      run a sweep described by a config file
 * ``preset <name> -o <csv>``       run a built-in parameter sweep (fig3..fig10)
-* ``asymptotic <config> -o <csv>`` ``sweep`` whose ``--modes`` default to quadrature,asymptotic
 * ``validate -o <csv>``            cross-validate closed forms; exit code 1 on FAIL
 
 ``--seed/--samples/--workers`` override the [mc] section of a sweep; for
@@ -14,8 +13,9 @@ overrides the mode list, and ``--emit-gnuplot``, which writes a plot script
 next to the CSV.  Refused input (a bad config, override or ``validate``
 argument) prints ``error: ...``, writes no CSV and exits with code 2; so
 does a failed numerical guard (a quadrature error estimate, or a closed-form
-survival outside [0, 1]), and the message names the grid point or
-``validate`` cell.
+survival outside [0, 1]).  Its message names the ``validate`` cell, or the
+sweep's mode and first grid point (a mode computes all its points in one
+call per metric function) and the failing column's parameters.
 """
 
 from __future__ import annotations
@@ -47,10 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("config", help="path to a key=value config file")
     p_preset = sub.add_parser("preset", help="run a built-in sweep")
     p_preset.add_argument("name", choices=PRESETS, help="preset name")
-    p_asym = sub.add_parser("asymptotic", help="exact vs high-SNR forms over a config grid")
-    p_asym.add_argument("config", help="path to a key=value config file")
-    p_asym.set_defaults(modes="quadrature,asymptotic")
-    for p in (p_sweep, p_preset, p_asym):
+    for p in (p_sweep, p_preset):
         _add_run_options(p)
         p.add_argument("--modes", help="comma list drawn from " + ",".join(MODES))
         p.add_argument("--emit-gnuplot", action="store_true", help="write a .gp sidecar")

@@ -169,7 +169,7 @@ def gauss_kronrod(f, a: float, b: float, epsabs: float, epsrel: float, limit: in
 MEIJER_G_ROUNDOFF_TOL = 1e-6
 
 
-def mellin_barnes(ln_integrand, c: float, names):
+def mellin_barnes(ln_integrand, c: float, names, sizes):
     """(1 / 2 pi i) times the integrals of exp(ln_integrand(s)) up the line Re s = c.
 
     ``ln_integrand`` maps a complex array of shape (n,) to one of shape (n, *k),
@@ -179,13 +179,21 @@ def mellin_barnes(ln_integrand, c: float, names):
     over t > 0, and decay at least like exp(-pi t).  Raises ``QuadratureError``
     naming the integrand whose peak at t = 0 overflows, or whose value fails
     ``MEIJER_G_ROUNDOFF_TOL``.  The integrands share one ``gauss_kronrod``
-    call up to the highest of their truncation heights, at the smallest of
-    their absolute tolerances.
+    call up to the highest of their truncation heights.  It integrates each
+    one divided by its entry of ``sizes`` (shape k, or a scalar), the rough
+    size of its value, so that the panels, chosen on the largest error over
+    the integrands, give every value relative accuracy.  The absolute
+    tolerance is the smallest of the integrands' own, min(1e-12, 1e-14 peak),
+    divided by its size, so an integrand alone, or a group that shares one
+    size, converges as it would undivided; the guards, whose verdicts the
+    division does not change, report the divided error, peak and value.
     """
     # The peak at t = 0, and the truncation height: the first of 4, 8, ...,
     # 4096 where the integrand is 40 nats below the peak.
     heights = np.concatenate(([0.0], 4.0 * 2.0 ** np.arange(11)))
-    scan = ln_integrand(c + 1j * heights).real.reshape(len(heights), -1)
+    scan = ln_integrand(c + 1j * heights).real
+    sizes = np.broadcast_to(np.asarray(sizes, dtype=float), scan.shape[1:])
+    scan = scan.reshape(len(heights), -1)
     t_hi = max(next((t for t, v in zip(heights[1:], tail) if v <= peak - 40.0), heights[-1])
                for peak, tail in zip(scan[0], scan[1:].T))
     scales = []
@@ -194,14 +202,19 @@ def mellin_barnes(ln_integrand, c: float, names):
             scales.append(math.exp(peak))
         except OverflowError:
             raise QuadratureError(f"{name}: the Mellin-Barnes integrand's peak e^{peak:.6g} overflows") from None
-    epsabs = min(min(1e-12, 1e-14 * scale) if scale > 0 else 1e-14 for scale in scales)
-    val, err = gauss_kronrod(lambda t: np.exp(ln_integrand(c + 1j * t)).real, 0.0, float(t_hi),
-                             epsabs=epsabs, epsrel=1e-12, limit=500)
-    for name, scale, v, e in zip(names, scales, np.ravel(val), np.ravel(err)):
-        if not (math.isfinite(v) and max(e, sys.float_info.epsilon * scale) <= MEIJER_G_ROUNDOFF_TOL * abs(v)):
+    # By math.log, so no digit depends on numpy's SIMD log.
+    ln_sizes = np.reshape([math.log(size) for size in sizes.flat], sizes.shape)
+    epsabs = min((min(1e-12, 1e-14 * scale) if scale > 0 else 1e-14) / size
+                 for scale, size in zip(scales, sizes.flat))
+    val, err = gauss_kronrod(lambda t: np.exp(ln_integrand(c + 1j * t) - ln_sizes).real, 0.0,
+                             float(t_hi), epsabs=epsabs, epsrel=1e-12, limit=500)
+    for name, peak, v, e in zip(names, np.divide(scales, sizes.ravel()), np.ravel(val),
+                                np.ravel(err)):
+        if not (math.isfinite(v)
+                and max(e, sys.float_info.epsilon * peak) <= MEIJER_G_ROUNDOFF_TOL * abs(v)):
             raise QuadratureError(f"{name}: Mellin-Barnes quadrature error "
-                                  f"{e:.2e} and peak {scale:.3g} against value {v:.6g}")
-    return val / math.pi
+                                  f"{e:.2e} and peak {peak:.3g} against value {v:.6g}")
+    return val * sizes / math.pi
 
 
 def meijer_g(a: tuple[float, ...], x: float) -> float:
@@ -224,4 +237,4 @@ def meijer_g(a: tuple[float, ...], x: float) -> float:
         return val
 
     return mellin_barnes(ln_integrand, 0.5 * (-1.0 + min(1.0 - aj for aj in a)),
-                         [f"Meijer G {(1, len(a), len(a), 2)} at x={x:.6g}"])
+                         [f"Meijer G {(1, len(a), len(a), 2)} at x={x:.6g}"], 1.0)

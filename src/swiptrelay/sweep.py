@@ -7,15 +7,12 @@ reproduces the file byte for byte.
 
 from __future__ import annotations
 
-import functools
-import math
 import os
 import tempfile
 
 from .product_dist import mean_snr_factor
 from .specfun import NumericalGuardError
 from .swipt_metrics import (
-    OutOfRegimeError,
     OutageQuery,
     SwiptSystem,
     asymptotic_capacity_sr,
@@ -51,79 +48,41 @@ def _params(sys: SwiptSystem, threshold) -> dict[str, float]:
     return params
 
 
-def _shared(points, key, compute):
-    """Each point's value, in order, from one ``compute(key, systems)`` call per
-    key: made at the key's first point, with the systems of all its points in
-    order, and returning one value per system."""
-    members: dict = {}
-    for i, (_, sys, threshold) in enumerate(points):
-        members.setdefault(key(sys, threshold), []).append(i)
-    values: dict = {}
-    for i, (_, sys, threshold) in enumerate(points):
-        k = key(sys, threshold)
-        if k not in values:
-            values[k] = dict(zip(members[k], compute(k, [points[j][1] for j in members[k]])))
-        yield values[k].pop(i)
-
-
-def _hop(points, capacity, scale: str, column):
-    """Each point's hop capacity: one ``capacity(value, *columns)`` call per value of its
-    SNR ``scale``, over the distinct ``column(sys)`` of its points in first-seen order."""
-    def compute(key, systems):
-        distinct = list(dict.fromkeys(map(column, systems)))
-        values = dict(zip(distinct, capacity(key, *map(list, zip(*distinct))).tolist()))
-        return [values[column(sys)] for sys in systems]
-    return _shared(points, lambda sys, threshold: getattr(derive_snr_scales(sys), scale), compute)
-
-
-def _outages(outage, key: tuple, systems) -> list:
-    """Each system's outage at the key's last entry, the threshold (None: no outage)."""
-    if key[-1] is None:
-        return [None] * len(systems)
-    return outage(systems, OutageQuery(key[-1]))
+def _queries(points) -> list:
+    """Each point's outage query; None where it has no threshold (a sweep has
+    a threshold at every point or at none)."""
+    return [None if threshold is None else OutageQuery(threshold) for _, _, threshold in points]
 
 
 def _exact(points, capacity_sr, capacity_rd, outage, mean_snr: bool):
     """Closed-form or quadrature metrics of the points, in order; the two modes
-    differ only in the functions passed.  Each hop capacity is one call per SNR
-    scale over the m (SR) or the (m, theta) pairs (RD) of its points, and the
-    outage one call per (gamma_hat_d, m, threshold) over their thetas."""
-    c_srs = _hop(points, capacity_sr, "gamma_hat_r", lambda sys: (sys.fading_m,))
-    c_rds = _hop(points, capacity_rd, "gamma_hat_d", lambda sys: (sys.fading_m, sys.theta))
-    outages = _shared(points, lambda sys, t: (derive_snr_scales(sys).gamma_hat_d, sys.fading_m, t),
-                      functools.partial(_outages, outage))
-    for (_, sys, threshold), c_sr, c_rd, p_out in zip(points, c_srs, c_rds, outages):
+    differ only in the functions passed.  Each is one call over all the
+    points: the hop capacities take the SNR scale as a column like m and
+    theta, and the outage takes each system with its own query."""
+    systems, queries = [sys for _, sys, _ in points], _queries(points)
+    scales = [derive_snr_scales(sys) for sys in systems]
+    ms = [sys.fading_m for sys in systems]
+    c_srs = capacity_sr([sc.gamma_hat_r for sc in scales], ms).tolist()
+    c_rds = capacity_rd([sc.gamma_hat_d for sc in scales], ms, [sys.theta for sys in systems]).tolist()
+    outages = queries if queries[0] is None else outage(systems, queries)
+    for sys, sc, c_sr, c_rd, p_out in zip(systems, scales, c_srs, c_rds, outages):
         metrics = {"capacity_sr": c_sr, "capacity_rd": c_rd, "capacity_min": min(c_sr, c_rd)}
         if mean_snr:
-            metrics["mean_snr_d"] = (derive_snr_scales(sys).gamma_hat_d
-                                     * mean_snr_factor(sys.fading_m, sys.theta))
-        if threshold is not None:
+            metrics["mean_snr_d"] = sc.gamma_hat_d * mean_snr_factor(sys.fading_m, sys.theta)
+        if p_out is not None:
             metrics["outage"] = p_out
         yield metrics
-
-
-def _asymptotic_outages(key: tuple, systems) -> list:
-    """High-SNR outage of systems that share the key (gamma_hat_r, gamma_hat_d, m,
-    threshold); nan for all where the relay CDF leaves the high-SNR regime."""
-    try:
-        return _outages(asymptotic_outage, key, systems)
-    except OutOfRegimeError:
-        return [math.nan] * len(systems)
 
 
 def _asymptotic(spec: SweepSpec, points):
-    """High-SNR metrics of the points, in order; the SR capacity once per
-    (gamma_hat_r, m), the outage once per (gamma_hat_r, gamma_hat_d, m,
-    threshold), as its regime check takes gamma_hat_r."""
-    capacity_sr = functools.cache(asymptotic_capacity_sr)
-    outages = _shared(points, lambda sys, t: (derive_snr_scales(sys).gamma_hat_r,
-                                              derive_snr_scales(sys).gamma_hat_d, sys.fading_m, t),
-                      _asymptotic_outages)
-    for (_, sys, threshold), p_out in zip(points, outages):
-        metrics = {"capacity_sr": capacity_sr(derive_snr_scales(sys).gamma_hat_r, sys.fading_m)}
-        if threshold is not None:
-            metrics["outage"] = p_out
-        yield metrics
+    """High-SNR metrics of the points, in order, from one call per metric; the
+    outage is nan at each point whose relay CDF leaves the high-SNR regime."""
+    systems, queries = [sys for _, sys, _ in points], _queries(points)
+    c_srs = asymptotic_capacity_sr([derive_snr_scales(sys).gamma_hat_r for sys in systems],
+                                   [sys.fading_m for sys in systems]).tolist()
+    outages = queries if queries[0] is None else asymptotic_outage(systems, queries)
+    for c_sr, p_out in zip(c_srs, outages):
+        yield {"capacity_sr": c_sr} if p_out is None else {"capacity_sr": c_sr, "outage": p_out}
 
 
 _MC_METRICS = {"cap_sr": "capacity_sr", "cap_rd": "capacity_rd", "cap_min": "capacity_min",
@@ -132,17 +91,17 @@ _MC_METRICS = {"cap_sr": "capacity_sr", "cap_rd": "capacity_rd", "cap_min": "cap
 
 def _monte_carlo(spec: SweepSpec, points):
     """monte_carlo metrics of the points, in order, from one ``simulate_metrics`` call."""
-    queries = [None if threshold is None else OutageQuery(threshold) for _, _, threshold in points]
-    for e in simulate_metrics([sys for _, sys, _ in points], queries, spec.mc):
+    for e in simulate_metrics([sys for _, sys, _ in points], _queries(points), spec.mc):
         yield {_MC_METRICS[key]: estimate for key, estimate in e.items()}
 
 
 # Mode -> route(spec, points) yielding each (value, system, threshold)
-# point's ordered {metric: estimate}, in order.  The routes are generators,
-# so a sweep computes point by point; monte_carlo scores every point in one
-# simulate_metrics call before its first point.  The lambdas look the metric
-# functions up in this module when the route starts, so a wrapper set on the
-# module attribute sees the calls.
+# point's ordered {metric: estimate}, in order.  Every route computes all
+# its points before it yields the first: one call per metric function, or
+# one simulate_metrics call.  So a failed guard surfaces at the sweep's first
+# point, and its own message names the failing column.  The lambdas look the
+# metric functions up in this module when the route starts, so a wrapper set
+# on the module attribute sees the calls.
 ROUTES = {
     "closed_form": lambda spec, points: _exact(
         points, capacity_sr_meijer, capacity_rd_meijer, outage_probability, mean_snr=True),

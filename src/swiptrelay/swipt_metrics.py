@@ -5,13 +5,17 @@ Bessel/Meijer-G closed forms are evaluated alongside; two printed closed
 forms carry ambiguities, so ``adjudicate_closed_forms`` reports which
 reading matches quadrature (see the convention notes in each docstring).
 
-The hop capacities take one SNR scale and broadcast: the SR ones over m,
-the RD ones over m and theta, scalars (a float) or arrays (an array of
-the broadcast shape).  All columns share one quadrature or contour whose
-nodes evaluate the terms free of m and theta once; more than one column
-moves a value at the rounding level, and every guard names its column's
-m and theta.  The outage functions take one system, or a sequence of
-systems that share gamma_hat_d and m.
+The hop capacities work at unit scale, so the SNR scale is one more
+broadcast axis: (gamma_hat_r, m) for SR, (gamma_hat_d, m, theta) for RD;
+scalars give a float, arrays an array of the broadcast shape.  One
+quadrature or contour serves all columns, its nodes evaluating the
+unit-scale terms once (the SR Gamma weight per m, the unit density f_1 in
+one call per m over its thetas, the contours' log-gammas).  A scale enters
+only its column, as ln(1 + gamma_hat x) or a contour's -s ln x, divided by
+ln(1 + gamma_hat) so that the panels, chosen on the largest error over the
+columns, give each relative accuracy.  More than one column moves a value
+at the rounding level; every guard names its column.  The outage functions
+take one system or any systems (``_outage``).
 """
 
 from __future__ import annotations
@@ -125,57 +129,83 @@ def relay_snr_cdf(gamma_hat_r: float, m: int, gamma: float) -> float:
     return power_cdf(NakagamiPower(m, gamma_hat_r), gamma)
 
 
-def ergodic_capacity_sr(gamma_hat_r: float, m) -> float | np.ndarray:
+def _distinct(values) -> tuple[list, list[int]]:
+    """The distinct values in first-seen order, and the index of each value among them."""
+    first: dict = {}
+    index = [first.setdefault(v, len(first)) for v in values]
+    return list(first), index
+
+
+def _unit_scale(gamma_hat, name: str, *axes):
+    """The broadcast columns (scale, *axes) of a hop route, and ln(1 + scale) in
+    their shape, by ``math.log1p`` so no digit depends on numpy's SIMD log."""
+    columns = np.broadcast_arrays(np.asarray(gamma_hat, dtype=float), *axes)
+    if not (columns[0] > 0.0).all():
+        raise ValueError(f"{name} must be positive")
+    return columns, np.reshape([math.log1p(g) for g in columns[0].flat], columns[0].shape)
+
+
+def _in_bits(val) -> float | np.ndarray:
+    """Nats of E ln(1 + gamma) as bits per channel use with the half-duplex 1/2;
+    a float for scalar columns."""
+    val = val / (2.0 * _LN2)
+    return float(val) if np.ndim(val) == 0 else val
+
+
+def ergodic_capacity_sr(gamma_hat_r, m) -> float | np.ndarray:
     """SR-hop ergodic capacity (bits/channel use, incl. the half-duplex 1/2).
 
-    Authoritative route: adaptive quadrature of E[ln(1+gamma)]/(2 ln 2) with
-    gamma ~ Gamma(m, gamma_hat_r/m), one quadrature for every m (module docstring).
+    Authoritative route: adaptive quadrature of E[ln(1 + gamma_hat_r g)]/(2 ln 2)
+    with g ~ Gamma(m, 1/m), one quadrature at unit scale for every
+    (gamma_hat_r, m) column (module docstring).
     """
-    if gamma_hat_r <= 0.0:
-        raise ValueError("gamma_hat_r must be positive")
-    ms = np.asarray(m)
-    s, small, nodes = gamma_hat_r / ms, min(1.0, gamma_hat_r), (slice(None),) + (None,) * ms.ndim
+    (ghrs, ms), norm = _unit_scale(gamma_hat_r, "gamma_hat_r", m)
+    distinct, column = _distinct(ms.flat)
+    m_values, s = np.array(distinct), (ghrs / ms).ravel()
 
     def integrand(v: np.ndarray) -> np.ndarray:
-        # Over v = ln u, where the kink of ln(1 + s u) near u = 1/s is as
-        # smooth as the Gamma mass near u = m; in logs, so u ** m and
-        # Gamma(m) cannot overflow at large m.
-        u = np.exp(v)[nodes]
-        return np.log1p(s * u) * np.exp(ms * v[nodes] - u - gammaln(ms))
+        # Over v = ln u, u = m g ~ Gamma(m, 1), where the kink of ln(1 + s u) near
+        # u = 1/s is as smooth as the Gamma mass near u = m; in logs, so u ** m
+        # and Gamma(m) cannot overflow at large m.  The weight once per node and m.
+        u = np.exp(v)
+        weight = np.exp(np.multiply.outer(v, m_values) - u[:, None] - gammaln(m_values))
+        return (np.log1p(np.multiply.outer(u, s)) / norm.ravel() * weight[:, column]).reshape(
+            len(v), *ms.shape)
 
-    # Between the gain's 1e-17 quantiles, as in the RD quadrature, split at
-    # the kink v = -ln s and the mode v = ln m; the mass left out costs at
-    # most 1e-17 of the capacity.  Both tolerances shrink with the capacity, about
-    # gamma_hat_r / (2 ln 2) below 1.
-    val, err = specfun.gauss_kronrod(integrand, math.log(gammaincinv(ms, 1e-17).min()),
-                                     math.log(gammainccinv(ms, 1e-17).max()),
-                                     epsabs=1e-12 * small, epsrel=1e-11, limit=300,
-                                     points=np.concatenate((-np.log(s), np.log(ms)), axis=None))
-    for mj, v, e in zip(ms.ravel(), np.ravel(val), np.ravel(err)):
-        if not e <= 1e-8 * max(abs(v), small):
-            raise specfun.QuadratureError(f"SR capacity quadrature error {e:.2e} at m = {mj}")
-    return val / (2.0 * _LN2)
+    # Between the gains' 1e-17 quantiles, split at the modes v = ln m; the
+    # mass left out costs at most 1e-17 of each column.
+    val, err = specfun.gauss_kronrod(integrand, math.log(gammaincinv(m_values, 1e-17).min()),
+                                     math.log(gammainccinv(m_values, 1e-17).max()),
+                                     epsabs=0.0, epsrel=1e-11, limit=300, points=np.log(m_values))
+    for g, mj, v, e in zip(ghrs.flat, ms.flat, np.ravel(val), np.ravel(err)):
+        if not e <= 1e-8 * v:
+            raise specfun.QuadratureError(
+                f"SR capacity quadrature error {e:.2e} at m = {mj}, gamma_hat_r = {g:.6g}")
+    return _in_bits(val * norm)
 
 
-def capacity_sr_meijer(gamma_hat_r: float, m, printed_variant: bool = False) -> float | np.ndarray:
+def capacity_sr_meijer(gamma_hat_r, m, printed_variant: bool = False) -> float | np.ndarray:
     """SR capacity G^{1,3}_{3,2}(a1, 1, 1; 1, 0 | gamma_hat_r / m) / (2 Gamma(m) ln 2),
-    one Mellin-Barnes contour at Re s = -1/2 for every m (module docstring).
+    one Mellin-Barnes contour at Re s = -1/2 for every (gamma_hat_r, m) column
+    (module docstring).
 
     The default reading uses upper parameter a1 = 1-m, which matches
     quadrature; ``printed_variant=True`` evaluates the 1 - m/gamma_hat_r reading.
     """
-    if not gamma_hat_r > 0.0:
-        raise ValueError("gamma_hat_r must be positive")
-    ms = np.asarray(m)
-    x, nodes = gamma_hat_r / ms, (slice(None),) + (None,) * ms.ndim
-    b = ms / gamma_hat_r if printed_variant else ms  # 1 - a1
+    (ghrs, ms), norm = _unit_scale(gamma_hat_r, "gamma_hat_r", m)
+    x = ghrs / ms
+    b = ms / ghrs if printed_variant else ms  # 1 - a1
+    distinct, column = _distinct(b.flat)
+    b_values = np.array(distinct)
+    ln_x, ln_gamma_m = np.array([math.log(v) for v in x.flat]), gammaln(ms).ravel()
 
     def ln_integrand(s: np.ndarray) -> np.ndarray:
-        return ((_loggamma(1.0 + s) + 2.0 * _loggamma(-s) - _loggamma(1.0 - s))[nodes]
-                + _loggamma(b - s[nodes]) - gammaln(ms) - s[nodes] * np.log(x))
+        return ((_loggamma(1.0 + s) + 2.0 * _loggamma(-s) - _loggamma(1.0 - s))[:, None]
+                + _loggamma(b_values - s[:, None])[:, column] - ln_gamma_m
+                - s[:, None] * ln_x).reshape(len(s), *ms.shape)
 
     names = [f"Meijer G (1, 3, 3, 2) at x={v:.6g}, m={mj}" for v, mj in zip(x.flat, ms.flat)]
-    return specfun.mellin_barnes(ln_integrand, -0.5, names) / (2.0 * _LN2)
+    return _in_bits(specfun.mellin_barnes(ln_integrand, -0.5, names, norm))
 
 
 def _rd_models(gamma_hat_d: float, m: int, theta) -> list[EndToEndSnrModel]:
@@ -183,40 +213,40 @@ def _rd_models(gamma_hat_d: float, m: int, theta) -> list[EndToEndSnrModel]:
     return [closed_form_model(gamma_hat_d, m, fgm_copula(t)) for t in np.atleast_1d(theta)]
 
 
-def ergodic_capacity_rd(gamma_hat_d: float, m, theta) -> float | np.ndarray:
-    """RD-hop ergodic capacity by quadrature of ln(1+y) against the product-SNR density,
-    one quadrature for every (m, theta) column (module docstring)."""
-    if gamma_hat_d <= 0.0:
-        raise ValueError("gamma_hat_d must be positive")
-    ms, thetas = np.broadcast_arrays(m, theta)
-    distinct = list(dict.fromkeys(ms.ravel().tolist()))
-    groups = [(ms.ravel() == mj, _rd_models(gamma_hat_d, mj, thetas[ms == mj])) for mj in distinct]
+def ergodic_capacity_rd(gamma_hat_d, m, theta) -> float | np.ndarray:
+    """RD-hop ergodic capacity by quadrature of ln(1 + gamma_hat_d x) against the
+    unit-scale product density f_1, one quadrature for every (gamma_hat_d, m,
+    theta) column (module docstring)."""
+    (ghds, ms, thetas), norm = _unit_scale(gamma_hat_d, "gamma_hat_d", m, theta)
+    # Per m: its columns, its unit-scale models at its distinct thetas, each column's theta.
+    groups = []
+    m_flat, theta_flat = ms.ravel().tolist(), thetas.ravel().tolist()
+    for mj in dict.fromkeys(m_flat):
+        cols = [c for c, mc in enumerate(m_flat) if mc == mj]
+        distinct, theta_column = _distinct(theta_flat[c] for c in cols)
+        groups.append((cols, _rd_models(1.0, mj, distinct), theta_column))
 
     def integrand(s: np.ndarray) -> np.ndarray:
-        # y = s^2 smooths the sqrt(y) Bessel arguments; one density call per m and round.
-        y = s * s
-        weight, out = (2.0 * s * np.log1p(y))[:, None], np.empty((len(s), ms.size))
-        for cols, models in groups:
-            out[:, cols] = weight * snr_pdf_closed(models, y)
+        # x = s^2 smooths the sqrt(x) Bessel arguments; one density call per m and round.
+        x = s * s
+        out = 2.0 * s[:, None] * np.log1p(np.multiply.outer(x, ghds.ravel())) / norm.ravel()
+        for cols, models, theta_column in groups:
+            out[:, cols] *= snr_pdf_closed(models, x)[:, theta_column]
         return out.reshape(len(s), *ms.shape)
 
-    # The density's mass sits at s ~ sqrt(gamma_hat_d).  Below gamma_hat_d = 1
-    # the interval and the absolute tolerance shrink with it, or the quadrature
-    # never samples the mass and returns about 0 with a tiny error estimate.  Above,
-    # the interval ends where both hop gains pass their 1e-17 upper quantile.
-    small = min(1.0, gamma_hat_d)
-    hi = max(math.sqrt(gamma_hat_d) * float(gammainccinv(mj, 1e-17)) / mj for mj in distinct)
-    val, err = specfun.gauss_kronrod(integrand, 0.0, hi + 40.0 * math.sqrt(small),
-                                     epsabs=1e-11 * small, epsrel=1e-10, limit=400,
-                                     points=[math.sqrt(gamma_hat_d)])
-    for mj, t, v, e in zip(ms.ravel(), thetas.ravel(), np.ravel(val), np.ravel(err)):
-        if not e <= 1e-7 * max(abs(v), 1.0):
-            raise specfun.QuadratureError(
-                f"RD capacity quadrature error {e:.2e} at theta = {t:.6g}, m = {mj}")
-    return val / (2.0 * _LN2)
+    # f_1 has its mass at s ~ 1 at every scale; the interval ends where both
+    # hop gains pass their 1e-17 upper quantile.
+    hi = max(float(gammainccinv(mj, 1e-17)) / mj for mj in dict.fromkeys(m_flat))
+    val, err = specfun.gauss_kronrod(integrand, 0.0, hi, epsabs=0.0, epsrel=1e-10, limit=400,
+                                     points=[1.0])
+    for g, mj, t, v, e in zip(ghds.flat, m_flat, theta_flat, np.ravel(val), np.ravel(err)):
+        if not e <= 1e-7 * v:
+            raise specfun.QuadratureError(f"RD capacity quadrature error {e:.2e} at theta = {t:.6g}, "
+                                          f"m = {mj}, gamma_hat_d = {g:.6g}")
+    return _in_bits(val * norm)
 
 
-def capacity_rd_meijer(gamma_hat_d: float, m, theta) -> float | np.ndarray:
+def capacity_rd_meijer(gamma_hat_d, m, theta) -> float | np.ndarray:
     """RD capacity via the G^{1,4}_{4,2} closed form, summed as one contour integral.
 
     The prefactor multiplies the whole bracket.  The printed prefactor has a
@@ -233,12 +263,12 @@ def capacity_rd_meijer(gamma_hat_d: float, m, theta) -> float | np.ndarray:
           / (Gamma(m)^2 Gamma(1-s)) x^-s (1 + theta (1 - u)^2)] dt,
 
     with 1 / Gamma(m)^2 in the log integrand, so the peak stays in range up
-    to m = 100.  No power of gamma_hat_d is formed.  Every (m, theta) column
-    shares one contour quadrature (module docstring).
+    to m = 100.  No power of gamma_hat_d is formed.  Every (gamma_hat_d, m,
+    theta) column shares one contour quadrature (module docstring).
     """
-    ms, thetas = np.broadcast_arrays(m, theta)
-    distinct = list(dict.fromkeys(ms.ravel().tolist()))
-    column = np.reshape([distinct.index(mj) for mj in ms.flat], ms.shape)
+    (ghds, ms, thetas), norm = _unit_scale(gamma_hat_d, "gamma_hat_d", m, theta)
+    distinct, column = _distinct(ms.flat)
+    ln_x = np.array([math.log(g / (mj * mj)) for g, mj in zip(ghds.flat, ms.flat)])
 
     def ln_integrand(s: np.ndarray) -> np.ndarray:
         front, back = _loggamma(1.0 + s) + 2.0 * _loggamma(-s), _loggamma(1.0 - s)
@@ -249,104 +279,105 @@ def capacity_rd_meijer(gamma_hat_d: float, m, theta) -> float | np.ndarray:
                 q += term
                 term *= (mj + k - s) / (2.0 * k + 2.0)
             u.append((1.0 - 2.0 ** (1 - mj + s) * q) ** 2)
-            ln_kernel.append(front + 2.0 * _loggamma(mj - s) - back - 2.0 * float(gammaln(mj))
-                             - s * math.log(gamma_hat_d / (mj * mj)))
+            ln_kernel.append(front + 2.0 * _loggamma(mj - s) - back - 2.0 * float(gammaln(mj)))
         # For theta < 0 the weight vanishes at u = 1 +- 1/sqrt(-theta); its log is -inf there.
         with np.errstate(divide="ignore"):
-            ln_weight = np.log(1.0 + thetas * np.stack(u, axis=1)[:, column])
-        return np.stack(ln_kernel, axis=1)[:, column] + ln_weight
+            ln_weight = np.log(1.0 + thetas.ravel() * np.stack(u, axis=1)[:, column])
+        return (np.stack(ln_kernel, axis=1)[:, column] - s[:, None] * ln_x
+                + ln_weight).reshape(len(s), *ms.shape)
 
-    names = [f"RD capacity contour (m={mj}, theta={t:.6g}) at x={gamma_hat_d / (mj * mj):.6g}"
-             for mj, t in zip(ms.ravel().tolist(), thetas.ravel())]
-    return specfun.mellin_barnes(ln_integrand, -0.5, names) / (2.0 * _LN2)
-
-
-def ergodic_capacity_system(sys: SwiptSystem) -> dict:
-    """Both hop capacities by quadrature and their minimum, min(E C_sr, E C_rd).
-
-    This is the minimum of the means; the Monte-Carlo ``cap_min`` estimates
-    E[min(C_sr, C_rd)] instead, and the two differ unless one hop strictly
-    dominates.
-    """
-    scales = derive_snr_scales(sys)
-    c_sr = ergodic_capacity_sr(scales.gamma_hat_r, sys.fading_m)
-    c_rd = ergodic_capacity_rd(scales.gamma_hat_d, sys.fading_m, sys.theta)
-    return {"capacity_sr": c_sr, "capacity_rd": c_rd, "min_of_means": min(c_sr, c_rd)}
+    names = [f"RD capacity contour (m={mj}, theta={t:.6g}) at x={g / (mj * mj):.6g}"
+             for g, mj, t in zip(ghds.flat, ms.ravel().tolist(), thetas.flat)]
+    return _in_bits(specfun.mellin_barnes(ln_integrand, -0.5, names, norm))
 
 
-def _outage(sys, q: OutageQuery, relay_cdf, destination_survival):
+def _outage(sys, q, relay_cdf, destination_survival):
     """P(min(gamma_r, gamma_d) <= t) = 1 - C(S_r(t), S_d(t)): the FGM survival
     copula coincides with the FGM copula itself.
 
-    ``sys`` is one system, which gives a float, or a sequence of systems
-    that share gamma_hat_d and fading_m, which gives a list.  Each system's
-    relay CDF comes first, then one ``destination_survival(models, t)`` call
-    takes the destination models at their distinct thetas (first-seen order)
-    and returns one survival per model.
+    ``sys`` is one system (a float) or a sequence (a list), ``q`` one query
+    for all or one per system.  As S_d(t; gamma_hat_d) = S_1(t / gamma_hat_d)
+    = S_g0(t g0 / gamma_hat_d), one ``destination_survival(models, y)`` call
+    per m serves all its systems: the models at the scale g0 of the m's first
+    system and its distinct thetas, y the distinct t g0 / gamma_hat_d (1-D),
+    giving survivals by y (rows) and model (columns).  A system at g0 passes
+    its own t, so a one-scale call evaluates, and its guards name, the
+    thresholds the caller gave.
     """
     systems = [sys] if isinstance(sys, SwiptSystem) else list(sys)
-    if q.threshold == 0.0:
-        outages = [0.0] * len(systems)
-    else:
-        scales = [derive_snr_scales(s) for s in systems]
-        gamma_hat_d, m = scales[0].gamma_hat_d, systems[0].fading_m
-        if any((sc.gamma_hat_d, s.fading_m) != (gamma_hat_d, m) for s, sc in zip(systems, scales)):
-            raise ValueError("the systems of one outage call must share gamma_hat_d and fading_m")
-        surv_r = [1.0 - relay_cdf(sc.gamma_hat_r, m, q.threshold) for sc in scales]
-        thetas = list(dict.fromkeys(s.theta for s in systems))
-        surv_d = dict(zip(thetas, destination_survival(_rd_models(gamma_hat_d, m, thetas),
-                                                       q.threshold)))
-        outages = [1.0 - copula_cdf(fgm_copula(s.theta), r, surv_d[s.theta])
-                   for s, r in zip(systems, surv_r)]
+    thresholds = [c.threshold for c in ([q] * len(systems) if isinstance(q, OutageQuery) else q)]
+    scales = [derive_snr_scales(s) for s in systems]
+    surv_r = [1.0 - relay_cdf(sc.gamma_hat_r, s.fading_m, t)
+              for s, sc, t in zip(systems, scales, thresholds)]
+    surv_d = [0.0] * len(systems)
+    m_values, m_column = _distinct(s.fading_m for s in systems)
+    for j, m in enumerate(m_values):
+        members = [i for i, c in enumerate(m_column) if c == j]
+        g0 = scales[members[0]].gamma_hat_d
+        ys, y_column = _distinct(thresholds[i] * (g0 / scales[i].gamma_hat_d) for i in members)
+        thetas, theta_column = _distinct(systems[i].theta for i in members)
+        values = destination_survival(_rd_models(g0, m, thetas), np.array(ys))
+        for i, a, b in zip(members, y_column, theta_column):
+            surv_d[i] = values[a, b]
+    outages = [1.0 - copula_cdf(fgm_copula(s.theta), r, d)
+               for s, r, d in zip(systems, surv_r, surv_d)]
     return outages[0] if isinstance(sys, SwiptSystem) else outages
 
 
-def outage_probability(sys, q: OutageQuery):
+def outage_probability(sys, q):
     """P(min(gamma_r, gamma_d) <= threshold) via the FGM survival-copula composition
-    (one system, or a sequence sharing gamma_hat_d and m: ``_outage``)."""
+    (one system, or a sequence with one query or one per system: ``_outage``)."""
     return _outage(sys, q, relay_snr_cdf, snr_survival_closed)
 
 
-def _survival_quadrature(models, y: float) -> np.ndarray:
-    """1 - the general product CDF of each model at y; 0 where y / gamma_hat_d
+def _survival_quadrature(models, y: np.ndarray) -> np.ndarray:
+    """1 - the general product CDF of each model at each y; 0 where y / gamma_hat_d
     overflows, which the integral refuses."""
-    if y / models[0].snr_scale == math.inf:
-        return np.zeros(len(models))
-    return 1.0 - product_cdf_general(models, y)
+    with np.errstate(over="ignore"):
+        finite = (y / models[0].snr_scale < math.inf)[:, None]
+    return np.where(finite, 1.0 - product_cdf_general(models, np.where(finite[:, 0], y, 0.0)), 0.0)
 
 
-def outage_probability_quadrature(sys, q: OutageQuery):
+def outage_probability_quadrature(sys, q):
     """Same composition with the destination CDF from the general product integral."""
     return _outage(sys, q, relay_snr_cdf, _survival_quadrature)
 
 
-def asymptotic_capacity_sr(gamma_hat_r: float, m: int) -> float:
-    """High-SNR SR capacity: (psi(m) + ln(gamma_hat_r / m)) / (2 ln 2).
+def asymptotic_capacity_sr(gamma_hat_r, m) -> float | np.ndarray:
+    """High-SNR SR capacity: (psi(m) + ln(gamma_hat_r / m)) / (2 ln 2), broadcast
+    over gamma_hat_r and m.
 
     This is E[ln gamma]/(2 ln 2), the reading validated by quadrature; the
     printed form with a 1/Gamma(m) prefactor does not match and is not
-    implemented.
+    implemented.  The log is ``math.log`` per element, so no digit depends on
+    numpy's SIMD log.
     """
-    if gamma_hat_r <= 0.0:
+    ghrs, ms = np.broadcast_arrays(np.asarray(gamma_hat_r, dtype=float), m)
+    if not (ghrs > 0.0).all():
         raise ValueError("gamma_hat_r must be positive")
-    return (float(psi(m)) + math.log(gamma_hat_r / m)) / (2.0 * _LN2)
+    return _in_bits(psi(ms) + np.reshape([math.log(g / mj) for g, mj in zip(ghrs.flat, ms.flat)],
+                                         ms.shape))
 
 
 def _relay_cdf_high_snr(gamma_hat_r: float, m: int, t: float) -> float:
-    """m^m t^m / (gamma_hat_r^m Gamma(m+1)); above 1 the high-SNR premise fails."""
+    """m^m t^m / (gamma_hat_r^m Gamma(m+1)); nan above 1, where the high-SNR premise fails."""
     try:
         f_r = (m * t / gamma_hat_r) ** m / math.exp(gammaln(m + 1))
     except OverflowError:
         f_r = math.inf
-    if f_r > 1.0:
-        raise OutOfRegimeError(f"approximate relay CDF {f_r:.3g} > 1; gamma_hat_r={gamma_hat_r:.3g} "
-                               "is not large relative to m*threshold")
-    return f_r
+    return f_r if f_r <= 1.0 else math.nan
 
 
-def asymptotic_outage(sys, q: OutageQuery):
-    """High-SNR outage: the outage composition with the polynomial relay CDF, refused (not clamped) above 1."""
-    return _outage(sys, q, _relay_cdf_high_snr, snr_survival_closed)
+def asymptotic_outage(sys, q):
+    """High-SNR outage: the outage composition with the polynomial relay CDF,
+    refused (not clamped) where that CDF exceeds 1: one system raises
+    ``OutOfRegimeError``, a sequence gets nan for each such system."""
+    outage = _outage(sys, q, _relay_cdf_high_snr, snr_survival_closed)
+    if isinstance(sys, SwiptSystem) and math.isnan(outage):
+        raise OutOfRegimeError(f"approximate relay CDF > 1: gamma_hat_r = "
+                               f"{derive_snr_scales(sys).gamma_hat_r:.3g} is not large relative "
+                               "to m * threshold")
+    return outage
 
 
 def adjudicate_closed_forms(gamma_hat_r: float, gamma_hat_d: float, m, theta: float):

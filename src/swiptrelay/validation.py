@@ -174,7 +174,7 @@ def run_validation(
 
                 p_closed = err_factor * outage_probability(sys, q)
                 # The quadrature outage composes the grid call's CDF at q.
-                p_quad = _outage(sys, q, relay_snr_cdf, lambda models, y: 1.0 - quad_cdf[-1:])
+                p_quad = _outage(sys, q, relay_snr_cdf, lambda models, y: 1.0 - quad_cdf[-1:, None])
                 checks.append(("outage_closed_vs_quadrature", p_closed - p_quad, QUAD_OUTAGE_TOL))
                 cells.append((cell, checks, p_closed))
                 systems.append(sys)

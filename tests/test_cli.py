@@ -147,7 +147,7 @@ def test_degenerate_grid_point_exits_2(tmp_path, capsys, line):
     ["sweep", "{cfg}", "--seed", "-1"],
     ["sweep", "{cfg}", "--seed", str(2**128)],
     ["preset", "fig8", "--samples", "0"],
-    ["asymptotic", "{cfg}", "--workers", "0"],
+    ["sweep", "{cfg}", "--workers", "0"],
     ["validate", "--m", "1.5"],
     ["validate", "--m", "x"],
     ["validate", "--theta", "2"],
@@ -347,35 +347,9 @@ def test_mc_sweep_rows_equal_each_theta_and_m_run_alone():
             assert sum(r[4] == "monte_carlo" for r in alone) == 2 * 5
 
 
-def test_deterministic_sweep_computes_each_sr_capacity_once(monkeypatch):
-    # theta does not enter the SR hop, and one call takes every m: each exact
-    # route makes one SR call per gamma_hat_r (here 2 rho) over the m of its
-    # points, the asymptotic route one call per (gamma_hat_r, m), and the
-    # rows are those of the unwrapped functions.
-    import swiptrelay.sweep as sweep_mod
-
-    cfg = ("theta = -0.5,1\nm = 1,2\nthreshold = 1\nmodes = closed_form,quadrature,asymptotic\n"
-           "[sweep]\nvariable = rho\ngrid = 0.2,0.8\n")
-    expected = run_sweep(parse_config(cfg))
-    calls = {}
-    for name in ("capacity_sr_meijer", "ergodic_capacity_sr", "asymptotic_capacity_sr"):
-        def counted(gamma_hat_r, m, _name=name, _real=getattr(sweep_mod, name)):
-            calls.setdefault(_name, []).append((gamma_hat_r, m if isinstance(m, int) else tuple(m)))
-            return _real(gamma_hat_r, m)
-        monkeypatch.setattr(sweep_mod, name, counted)
-    rows = run_sweep(parse_config(cfg))
-    assert rows == expected
-    assert sorted(calls) == ["asymptotic_capacity_sr", "capacity_sr_meijer", "ergodic_capacity_sr"]
-    for name in ("capacity_sr_meijer", "ergodic_capacity_sr"):
-        assert len({ghr for ghr, _ in calls[name]}) == 2
-        assert [ms for _, ms in calls[name]] == [(1, 2)] * 2
-    args = calls["asymptotic_capacity_sr"]
-    assert len(args) == len(set(args)) == 2 * 2
-    assert sum(r[4] == "closed_form" and r[5] == "capacity_sr" for r in rows) == 2 * 2 * 2
-
-
 def _sweep_points(spec):
-    """(gamma_hat_d, m, theta) of each point, in the order run_sweep visits them."""
+    """(gamma_hat_r, gamma_hat_d, system, threshold) of each point, in the
+    order run_sweep visits them."""
     from swiptrelay.swipt_metrics import derive_snr_scales
     from swiptrelay.sweepcfg import resolve_point
 
@@ -383,46 +357,69 @@ def _sweep_points(spec):
     for value in spec.grid:
         for th in ((value,) if spec.variable == "theta" else spec.thetas):
             for m in ((value,) if spec.variable == "m" else spec.ms):
-                sys, _ = resolve_point(spec, value, th, m)
-                points.append((derive_snr_scales(sys).gamma_hat_d, sys.fading_m, sys.theta))
+                sys, threshold = resolve_point(spec, value, th, m)
+                scales = derive_snr_scales(sys)
+                points.append((scales.gamma_hat_r, scales.gamma_hat_d, sys, threshold))
     return points
+
+
+def _count_calls(monkeypatch, names) -> dict:
+    """The arguments of each call the sweep makes to the named metric functions."""
+    import swiptrelay.sweep as sweep_mod
+
+    calls = {}
+    for name in names:
+        def counted(*args, _name=name, _real=getattr(sweep_mod, name)):
+            calls.setdefault(_name, []).append(args)
+            return _real(*args)
+        monkeypatch.setattr(sweep_mod, name, counted)
+    return calls
+
+
+def test_deterministic_sweep_computes_each_sr_capacity_once(monkeypatch):
+    # The SNR scale is a column like m, so each route, the asymptotic one
+    # included, makes one SR capacity call for the whole sweep, over every
+    # point's (gamma_hat_r, m) in order; the rows are those of the unwrapped
+    # functions.
+    cfg = ("theta = -0.5,1\nm = 1,2\nthreshold = 1\nmodes = closed_form,quadrature,asymptotic\n"
+           "[sweep]\nvariable = rho\ngrid = 0.2,0.8\n")
+    spec = parse_config(cfg)
+    expected = run_sweep(spec)
+    names = ("capacity_sr_meijer", "ergodic_capacity_sr", "asymptotic_capacity_sr")
+    calls = _count_calls(monkeypatch, names)
+    rows = run_sweep(spec)
+    assert rows == expected
+    points = _sweep_points(spec)
+    assert len({ghr for ghr, _, _, _ in points}) == 2
+    want = ([ghr for ghr, _, _, _ in points], [sys.fading_m for _, _, sys, _ in points])
+    assert calls == {name: [want] for name in names}
+    assert sum(r[4] == "closed_form" and r[5] == "capacity_sr" for r in rows) == 2 * 2 * 2
 
 
 @pytest.mark.parametrize("variable, grid", [("theta", "-1,0,0.5,1"), ("gamma_hat_r", "10,100,1000")])
 def test_deterministic_sweep_computes_each_rd_capacity_once_per_gamma_hat_d_and_m(
         monkeypatch, variable, grid):
-    # theta enters only the RD hop's FGM weight, and one call takes every
-    # (m, theta): each route makes one RD capacity call per gamma_hat_d, over
-    # the distinct (m, theta) pairs of its points in first-seen order, and one
-    # outage call per (gamma_hat_d, m, threshold).
-    import swiptrelay.sweep as sweep_mod
+    # The SNR scale is a column like m and theta: each route makes one RD
+    # capacity call for the whole sweep, over every point's (gamma_hat_d, m,
+    # theta) in order, and one outage call, over every point's system with
+    # its own query.
+    from swiptrelay.swipt_metrics import OutageQuery
 
     cfg = ("theta = -0.5,1\nm = 1,2\nthreshold = 1\nmodes = closed_form,quadrature,asymptotic\n"
            f"[sweep]\nvariable = {variable}\ngrid = {grid}\n")
     spec = parse_config(cfg)
     expected = run_sweep(spec)
-    calls = {}
-    for name in ("capacity_rd_meijer", "ergodic_capacity_rd", "outage_probability",
-                 "outage_probability_quadrature"):
-        def counted(*args, _name=name, _real=getattr(sweep_mod, name)):
-            calls.setdefault(_name, []).append(args)
-            return _real(*args)
-        monkeypatch.setattr(sweep_mod, name, counted)
+    capacities = ("capacity_rd_meijer", "ergodic_capacity_rd")
+    outages = ("outage_probability", "outage_probability_quadrature", "asymptotic_outage")
+    calls = _count_calls(monkeypatch, capacities + outages)
     rows = run_sweep(spec)
     assert rows == expected
     points = _sweep_points(spec)
-    pairs, outage_groups = {}, {}
-    for ghd, m, theta in points:
-        pairs.setdefault(ghd, {})[(m, theta)] = None
-        outage_groups[(ghd, m)] = outage_groups.get((ghd, m), 0) + 1
-    want = [(ghd, tuple(columns)) for ghd, columns in pairs.items()]
-    assert len(want) < len(outage_groups) < len(points)
-    if variable == "theta":  # gamma_hat_d is fixed: one call over 2 m x 4 theta
-        assert len(want) == 1 and len(want[0][1]) == 2 * 4
-    for name in ("capacity_rd_meijer", "ergodic_capacity_rd"):
-        assert [(ghd, tuple(zip(ms, thetas))) for ghd, ms, thetas in calls[name]] == want
-    for name in ("outage_probability", "outage_probability_quadrature"):
-        assert [len(systems) for systems, _ in calls[name]] == list(outage_groups.values())
+    columns = ([ghd for _, ghd, _, _ in points], [sys.fading_m for _, _, sys, _ in points],
+               [sys.theta for _, _, sys, _ in points])
+    queries = [OutageQuery(threshold) for _, _, _, threshold in points]
+    assert calls == {**{name: [columns] for name in capacities},
+                     **{name: [([sys for _, _, sys, _ in points], queries)] for name in outages}}
 
 
 def test_theta_group_sweep_rows_match_each_theta_run_alone():
@@ -557,23 +554,6 @@ def test_preset_direct_scale_sweep(tmp_path):
     for line in ghd:
         cols = line.split(",")
         assert float(cols[6]) == pytest.approx(float(cols[1]), rel=1e-10)
-
-
-def test_asymptotic_command(tmp_path):
-    cfg = tmp_path / "asym.cfg"
-    cfg.write_text(
-        "m = 1,2\ntheta = 0\n"
-        "[sweep]\nvariable = gamma_hat_r\nstart = 1e2\nstop = 1e4\ncount = 3\nspacing = log\n"
-    )
-    out = tmp_path / "asym.csv"
-    assert main(["asymptotic", str(cfg), "-o", str(out)]) == 0
-    lines = _read(out)
-    assert any(",asymptotic,capacity_sr," in l for l in lines)
-    assert any(",quadrature,capacity_sr," in l for l in lines)
-    # asymptotic is sweep with its own default modes.
-    as_sweep = tmp_path / "sweep.csv"
-    assert main(["sweep", str(cfg), "-o", str(as_sweep), "--modes", "quadrature,asymptotic"]) == 0
-    assert as_sweep.read_bytes() == out.read_bytes()
 
 
 def test_validate_pass_and_negative_control(tmp_path):

@@ -2,8 +2,10 @@
 
 The configs cover every mode (Monte Carlo at 2000 samples with a fixed
 seed) and every kind of sweep variable: a system field (rho, with a
-threshold), a coupled field (dist_sr with rd_total), a direct SNR scale
-(gamma_hat_d), the threshold (threshold_db, whose last point leaves the
+threshold), a coupled field (dist_sr with rd_total), the direct SNR scales
+(gamma_hat_r over nine decades, gamma_hat_d over three and over eighteen,
+so that one call of each hop route spans them all), the threshold
+(threshold_db, whose last point leaves the
 asymptotic regime and prints nan), the fading shape (m) and the dependence
 (theta, where every theta of an m shares one RD-hop evaluation).  The CSVs pin
 the output across refactors; a deliberate change of any value must
@@ -37,7 +39,8 @@ def test_every_mode_and_variable_kind_is_covered():
     variables = {line.split("=", 1)[1].strip() for t in texts for line in t.splitlines()
                  if line.startswith("variable")}
     assert modes == {"closed_form", "quadrature", "monte_carlo", "asymptotic"}
-    assert variables == {"rho", "dist_sr", "gamma_hat_d", "threshold_db", "m", "theta"}
+    assert variables == {"rho", "dist_sr", "gamma_hat_r", "gamma_hat_d", "threshold_db", "m",
+                         "theta"}
 
 
 @pytest.mark.parametrize("name", CONFIGS)

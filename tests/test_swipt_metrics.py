@@ -31,7 +31,6 @@ from swiptrelay.swipt_metrics import (
     destination_snr_model,
     ergodic_capacity_rd,
     ergodic_capacity_sr,
-    ergodic_capacity_system,
     outage_probability,
     outage_probability_quadrature,
     relay_snr_cdf,
@@ -145,6 +144,15 @@ def test_sr_capacity_rayleigh_identity():
                                                           rel=1e-12, abs=0.0)
 
 
+def _scale_axis_bound(capacity, scale: float) -> float:
+    """How far a column of a call over many SNR scales may lie from its
+    one-column call: 1e-11, but 2e-11 for a contour at 1e-8.  Alone, such a
+    contour stops at its own tolerance, about 1e-14 of the integrand's peak,
+    and lies up to 7e-12 off the exact series (m = 1 to 3); among larger
+    scales it converges further, to within 5e-12 on the other side."""
+    return 2e-11 if capacity in (capacity_sr_meijer, capacity_rd_meijer) and scale < 1e-7 else 1e-11
+
+
 def test_sr_capacity_meijer_matches_quadrature():
     for m, s in ((1, 10.0), (2, 123.74), (3, 50.0)):
         assert capacity_sr_meijer(s, m) == pytest.approx(
@@ -157,6 +165,15 @@ def test_sr_capacity_meijer_matches_quadrature():
         assert together.shape == ms.shape
         for m, value in zip(ms.tolist(), together):
             assert value == pytest.approx(capacity(123.74, m), rel=1e-13, abs=0.0)
+    # The SNR scale is one more axis: each column of a call over scales from
+    # 1e-8 to 1e12 matches its one-column call.
+    scales = np.geomspace(1e-8, 1e12, 11)[:, None]
+    for capacity in (capacity_sr_meijer, ergodic_capacity_sr):
+        together = capacity(scales, np.array([1, 3]))
+        assert together.shape == (11, 2)
+        for (i, j), value in np.ndenumerate(together):
+            assert value == pytest.approx(capacity(float(scales[i, 0]), (1, 3)[j]),
+                                          rel=_scale_axis_bound(capacity, scales[i, 0]), abs=0.0)
 
 
 def test_sr_capacity_mc_oracle():
@@ -199,6 +216,15 @@ def test_rd_capacity_meijer_matches_quadrature():
         for (i, j), value in np.ndenumerate(together):
             assert value == pytest.approx(capacity(6.5625, int(ms[i, 0]), thetas[j]),
                                           rel=1e-13, abs=0.0)
+    # The SNR scale is one more axis: each column of a call over scales from
+    # 1e-8 to 1e12 matches its one-column call.
+    scales, ms, thetas = np.geomspace(1e-8, 1e12, 11)[:, None, None], np.array([[1], [3]]), (-1.0, 0.5)
+    for capacity in (capacity_rd_meijer, ergodic_capacity_rd):
+        together = capacity(scales, ms, thetas)
+        assert together.shape == (11, 2, 2)
+        for (i, j, k), value in np.ndenumerate(together):
+            assert value == pytest.approx(capacity(float(scales[i, 0, 0]), int(ms[j, 0]), thetas[k]),
+                                          rel=_scale_axis_bound(capacity, scales[i, 0, 0]), abs=0.0)
 
 
 @pytest.mark.parametrize("ghd", [1e-4, 1e-5, 1e-6, 1e-8])
@@ -274,12 +300,13 @@ def test_rd_capacity_increases_with_theta():
 
 def test_system_capacity_reports_both_orderings():
     sys = replace(BASE, theta=1.0)
-    out = ergodic_capacity_system(sys)
-    assert out["min_of_means"] == min(out["capacity_sr"], out["capacity_rd"])
+    scales = derive_snr_scales(sys)
+    min_of_means = min(ergodic_capacity_sr(scales.gamma_hat_r, sys.fading_m),
+                       ergodic_capacity_rd(scales.gamma_hat_d, sys.fading_m, sys.theta))
     # The other ordering, E[min], is the Monte-Carlo cap_min; it cannot
     # exceed the minimum of the means.
     mc = simulate_metrics([sys], [OutageQuery(1.0)], McConfig(samples=20_000, seed=61))[0]
-    assert mc["cap_min"].mean <= out["min_of_means"] + 3.0 * mc["cap_min"].stderr
+    assert mc["cap_min"].mean <= min_of_means + 3.0 * mc["cap_min"].stderr
 
 
 def test_outage_zero_threshold():
@@ -479,8 +506,6 @@ def test_a_group_of_models_may_differ_only_in_theta():
     with pytest.raises(ValueError, match="differ only in theta"):
         snr_survival_closed([closed_form_model(1.0, 2, fgm_copula(0.5)),
                              closed_form_model(2.0, 2, fgm_copula(0.5))], 1.0)
-    with pytest.raises(ValueError, match="share gamma_hat_d and fading_m"):
-        outage_probability([BASE, replace(BASE, fading_m=2)], OutageQuery(1.0))
 
 
 @pytest.mark.parametrize("outage", [outage_probability, outage_probability_quadrature,
@@ -499,3 +524,18 @@ def test_outage_of_a_system_group_equals_each_system_alone(outage):
     assert len(together) == len(systems)
     for sys, value in zip(systems, together):
         assert value == outage(sys, q)
+    # Any systems, each with its own query: gamma_hat_d, m and the threshold
+    # differ, and one destination survival call per m serves them all.  The
+    # closed forms change no bit; the quadrature shares its panels over the
+    # group's thresholds.
+    mixed = systems + [replace(BASE, noise_power=1e-3, fading_m=2, theta=0.5),
+                       replace(BASE, ps_factor=0.7, fading_m=2, theta=-1.0),
+                       replace(BASE, ps_factor=0.7, theta=1.0)]
+    queries = [OutageQuery(t) for t in (0.5, 1.0, 2.0, 0.5, 1.0, 3.0, 0.25)]
+    together = outage(mixed, queries)
+    assert len(together) == len(mixed)
+    for sys, query, value in zip(mixed, queries, together):
+        if outage is outage_probability_quadrature:
+            assert value == pytest.approx(outage(sys, query), rel=1e-12, abs=0.0)
+        else:
+            assert value == outage(sys, query)
