@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .copula import CopulaModel, fgm_copula, product_copula
 from .fading import NakagamiPower
 from .montecarlo import McConfig, McEstimate, simulate_metrics
-from .product_dist import EndToEndSnrModel, closed_form_model, snr_cdf_closed, snr_pdf_closed
+from .product_dist import snr_cdf_closed, snr_pdf_closed
 from .specfun import QuadratureError
 from .swipt_metrics import (
     OutageQuery,
@@ -16,14 +16,12 @@ from .swipt_metrics import (
 
 __all__ = [
     "CopulaModel",
-    "EndToEndSnrModel",
     "McConfig",
     "McEstimate",
     "NakagamiPower",
     "OutageQuery",
     "QuadratureError",
     "SwiptSystem",
-    "closed_form_model",
     "derive_snr_scales",
     "fgm_copula",
     "outage_probability",

@@ -1,29 +1,30 @@
-"""Distribution of the end-to-end SNR: scale * g_sr * g_rd under dependence.
+"""Distribution of the end-to-end SNR: snr_scale * g_sr * g_rd under dependence.
 
-Two routes are provided and cross-checked against each other:
+g_sr and g_rd are unit-mean Nakagami-m powers, Gamma(m, 1/m), coupled by the
+FGM copula with parameter theta.  Two routes are provided and cross-checked
+against each other:
 
 * ``product_cdf_general`` — numerical integral of the copula-weighted
-  product CDF; valid for any FGM theta and any shape m >= 0.5.  It takes a
-  scalar or an array of thresholds and integrates them all in one vector
-  Gauss-Kronrod quadrature over s, where g_sr = sqrt(y / snr_scale) e^s, between
-  bounds set by the SR marginal's far quantiles.  It uses the incomplete
-  gamma function and no Bessel term, so it stays the closed forms' oracle.
-* ``snr_cdf_closed`` / ``snr_pdf_closed`` — Bessel-K closed forms for the
-  FGM copula with a common integer shape m and unit mean powers.  They take
-  a scalar or an array of y (a scalar gives a float, an array an array of
-  its shape) and evaluate an array as terms by points: every element equals
-  its own scalar call, and every guard holds per element, its error
-  naming the first offending y.
+  product CDF; valid for any theta and any real m >= 0.5.  It integrates
+  every threshold in one vector Gauss-Kronrod quadrature over s, where
+  g_sr = sqrt(y / snr_scale) e^s, between bounds set by the SR marginal's
+  far quantiles.  It uses the incomplete gamma function and no Bessel term,
+  so it stays the closed forms' oracle.
+* ``snr_survival_closed`` / ``snr_cdf_closed`` / ``snr_pdf_closed`` —
+  Bessel-K closed forms for an integer m in [1, 100].
 
-Each takes one model, or a sequence of models that differ only in the
-copula's theta: theta enters only through the FGM weight, so the terms free
-of theta (the Bessel sums, the incomplete gammas) are evaluated once per
-node, and each theta's value is formed from them in the order a one-model
-call uses.  A sequence gives one value per model along a last axis (shape
-y.shape + (k,)); a one-model sequence equals the one-model call bit for bit,
-and a guard names the theta it fails at.  The closed forms' values equal
-the one-model calls bit for bit for any k; the quadrature shares its panels
-over the k models, so its values move at the rounding level.
+Each takes ``(snr_scale, m, theta, y)``: m is a scalar, and snr_scale, theta
+and y broadcast under numpy rules (scalars give a float, arrays an array of
+the broadcast shape).  theta enters only through the FGM weight, so the
+terms free of it (the Bessel sums; the incomplete gammas and weight at each
+node) are evaluated once per point of the broadcast of (snr_scale, y), and
+theta only in the final product.  A call with snr_scale and y of shape
+(p, 1) and theta of shape (k,) thus evaluates p points and returns (p, k).
+The closed forms evaluate terms by points: every element equals its own
+scalar call bit for bit, and every guard holds per element, its error
+naming the first offending y (and theta).  The quadrature integrates every
+point at every theta of the call and shares its panels over them, so its
+values move with the call at the rounding level.
 
 The printed closed forms weigh Bessel terms by powers of snr_scale that all
 cancel: they depend on y only through z = zeta sqrt(y), zeta = 2m / sqrt(snr_scale).
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import beta, gammainc, gammaincinv, gammainccinv, gammaln
@@ -69,63 +70,8 @@ class ClosedFormRangeError(NumericalGuardError):
 
 
 @dataclass(frozen=True)
-class EndToEndSnrModel:
-    """snr_scale * G_sr * G_rd with copula-coupled Gamma marginals."""
-
-    snr_scale: float
-    marginal_sr: NakagamiPower
-    marginal_rd: NakagamiPower
-    copula: CopulaModel
-
-    def __post_init__(self) -> None:
-        if self.snr_scale <= 0.0:
-            raise ValueError(f"snr_scale must be positive, got {self.snr_scale}")
-
-    def _closed_form_m(self) -> float:
-        """The common shape m, unconverted: ``ClosedFormCoefficients.build`` checks its range."""
-        m = self.marginal_sr.m
-        if m != self.marginal_rd.m:
-            raise UnsupportedClosedFormError(
-                f"closed forms need an identical shape on both hops (got {m}, {self.marginal_rd.m}); "
-                "use product_cdf_general instead"
-            )
-        if self.marginal_sr.mean_power != 1.0 or self.marginal_rd.mean_power != 1.0:
-            raise UnsupportedClosedFormError(
-                "closed forms assume unit mean powers; fold asymmetry into snr_scale"
-            )
-        return m
-
-
-def closed_form_model(snr_scale: float, m: int, copula: CopulaModel) -> EndToEndSnrModel:
-    """Convenience constructor for the closed-form validity region."""
-    marg = NakagamiPower(m=float(m), mean_power=1.0)
-    return EndToEndSnrModel(snr_scale, marg, marg, copula)
-
-
-def _split_theta(model) -> tuple[EndToEndSnrModel, np.ndarray, bool]:
-    """(the model, the (k,) array of its thetas, whether one model was given)
-    for one model or a sequence of models that differ only in theta."""
-    if isinstance(model, EndToEndSnrModel):
-        return model, np.array([model.copula.theta]), True
-    models = list(model)
-    if not models:
-        raise ValueError("no model given")
-    first = models[0]
-    if any(replace(other, copula=first.copula) != first for other in models):
-        raise ValueError("the models of one call may differ only in theta")
-    return first, np.array([other.copula.theta for other in models]), False
-
-
-def _unsplit(values: np.ndarray, one: bool):
-    """A (..., k) result as the caller's shape: one model drops the last axis, a scalar is a float."""
-    if one:
-        values = values[..., 0]
-    return float(values) if values.ndim == 0 else values
-
-
-@dataclass(frozen=True)
 class ClosedFormCoefficients:
-    """What the closed forms need of a model: m and zeta, with z = zeta sqrt(y)."""
+    """What the closed forms need of one SNR scale: m and zeta, with z = zeta sqrt(y)."""
 
     m: int
     snr_scale: float
@@ -144,63 +90,86 @@ class ClosedFormCoefficients:
         return cls(m=int(m), snr_scale=snr_scale, zeta=2.0 * m / math.sqrt(snr_scale))
 
 
-def product_cdf_general(model: EndToEndSnrModel, y):
+def _check(ok: np.ndarray, error: type, message: str, *columns: np.ndarray) -> None:
+    """Raise ``error`` with ``message`` formatted at the first point where ``ok``
+    is false; ``columns`` broadcast to the shape of ``ok``."""
+    ok = np.asarray(ok)
+    if not ok.all():
+        i = int(np.argmin(ok.ravel()))
+        raise error(message.format(*(np.broadcast_to(c, ok.shape).flat[i] for c in columns)))
+
+
+def _thetas(theta) -> np.ndarray:
+    """theta as an array, each element checked to lie in [-1, 1] (nan fails)."""
+    th = np.asarray(theta, dtype=float)
+    _check((th >= -1.0) & (th <= 1.0), ValueError, "FGM theta must lie in [-1, 1], got {:.6g}", th)
+    return th
+
+
+def _result(values: np.ndarray):
+    """A 0-d result as a float, any other as the array."""
+    return float(values) if values.ndim == 0 else values
+
+
+def product_cdf_general(snr_scale, m: float, theta, y):
     """CDF of the scaled product by one vector quadrature over the SR power.
 
     F(y) = int_0^inf f_sr(g) C_{2|1}(F_rd(y'/g) | F_sr(g)) dg with
     y' = y / snr_scale and C_{2|1}(u2 | u1) = u2 (1 + theta (1 - 2 u1)(1 - u2)),
-    the FGM conditional CDF.  Valid for any FGM theta and any m >= 0.5.
+    the FGM conditional CDF.  Valid for any theta and any real m >= 0.5.
 
     The substitution g = sqrt(y') e^s puts every threshold's split point
-    g = sqrt(y') at s = 0, so all thresholds share one ``gauss_kronrod``
-    call, which evaluates nodes by thresholds (by thetas) as one array.
-    The s range runs from the SR marginal's ``_TAIL`` lower quantile at the
-    largest threshold to its ``_TAIL`` upper quantile at the smallest, so
-    each threshold leaves at most 2 * ``_TAIL`` of the SR mass out, at any
-    scale of y'.
+    g = sqrt(y') at s = 0, so all points of (snr_scale, y) share one
+    ``gauss_kronrod`` call, which evaluates nodes by points by thetas as one
+    array.  The s range runs from the SR marginal's ``_TAIL`` lower quantile
+    at the largest y' to its ``_TAIL`` upper quantile at the smallest, so
+    each point leaves at most 2 * ``_TAIL`` of the SR mass out, at any scale
+    of y'.
 
-    ``model`` is one model or a sequence that differs only in theta (module
-    docstring).  ``y`` is a scalar or an array of thresholds: a scalar gives
-    a float, an array an array of its shape.  y = 0 maps to 0.  A negative
-    or nan y, or a y whose y' is not finite, raises ``ValueError``; an error
-    estimate above 1e-6 at any threshold raises ``QuadratureError`` naming
-    its theta.
+    The arguments broadcast (module docstring).  y' = 0 maps to 0, and a y'
+    that overflows to the limit 1.  A scale that is not finite and
+    positive, a theta off [-1, 1], a negative, infinite or nan y, or an m
+    below 0.5 raises ``ValueError``; an error estimate above 1e-6 at any
+    point ``QuadratureError`` naming its theta.
     """
-    model, thetas, one = _split_theta(model)
-    ys = np.asarray(y, dtype=float)
-    if not np.all(ys >= 0.0):
-        raise ValueError(f"SNR threshold must be non-negative, got {y}")
+    th = _thetas(theta)
+    marginal = NakagamiPower(m)
+    scale, ys = np.broadcast_arrays(np.asarray(snr_scale, dtype=float), np.asarray(y, dtype=float))
+    _check((scale > 0.0) & (scale < math.inf), ValueError,
+           "snr_scale must be finite and positive, got {:.6g}", scale)
+    _check((ys >= 0.0) & (ys < math.inf), ValueError,
+           "SNR threshold must be finite and non-negative, got y = {:.6g}", ys)
     with np.errstate(over="ignore"):
-        yp = ys / model.snr_scale
-    if not np.all(np.isfinite(yp)):
-        raise ValueError(f"y / snr_scale must be finite, got {y} / {model.snr_scale}")
-    cdf = np.zeros(ys.shape + thetas.shape)
-    positive = yp > 0.0
-    if np.any(positive):
-        cdf[positive] = _integrate_cdf(model, thetas, yp[positive])
-    return _unsplit(cdf, one)
+        yp = (ys / scale).ravel()
+    # Rows the points of (snr_scale, y), columns every theta of the call.
+    cdf = np.where(yp > 0.0, 1.0, 0.0)[:, None].repeat(th.size, axis=1)
+    inner = (yp > 0.0) & (yp < math.inf)
+    if inner.any():
+        cdf[inner] = _integrate_cdf(marginal, th.ravel(), yp[inner])
+    shape = np.broadcast_shapes(scale.shape, th.shape)
+    return _result(cdf[np.broadcast_to(np.arange(yp.size).reshape(scale.shape), shape),
+                       np.broadcast_to(np.arange(th.size).reshape(th.shape), shape)])
 
 
-def _integrate_cdf(model: EndToEndSnrModel, thetas: np.ndarray, yp: np.ndarray) -> np.ndarray:
+def _integrate_cdf(marginal: NakagamiPower, thetas: np.ndarray, yp: np.ndarray) -> np.ndarray:
     """The CDF at positive, finite scaled thresholds ``yp`` (1-D): rows thresholds, columns ``thetas``."""
-    sr, rd = model.marginal_sr, model.marginal_rd
-    m1, r1, m2, r2 = sr.m, sr.rate, rd.m, rd.rate
+    m, r = marginal.m, marginal.rate
     half = 0.5 * np.log(yp)
-    ln_norm = m1 * math.log(r1) - gammaln(m1)
+    ln_norm = m * math.log(r) - gammaln(m)
 
     def integrand(s: np.ndarray) -> np.ndarray:
         # f_sr(g) dg = g f_sr(g) ds, with g = sqrt(y') e^s and y'/g = sqrt(y') e^-s;
         # axes are nodes s, thresholds, thetas: only the last product takes theta.
         ln_g = half + s[:, None]
         g = np.exp(ln_g)
-        u1 = gammainc(m1, r1 * g)
-        u2 = gammainc(m2, r2 * np.exp(half - s[:, None]))
-        weight = np.exp(ln_norm + m1 * ln_g - r1 * g)
+        u1 = gammainc(m, r * g)
+        u2 = gammainc(m, r * np.exp(half - s[:, None]))
+        weight = np.exp(ln_norm + m * ln_g - r * g)
         return (weight * u2)[..., None] * (1.0 + thetas * (1.0 - 2.0 * u1)[..., None]
                                            * (1.0 - u2)[..., None])
 
-    lo = math.log(gammaincinv(m1, _TAIL) / r1) - half.max()
-    hi = math.log(gammainccinv(m1, _TAIL) / r1) - half.min()
+    lo = math.log(gammaincinv(m, _TAIL) / r) - half.max()
+    hi = math.log(gammainccinv(m, _TAIL) / r) - half.min()
     # exp(half + s) may overflow at the far end of a wide threshold range: inf
     # gives a zero weight and u = 1, both correct limits (gauss_kronrod is quiet).
     val, err = gauss_kronrod(integrand, lo, hi, epsabs=5e-11, epsrel=1e-10, limit=10000,
@@ -248,90 +217,91 @@ def _bessel_sum(weights: np.ndarray, first_order: int, x: np.ndarray) -> np.ndar
     return out
 
 
-def _check(ok: np.ndarray, error: type, message: str, *columns: np.ndarray) -> None:
-    """Raise ``error`` with ``message`` formatted at the first point where ``ok``
-    is false; ``columns`` broadcast to the shape of ``ok``."""
-    ok = np.asarray(ok)
-    if not ok.all():
-        i = int(np.argmin(ok.ravel()))
-        raise error(message.format(*(np.broadcast_to(c, ok.shape).flat[i] for c in columns)))
+def _closed_points(snr_scale, m, ys: np.ndarray, *by_scale):
+    """What the closed forms share before theta: m; the mask of the live
+    points of the broadcast of (snr_scale, y) (y > 0 and e^-z > 0; elsewhere
+    the forms take their limits) and z = zeta sqrt(y) at them; and each
+    ``by_scale(coefficients)`` over snr_scale.  One
+    ``ClosedFormCoefficients.build`` per distinct scale checks m and the scale.
+    """
+    scales = np.asarray(snr_scale, dtype=float)
+    flat = scales.ravel().tolist()
+    coeffs = {s: ClosedFormCoefficients.build(m, s) for s in dict.fromkeys(flat)}
+    z = np.array([coeffs[s].zeta for s in flat]).reshape(scales.shape) * np.sqrt(ys)
+    # exp(-z) == 0 is z > 745: the survival is below 1e-124 for every m <= 100
+    live = (ys > 0.0) & (_exp_neg(z.ravel()) > 0.0).reshape(z.shape)
+    return int(m), live, z[live], [np.array([f(coeffs[s]) for s in flat]).reshape(scales.shape)
+                                   for f in by_scale]
 
 
-def snr_survival_closed(model: EndToEndSnrModel, y):
+def _at_live(live: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``values`` at the live points of the mask ``live``, 0 elsewhere."""
+    out = np.zeros(live.shape)
+    out[live] = values
+    return out
+
+
+def snr_survival_closed(snr_scale, m: int, theta, y):
     """Survival 1 - F(y) by the Bessel sums of the module docstring; y = 0 maps to 1.
 
-    ``model`` is one model or a sequence that differs only in theta (module
-    docstring).  A negative or nan y raises ``ValueError``, a value off
-    [0, 1] beyond 1e-9 (nan included) ``ClosedFormRangeError``.
+    The arguments broadcast (module docstring).  A negative or nan y, a
+    theta off [-1, 1] or a scale that is not finite and positive raises
+    ``ValueError``, a value off [0, 1] beyond 1e-9 (nan included)
+    ``ClosedFormRangeError``.
     """
-    model, th, one = _split_theta(model)
+    th = _thetas(theta)
     ys = np.asarray(y, dtype=float)
-    flat = ys.ravel()
-    _check(flat >= 0.0, ValueError, "SNR threshold must be non-negative, got y = {:.6g}", flat)
-    cf = ClosedFormCoefficients.build(model._closed_form_m(), model.snr_scale)
-    m, z = cf.m, cf.zeta * np.sqrt(flat)
-    surv = np.where(flat == 0.0, 1.0, 0.0)[:, None].repeat(len(th), axis=1)
-    # exp(-z) == 0 is z > 745: the survival is below 1e-124 for every m <= 100
-    live = (flat > 0.0) & (_exp_neg(z) > 0.0)
-    z = z[live]
-    dep = th != 0.0  # theta = 0 leaves the dependence terms out, as they may be inf
+    _check(ys >= 0.0, ValueError, "SNR threshold must be non-negative, got y = {:.6g}", ys)
+    m, live, z, _ = _closed_points(snr_scale, m, ys)
     # Tiny z may overflow a Bessel term and give inf or nan: the range check refuses it.
     with np.errstate(over="ignore", invalid="ignore"):
         alpha = _series(0.5 * z, m)
-        bracket = (1.0 + th) * _bessel_sum(alpha, -m, z)[:, None]
-        if dep.any():
-            t = th[dep]
+        front = _at_live(live, z * alpha[-1])  # 2 (z/2)^m / Gamma(m) = z alpha_{m-1}
+        bracket = (1.0 + th) * _at_live(live, _bessel_sum(alpha, -m, z))
+        if (th != 0.0).any():  # theta = 0 leaves the dependence terms out, as they may be inf
             beta = _series(z / (2.0 * _SQRT2), m)
-            bracket[:, dep] -= t * 2.0 ** (m / 2.0 + 1.0) * _bessel_sum(
-                _product(beta, beta), -m, _SQRT2 * z)[:, None]
-            bracket[:, dep] += 2.0 * t * _bessel_sum(_product(_product(alpha, alpha), alpha[::-1]),
-                                                     1 - 2 * m, 2.0 * z)[:, None]
-        val = (z * alpha[-1])[:, None] * bracket  # 2 (z/2)^m / Gamma(m) = z alpha_{m-1}
+            b = _at_live(live, _bessel_sum(_product(beta, beta), -m, _SQRT2 * z))
+            c = _at_live(live, _bessel_sum(_product(_product(alpha, alpha), alpha[::-1]), 1 - 2 * m,
+                                           2.0 * z))
+            bracket = np.where(th != 0.0, bracket - th * 2.0 ** (m / 2.0 + 1.0) * b + 2.0 * th * c,
+                               bracket)
+        val = front * bracket
     _check((val >= -1e-9) & (val <= 1.0 + 1e-9), ClosedFormRangeError,
            "closed-form survival {:.6g} (theta = {:.6g}) at y = {:.6g} escapes [0, 1] beyond slack",
-           val, th, flat[live][:, None])
-    surv[live] = np.clip(val, 0.0, 1.0)
-    return _unsplit(surv.reshape(ys.shape + th.shape), one)
+           val, th, ys)
+    return _result(np.where(live, np.clip(val, 0.0, 1.0), ys == 0.0))
 
 
-def snr_cdf_closed(model: EndToEndSnrModel, y):
-    """Closed-form CDF of the end-to-end SNR (FGM, integer common m)."""
-    return 1.0 - snr_survival_closed(model, y)
+def snr_cdf_closed(snr_scale, m: int, theta, y):
+    """Closed-form CDF of the end-to-end SNR (FGM, integer m)."""
+    return 1.0 - snr_survival_closed(snr_scale, m, theta, y)
 
 
-def snr_pdf_closed(model: EndToEndSnrModel, y):
+def snr_pdf_closed(snr_scale, m: int, theta, y):
     """Density by the Bessel sums of the module docstring.
 
-    ``model`` is one model or a sequence that differs only in theta (module
-    docstring).  A y <= 0 or nan raises ``ValueError``, a non-finite value
-    ``ClosedFormRangeError``.
+    The arguments broadcast (module docstring).  A y <= 0 or nan, a theta
+    off [-1, 1] or a scale that is not finite and positive raises
+    ``ValueError``, a non-finite value ``ClosedFormRangeError``.
     """
-    model, th, one = _split_theta(model)
+    th = _thetas(theta)
     ys = np.asarray(y, dtype=float)
-    flat = ys.ravel()
-    _check(flat > 0.0, ValueError, "density defined for y > 0, got y = {:.6g}", flat)
-    cf = ClosedFormCoefficients.build(model._closed_form_m(), model.snr_scale)
-    m, z = cf.m, cf.zeta * np.sqrt(flat)
-    pdf = np.zeros((len(flat), len(th)))
-    live = _exp_neg(z) > 0.0  # as in snr_survival_closed
-    z = z[live]
-    dep = th != 0.0
+    _check(ys > 0.0, ValueError, "density defined for y > 0, got y = {:.6g}", ys)
+    # (2/y) ((z/2)^m / Gamma(m))^2 = (zeta^2 / 2) alpha_{m-1}^2, free of 1/y
+    m, live, z, (half_zeta_sq,) = _closed_points(snr_scale, m, ys, lambda cf: 0.5 * cf.zeta**2)
     with np.errstate(over="ignore", invalid="ignore"):
         alpha = _series(0.5 * z, m)
-        bracket = (1.0 + th) * _bessel_sum(np.ones((1, len(z))), 0, z)[:, None]
-        if dep.any():
-            t = th[dep]
-            bracket[:, dep] -= 4.0 * t * _bessel_sum(_series(z / (2.0 * _SQRT2), m), 0,
-                                                     _SQRT2 * z)[:, None]
-            bracket[:, dep] += 4.0 * t * _bessel_sum(_product(alpha, alpha[::-1]), 1 - m,
-                                                     2.0 * z)[:, None]
-        # (2/y) ((z/2)^m / Gamma(m))^2 = (zeta^2 / 2) alpha_{m-1}^2, free of 1/y
-        val = (0.5 * cf.zeta**2 * alpha[-1] ** 2)[:, None] * bracket
+        front = half_zeta_sq * _at_live(live, alpha[-1] ** 2)
+        bracket = (1.0 + th) * _at_live(live, _bessel_sum(np.ones((1, len(z))), 0, z))
+        if (th != 0.0).any():
+            b = _at_live(live, _bessel_sum(_series(z / (2.0 * _SQRT2), m), 0, _SQRT2 * z))
+            c = _at_live(live, _bessel_sum(_product(alpha, alpha[::-1]), 1 - m, 2.0 * z))
+            bracket = np.where(th != 0.0, bracket - 4.0 * th * b + 4.0 * th * c, bracket)
+        val = front * bracket
     _check(np.isfinite(val), ClosedFormRangeError,
            "closed-form density {} (theta = {:.6g}) at y = {:.6g} is not finite at m = {}",
-           val, th, flat[live][:, None], m)
-    pdf[live] = np.maximum(val, 0.0)
-    return _unsplit(pdf.reshape(ys.shape + th.shape), one)
+           val, th, ys, m)
+    return _result(np.maximum(val, 0.0))
 
 
 def mean_snr_factor(m: int, theta: float) -> float:

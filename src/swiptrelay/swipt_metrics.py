@@ -5,17 +5,20 @@ Bessel/Meijer-G closed forms are evaluated alongside; two printed closed
 forms carry ambiguities, so ``adjudicate_closed_forms`` reports which
 reading matches quadrature (see the convention notes in each docstring).
 
-The hop capacities work at unit scale, so the SNR scale is one more
-broadcast axis: (gamma_hat_r, m) for SR, (gamma_hat_d, m, theta) for RD;
-scalars give a float, arrays an array of the broadcast shape.  One
-quadrature or contour serves all columns, its nodes evaluating the
-unit-scale terms once (the SR Gamma weight per m, the unit density f_1 in
-one call per m over its thetas, the contours' log-gammas).  A scale enters
-only its column, as ln(1 + gamma_hat x) or a contour's -s ln x, divided by
-ln(1 + gamma_hat) so that the panels, chosen on the largest error over the
-columns, give each relative accuracy.  More than one column moves a value
-at the rounding level; every guard names its column.  The outage functions
-take one system or any systems (``_outage``).
+One array convention runs through the module and ``product_dist``: the
+SNR scale, m and theta are broadcast axes; scalars give a float, arrays an
+array of the broadcast shape.  The hop capacities work at unit scale, so
+the scale is one more axis: (gamma_hat_r, m) for SR, (gamma_hat_d, m,
+theta) for RD.  One quadrature or contour serves all columns, its nodes
+evaluating the unit-scale terms once (the SR Gamma weight per m, the unit
+density f_1 in one ``snr_pdf_closed(1.0, m, thetas, x)`` call per m, the
+contours' log-gammas).  A scale enters only its column, as
+ln(1 + gamma_hat x) or a contour's -s ln x, divided by ln(1 + gamma_hat)
+so that the panels, chosen on the largest error over the columns, give
+each relative accuracy.  More than one column moves a value at the
+rounding level; every guard names its column.  The outage functions take
+one system or any systems, and one destination-survival call per m, on
+``product_dist``'s (snr_scale, m, theta, y), serves them all (``_outage``).
 """
 
 from __future__ import annotations
@@ -30,13 +33,7 @@ from scipy.special import loggamma as _loggamma
 from . import specfun
 from .copula import copula_cdf, fgm_copula
 from .fading import NakagamiPower, power_cdf
-from .product_dist import (
-    EndToEndSnrModel,
-    closed_form_model,
-    product_cdf_general,
-    snr_pdf_closed,
-    snr_survival_closed,
-)
+from .product_dist import product_cdf_general, snr_pdf_closed, snr_survival_closed
 
 _LN2 = math.log(2.0)
 
@@ -117,11 +114,6 @@ def derive_snr_scales(sys: SwiptSystem) -> DerivedSnrScales:
     ghr = (1.0 - sys.ps_factor) * sys.source_power / (pl_sr * sys.noise_power)
     ghd = sys.eh_efficiency * sys.ps_factor * sys.source_power / (pl_sr * pl_rd * sys.noise_power)
     return DerivedSnrScales(gamma_hat_r=ghr, gamma_hat_d=ghd)
-
-
-def destination_snr_model(sys: SwiptSystem) -> EndToEndSnrModel:
-    scales = derive_snr_scales(sys)
-    return closed_form_model(scales.gamma_hat_d, sys.fading_m, fgm_copula(sys.theta))
 
 
 def relay_snr_cdf(gamma_hat_r: float, m: int, gamma: float) -> float:
@@ -208,30 +200,25 @@ def capacity_sr_meijer(gamma_hat_r, m, printed_variant: bool = False) -> float |
     return _in_bits(specfun.mellin_barnes(ln_integrand, -0.5, names, norm))
 
 
-def _rd_models(gamma_hat_d: float, m: int, theta) -> list[EndToEndSnrModel]:
-    """The destination SNR models at each theta of a scalar or a sequence."""
-    return [closed_form_model(gamma_hat_d, m, fgm_copula(t)) for t in np.atleast_1d(theta)]
-
-
 def ergodic_capacity_rd(gamma_hat_d, m, theta) -> float | np.ndarray:
     """RD-hop ergodic capacity by quadrature of ln(1 + gamma_hat_d x) against the
     unit-scale product density f_1, one quadrature for every (gamma_hat_d, m,
     theta) column (module docstring)."""
     (ghds, ms, thetas), norm = _unit_scale(gamma_hat_d, "gamma_hat_d", m, theta)
-    # Per m: its columns, its unit-scale models at its distinct thetas, each column's theta.
+    # Per m: its columns, its distinct thetas, each column's theta among them.
     groups = []
     m_flat, theta_flat = ms.ravel().tolist(), thetas.ravel().tolist()
     for mj in dict.fromkeys(m_flat):
         cols = [c for c, mc in enumerate(m_flat) if mc == mj]
         distinct, theta_column = _distinct(theta_flat[c] for c in cols)
-        groups.append((cols, _rd_models(1.0, mj, distinct), theta_column))
+        groups.append((cols, mj, distinct, theta_column))
 
     def integrand(s: np.ndarray) -> np.ndarray:
         # x = s^2 smooths the sqrt(x) Bessel arguments; one density call per m and round.
         x = s * s
         out = 2.0 * s[:, None] * np.log1p(np.multiply.outer(x, ghds.ravel())) / norm.ravel()
-        for cols, models, theta_column in groups:
-            out[:, cols] *= snr_pdf_closed(models, x)[:, theta_column]
+        for cols, mj, distinct, theta_column in groups:
+            out[:, cols] *= snr_pdf_closed(1.0, mj, distinct, x[:, None])[:, theta_column]
         return out.reshape(len(s), *ms.shape)
 
     # f_1 has its mass at s ~ 1 at every scale; the interval ends where both
@@ -296,13 +283,11 @@ def _outage(sys, q, relay_cdf, destination_survival):
     copula coincides with the FGM copula itself.
 
     ``sys`` is one system (a float) or a sequence (a list), ``q`` one query
-    for all or one per system.  As S_d(t; gamma_hat_d) = S_1(t / gamma_hat_d)
-    = S_g0(t g0 / gamma_hat_d), one ``destination_survival(models, y)`` call
-    per m serves all its systems: the models at the scale g0 of the m's first
-    system and its distinct thetas, y the distinct t g0 / gamma_hat_d (1-D),
-    giving survivals by y (rows) and model (columns).  A system at g0 passes
-    its own t, so a one-scale call evaluates, and its guards name, the
-    thresholds the caller gave.
+    for all or one per system.  One ``destination_survival(gamma_hat_d, m,
+    theta, t)`` call per m serves all its systems: its distinct
+    (gamma_hat_d, t) as rows (two (p, 1) columns) and its distinct thetas as
+    columns, so each system gets the bits, and its guards name the
+    threshold, of a call for it alone.
     """
     systems = [sys] if isinstance(sys, SwiptSystem) else list(sys)
     thresholds = [c.threshold for c in ([q] * len(systems) if isinstance(q, OutageQuery) else q)]
@@ -313,11 +298,11 @@ def _outage(sys, q, relay_cdf, destination_survival):
     m_values, m_column = _distinct(s.fading_m for s in systems)
     for j, m in enumerate(m_values):
         members = [i for i, c in enumerate(m_column) if c == j]
-        g0 = scales[members[0]].gamma_hat_d
-        ys, y_column = _distinct(thresholds[i] * (g0 / scales[i].gamma_hat_d) for i in members)
+        rows, row = _distinct((scales[i].gamma_hat_d, thresholds[i]) for i in members)
         thetas, theta_column = _distinct(systems[i].theta for i in members)
-        values = destination_survival(_rd_models(g0, m, thetas), np.array(ys))
-        for i, a, b in zip(members, y_column, theta_column):
+        ghds, ts = np.array(rows).T[:, :, None]
+        values = destination_survival(ghds, m, thetas, ts)
+        for i, a, b in zip(members, row, theta_column):
             surv_d[i] = values[a, b]
     outages = [1.0 - copula_cdf(fgm_copula(s.theta), r, d)
                for s, r, d in zip(systems, surv_r, surv_d)]
@@ -330,17 +315,9 @@ def outage_probability(sys, q):
     return _outage(sys, q, relay_snr_cdf, snr_survival_closed)
 
 
-def _survival_quadrature(models, y: np.ndarray) -> np.ndarray:
-    """1 - the general product CDF of each model at each y; 0 where y / gamma_hat_d
-    overflows, which the integral refuses."""
-    with np.errstate(over="ignore"):
-        finite = (y / models[0].snr_scale < math.inf)[:, None]
-    return np.where(finite, 1.0 - product_cdf_general(models, np.where(finite[:, 0], y, 0.0)), 0.0)
-
-
 def outage_probability_quadrature(sys, q):
     """Same composition with the destination CDF from the general product integral."""
-    return _outage(sys, q, relay_snr_cdf, _survival_quadrature)
+    return _outage(sys, q, relay_snr_cdf, lambda *args: 1.0 - product_cdf_general(*args))
 
 
 def asymptotic_capacity_sr(gamma_hat_r, m) -> float | np.ndarray:

@@ -22,11 +22,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .copula import fgm_copula
 from .fading import NakagamiPower
 from .montecarlo import (McConfig, _batch_moments, batch_stream, sample_fgm_powers,
                          simulate_outage_survival_law)
-from .product_dist import closed_form_model, product_cdf_general, snr_cdf_closed
+from .product_dist import product_cdf_general, snr_cdf_closed
 from .specfun import NumericalGuardError
 from .swipt_metrics import (
     BASELINE,
@@ -128,11 +127,14 @@ def run_validation(
         rd_quads = ergodic_capacity_rd(scales.gamma_hat_d, np.reshape(ms, (-1, 1)), thetas)
         for i, m in enumerate(ms):
             # One vector quadrature per m serves every cell's product CDF: on
-            # the grid and, last, at the outage threshold.
+            # the grid and, last, at the outage threshold; one closed-form
+            # call per m gives every cell's CDF on the grid.  Rows are
+            # thresholds, columns thetas.
             cell = f"m={m},theta={','.join(fmt(theta) for theta in thetas)}"
-            models = [closed_form_model(scales.gamma_hat_d, m, fgm_copula(theta)) for theta in thetas]
             grid = _threshold_grid(scales.gamma_hat_d, grid_points)
-            quad_cdfs = product_cdf_general(models, np.append(grid, OUTAGE_THRESHOLD))
+            quad_cdfs = product_cdf_general(scales.gamma_hat_d, m, thetas,
+                                            np.append(grid, OUTAGE_THRESHOLD)[:, None])
+            closed_cdfs = err_factor * snr_cdf_closed(scales.gamma_hat_d, m, thetas, grid[:, None])
             # One seeded exact draw per m from the order-statistic sampler:
             # every theta cell reuses its base Gammas and uniforms, and each
             # cell's pair is what a draw for that theta alone gives.  It
@@ -146,7 +148,7 @@ def run_validation(
                 cell = f"m={m},theta={fmt(theta)}"
                 sys = replace(BASELINE, fading_m=m, theta=theta)
                 quad_cdf = quad_cdfs[:, j]
-                closed = err_factor * snr_cdf_closed(models[j], grid)
+                closed = closed_cdfs[:, j]
                 checks = [("cdf_supnorm_closed_vs_quadrature",
                            float(np.max(np.abs(closed - quad_cdf[:-1]))), SUPNORM_TOL)]
 
@@ -174,7 +176,7 @@ def run_validation(
 
                 p_closed = err_factor * outage_probability(sys, q)
                 # The quadrature outage composes the grid call's CDF at q.
-                p_quad = _outage(sys, q, relay_snr_cdf, lambda models, y: 1.0 - quad_cdf[-1:, None])
+                p_quad = _outage(sys, q, relay_snr_cdf, lambda *args: 1.0 - quad_cdf[-1:, None])
                 checks.append(("outage_closed_vs_quadrature", p_closed - p_quad, QUAD_OUTAGE_TOL))
                 cells.append((cell, checks, p_closed))
                 systems.append(sys)

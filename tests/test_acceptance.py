@@ -26,7 +26,6 @@ from swiptrelay.copula import (
 from swiptrelay.fading import NakagamiPower, power_quantile
 from swiptrelay.montecarlo import McConfig, batch_stream, simulate_metrics, simulate_outage_survival_law
 from swiptrelay.product_dist import (
-    closed_form_model,
     mean_snr_factor,
     product_cdf_general,
     snr_cdf_closed,
@@ -40,7 +39,6 @@ from swiptrelay.swipt_metrics import (
     capacity_rd_meijer,
     capacity_sr_meijer,
     derive_snr_scales,
-    destination_snr_model,
     ergodic_capacity_rd,
     ergodic_capacity_sr,
     outage_probability,
@@ -116,10 +114,9 @@ def test_criterion_3_distribution_equivalence():
     ok = True
     for m in (1, 2, 3):
         for theta in THETAS5:
-            model = closed_form_model(scale, m, fgm_copula(theta))
             grid = np.geomspace(1e-3 * scale, 1e2 * scale, 60)
-            closed = np.array([snr_cdf_closed(model, y) for y in grid])
-            quadv = product_cdf_general(model, grid)
+            closed = np.array([snr_cdf_closed(scale, m, theta, y) for y in grid])
+            quadv = product_cdf_general(scale, m, theta, grid)
             sup = float(np.max(np.abs(closed - quadv)))
             worst_supnorm = max(worst_supnorm, sup)
             ok &= sup <= 1e-6
@@ -217,7 +214,8 @@ def test_criterion_6_outage_agreement():
     for i, rho in enumerate(np.linspace(0.05, 0.95, 10)):
         for theta in (-1.0, 0.0, 1.0):
             sys = replace(FIG8, ps_factor=float(rho), theta=theta)
-            f_d = product_cdf_general(destination_snr_model(sys), q.threshold)
+            f_d = product_cdf_general(derive_snr_scales(sys).gamma_hat_d, sys.fading_m, sys.theta,
+                                      q.threshold)
             cfg = McConfig(samples=n, seed=60_000 + i)
             est, = simulate_outage_survival_law([sys], [q], cfg, [f_d])
             p = outage_probability(sys, q)
@@ -271,16 +269,15 @@ def test_criterion_7_qualitative_reproduction():
     for m in (1, 2):
         prev = None
         for ghd in np.geomspace(1.0, 1e3, 10):
-            model = closed_form_model(float(ghd), m, fgm_copula(1.0))
             f_r = 1.0 - gammaincc(m, m * 1.0 / 1237.4)
-            s_d = 1.0 - snr_cdf_closed(model, 1.0)
+            s_d = 1.0 - snr_cdf_closed(float(ghd), m, 1.0, 1.0)
             p = 1.0 - copula_cdf(fgm_copula(1.0), 1.0 - f_r, s_d)
             if prev is not None:
                 ok &= p < prev
             prev = p
     for ghd in np.geomspace(1.0, 1e3, 10):
-        p1 = snr_cdf_closed(closed_form_model(float(ghd), 1, fgm_copula(1.0)), 1.0)
-        p2 = snr_cdf_closed(closed_form_model(float(ghd), 2, fgm_copula(1.0)), 1.0)
+        p1 = snr_cdf_closed(float(ghd), 1, 1.0, 1.0)
+        p2 = snr_cdf_closed(float(ghd), 2, 1.0, 1.0)
         ok &= p2 < p1
     _report(7, ok, "interior-maximum capacity curve with theta-ordering, U-shaped "
                    "outage curve, and outage falling in destination scale and in m "

@@ -1,6 +1,7 @@
 """CLI and config parsing: schema stability, determinism, exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import math
 import os
@@ -12,8 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from swiptrelay.cli import _apply_overrides, build_parser, main
-from swiptrelay.copula import fgm_copula
-from swiptrelay.product_dist import ClosedFormRangeError, closed_form_model, snr_survival_closed
+from swiptrelay.product_dist import ClosedFormRangeError, snr_survival_closed
 from swiptrelay.specfun import NumericalGuardError, QuadratureError
 from swiptrelay.sweep import ROUTES, run_sweep
 from swiptrelay.sweepcfg import (
@@ -256,9 +256,8 @@ def test_validate_closed_form_range_error_exits_2_naming_the_cell(tmp_path, caps
 
 def test_closed_form_range_error_is_a_numerical_guard_error(monkeypatch):
     _escape_survival(monkeypatch)
-    model = closed_form_model(6.5625, 2, fgm_copula(0.5))
     with pytest.raises(ClosedFormRangeError, match="escapes") as exc:
-        snr_survival_closed(model, 1.0)
+        snr_survival_closed(6.5625, 2, 0.5, 1.0)
     assert isinstance(exc.value, NumericalGuardError)
 
 
@@ -455,6 +454,17 @@ def test_presets_all_parse():
     for name in PRESETS:
         spec = preset_spec(name)
         assert len(spec.grid) >= 10
+        # Each preset's closed forms agree with its quadratures within the
+        # 1e-9 adjudication bound on every capacity and outage row.
+        values = {}
+        for var, value, theta, m, mode, metric, estimate, *_ in run_sweep(
+                dataclasses.replace(spec, modes=("closed_form", "quadrature"))):
+            if metric.startswith("capacity_") or metric == "outage":
+                values.setdefault((value, theta, m, metric), {})[mode] = float(estimate)
+        assert values, name
+        for key, by_mode in values.items():
+            assert by_mode["closed_form"] == pytest.approx(by_mode["quadrature"], rel=1e-9, abs=0.0), (
+                name, key)
 
 
 def test_sweep_command_csv_schema(tmp_path):

@@ -21,13 +21,17 @@ from swiptrelay.swipt_metrics import (
     BASELINE,
     OutageQuery,
     derive_snr_scales,
-    destination_snr_model,
     outage_probability,
     relay_snr_cdf,
 )
 from swiptrelay.validation import dkw_epsilon
 
 FIG8 = replace(BASELINE, noise_power=1e-3)
+
+
+def destination(sys):
+    """The destination SNR law of a system: (gamma_hat_d, m, theta)."""
+    return derive_snr_scales(sys).gamma_hat_d, sys.fading_m, sys.theta
 
 
 def test_config_validation():
@@ -216,7 +220,7 @@ def test_simulate_metrics_keys_and_ranges():
 def test_survival_law_outage_matches_closed_form():
     sys = replace(FIG8, theta=1.0)
     q = OutageQuery(1.0)
-    f_d = product_cdf_general(destination_snr_model(sys), q.threshold)
+    f_d = product_cdf_general(*destination(sys), q.threshold)
     est, = simulate_outage_survival_law([sys], [q], McConfig(samples=1_000_000, seed=7), [f_d])
     p = outage_probability(sys, q)
     assert abs(est.mean - p) < 3.0 * est.stderr
@@ -231,7 +235,7 @@ def test_outage_law_test_equals_conditional_inversion(theta):
     q = OutageQuery(1.0)
     scales = derive_snr_scales(sys)
     u_r = relay_snr_cdf(scales.gamma_hat_r, sys.fading_m, q.threshold)
-    u_d = product_cdf_general(destination_snr_model(sys), q.threshold)
+    u_d = product_cdf_general(*destination(sys), q.threshold)
     n = 200_000
     est, = simulate_outage_survival_law([sys], [q], McConfig(samples=n, seed=17), [u_d])
     v1, v2 = sample_pair(fgm_copula(theta), batch_stream(17, 0), size=n)
@@ -310,7 +314,7 @@ def test_mixed_theta_group_equals_one_system_calls(workers):
 def test_outage_law_worker_count_does_not_change_estimate():
     sys = replace(FIG8, theta=-0.5)
     q = OutageQuery(1.0)
-    f_d = product_cdf_general(destination_snr_model(sys), q.threshold)
+    f_d = product_cdf_general(*destination(sys), q.threshold)
     a, b = (simulate_outage_survival_law(
         [sys], [q], McConfig(samples=40_000, seed=9, workers=w, batch_size=5_000), [f_d])[0]
         for w in (1, 4))
@@ -325,7 +329,7 @@ def test_outage_law_cells_equal_one_cell_calls(workers):
     systems = [replace(FIG8, ps_factor=rho, fading_m=m, theta=th)
                for rho, m, th in ((0.2, 1, -1.0), (0.5, 2, 0.0), (0.7, 1, 0.2), (0.9, 3, 1.0))]
     queries = [OutageQuery(t) for t in (1.0, 0.5, 2.0, 1.0)]
-    f_ds = [product_cdf_general(destination_snr_model(s), q.threshold)
+    f_ds = [product_cdf_general(*destination(s), q.threshold)
             for s, q in zip(systems, queries)]
     cfg = McConfig(samples=30_000, seed=27, workers=workers, batch_size=4_000)
     assert cfg.n_batches == 8

@@ -19,7 +19,6 @@ from scipy.integrate import quad
 from scipy.special import gamma, gammaincc, gammaln, kv, psi
 
 from swiptrelay import product_dist, specfun
-from swiptrelay.copula import fgm_copula
 from swiptrelay.specfun import (
     DomainError,
     NumericalGuardError,
@@ -262,8 +261,7 @@ CAPPED_CALLERS = {
     "meijer_g": (lambda: meijer_g((0.0, 1.0, 1.0), 2.0), "Mellin-Barnes quadrature error"),
     "capacity_sr": (lambda: ergodic_capacity_sr(123.7, 2), "SR capacity quadrature error"),
     "capacity_rd": (lambda: ergodic_capacity_rd(6.5625, 2, 0.5), "RD capacity quadrature error"),
-    "product_cdf": (lambda: product_dist.product_cdf_general(
-        product_dist.closed_form_model(6.5625, 2, fgm_copula(0.5)), np.array([0.1, 1.0, 10.0])),
+    "product_cdf": (lambda: product_dist.product_cdf_general(6.5625, 2, 0.5, np.array([0.1, 1.0, 10.0])),
         "product CDF quadrature error"),
 }
 

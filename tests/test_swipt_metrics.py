@@ -12,7 +12,6 @@ from swiptrelay.copula import copula_cdf, fgm_copula, sample_pair
 from swiptrelay.fading import NakagamiPower, power_quantile
 from swiptrelay.product_dist import (
     ClosedFormRangeError,
-    closed_form_model,
     product_cdf_general,
     snr_pdf_closed,
     snr_survival_closed,
@@ -28,7 +27,6 @@ from swiptrelay.swipt_metrics import (
     capacity_rd_meijer,
     capacity_sr_meijer,
     derive_snr_scales,
-    destination_snr_model,
     ergodic_capacity_rd,
     ergodic_capacity_sr,
     outage_probability,
@@ -38,6 +36,11 @@ from swiptrelay.swipt_metrics import (
 
 
 FIG8 = replace(BASE, noise_power=1e-3)
+
+
+def destination(sys):
+    """The destination SNR law of a system: (gamma_hat_d, m, theta)."""
+    return derive_snr_scales(sys).gamma_hat_d, sys.fading_m, sys.theta
 
 
 def test_system_validation():
@@ -119,8 +122,8 @@ def test_closed_form_outage_at_huge_threshold(m, theta, threshold):
     closed = outage_probability(sys, q)
     assert math.isfinite(closed)
     assert closed == outage_probability_quadrature(sys, q)
-    assert snr_survival_closed(destination_snr_model(sys), threshold) == 0.0
-    assert snr_pdf_closed(destination_snr_model(sys), threshold) == 0.0
+    assert snr_survival_closed(*destination(sys), threshold) == 0.0
+    assert snr_pdf_closed(*destination(sys), threshold) == 0.0
 
 
 def test_relay_cdf_is_gamma_cdf():
@@ -192,9 +195,9 @@ def test_rd_quadrature_evaluates_the_density_once_per_round(monkeypatch):
 
     sizes = []
 
-    def counting(model, y):
-        sizes.append(np.size(y))
-        return snr_pdf_closed(model, y)
+    def counting(*args):
+        sizes.append(np.size(args[-1]))
+        return snr_pdf_closed(*args)
 
     monkeypatch.setattr(metrics_mod, "snr_pdf_closed", counting)
     ergodic_capacity_rd(6.5625, 3, 0.5)
@@ -329,7 +332,7 @@ def test_outage_expanded_composition_identity():
     q = OutageQuery(1.3)
     scales = derive_snr_scales(sys)
     f_r = relay_snr_cdf(scales.gamma_hat_r, 2, q.threshold)
-    f_d = 1.0 - snr_survival_closed(destination_snr_model(sys), q.threshold)
+    f_d = 1.0 - snr_survival_closed(*destination(sys), q.threshold)
     expanded = f_r + f_d - f_r * f_d - 0.7 * f_r * f_d * (1.0 - f_r) * (1.0 - f_d)
     assert outage_probability(sys, q) == pytest.approx(expanded, abs=1e-12)
 
@@ -388,7 +391,7 @@ def test_asymptotic_outage_is_the_composition_with_the_polynomial_relay_cdf(m, t
     sys = replace(FIG8, dist_sr=d_sr, fading_m=m, theta=theta)
     t = 1.0
     f_r = (m * t / derive_snr_scales(sys).gamma_hat_r) ** m / math.factorial(m)
-    f_d = 1.0 - snr_survival_closed(destination_snr_model(sys), t)
+    f_d = 1.0 - snr_survival_closed(*destination(sys), t)
     expected = f_r + f_d - f_r * f_d - theta * f_r * f_d * (1.0 - f_r) * (1.0 - f_d)
     assert asymptotic_outage(sys, OutageQuery(t)) == pytest.approx(expected, rel=0.0, abs=1e-12)
 
@@ -413,55 +416,56 @@ def test_adjudication_report():
 
 # theta groups: one call for k thetas against k one-theta calls.
 THETA_GROUPS = [(-1.0, 0.0, 1.0), tuple(float(t) for t in np.linspace(-1.0, 1.0, 11))]
-RD_SCALES = [1e-8, 6.5625, 1e8]
+RD_SCALES = np.array([[1e-8], [6.5625], [1e8]])
+RATIOS = np.array([[0.1], [1.0], [10.0]])  # y / gamma_hat_d of the product distributions
 
 
-def _rd_hop_calls(ghd, m):
-    """Each RD-hop function as f(thetas): a scalar theta gives a float, a
-    sequence one value per theta (the product distributions at three y)."""
-    ys = np.array([0.1, 1.0, 10.0]) * ghd
-
-    def models(theta):
-        if np.ndim(theta) == 0:
-            return closed_form_model(ghd, m, fgm_copula(theta))
-        return [closed_form_model(ghd, m, fgm_copula(t)) for t in theta]
-
+def _rd_hop_calls(m):
+    """Each RD-hop function as f(gamma_hat_d, theta, ratio), all three
+    broadcasting: the capacities at gamma_hat_d, the product distributions
+    at y = gamma_hat_d * ratio."""
     return {
-        "ergodic_capacity_rd": lambda theta: ergodic_capacity_rd(ghd, m, theta),
-        "capacity_rd_meijer": lambda theta: capacity_rd_meijer(ghd, m, theta),
-        "snr_survival_closed": lambda theta: snr_survival_closed(models(theta), ys),
-        "snr_pdf_closed": lambda theta: snr_pdf_closed(models(theta), ys),
-        "product_cdf_general": lambda theta: product_cdf_general(models(theta), ys),
+        "ergodic_capacity_rd": lambda ghd, theta, ratio: ergodic_capacity_rd(ghd, m, theta),
+        "capacity_rd_meijer": lambda ghd, theta, ratio: capacity_rd_meijer(ghd, m, theta),
+        "snr_survival_closed": lambda ghd, theta, ratio: snr_survival_closed(ghd, m, theta, ghd * ratio),
+        "snr_pdf_closed": lambda ghd, theta, ratio: snr_pdf_closed(ghd, m, theta, ghd * ratio),
+        "product_cdf_general": lambda ghd, theta, ratio: product_cdf_general(ghd, m, theta, ghd * ratio),
     }
 
 
-@pytest.mark.parametrize("ghd", RD_SCALES)
+@pytest.mark.parametrize("ghd", RD_SCALES.ravel().tolist())
 @pytest.mark.parametrize("m", [1, 2, 3, 8])
 def test_rd_hop_theta_group_agrees_with_one_theta_calls(ghd, m):
-    # theta enters only the FGM weight: the theta-free terms are evaluated
-    # once per node, and each theta's value moves by rounding at most (the
-    # quadratures share their panels over the group).
-    for name, call in _rd_hop_calls(ghd, m).items():
+    # One call spans the RD_SCALES column (axis 0), three y per scale (axis 1)
+    # and a theta group (axis 2).  theta enters only the FGM weight: the
+    # theta-free terms are evaluated once per point, and the row of ghd moves
+    # by rounding at most from the one-scale, one-theta calls (the
+    # quadratures share their panels over the call).  The contour spans ghd
+    # alone: across scales it moves by up to 1.2e-11, within the bounds of
+    # test_rd_capacity_meijer_matches_quadrature.
+    for name, call in _rd_hop_calls(m).items():
+        scales = np.full((1, 1, 1), ghd) if name == "capacity_rd_meijer" else RD_SCALES[:, None]
+        i = scales.ravel().tolist().index(ghd)
         for group in THETA_GROUPS:
-            together = call(group)
-            assert np.shape(together)[-1] == len(group), name
+            together = call(scales, group, RATIOS)
+            assert together.shape in ((len(scales), 1, len(group)), (3, 3, len(group))), name
             for j, theta in enumerate(group):
-                alone = call(theta)
-                np.testing.assert_allclose(np.moveaxis(together, -1, 0)[j], alone, rtol=1e-12,
-                                           atol=0.0, err_msg=f"{name} theta={theta}")
-                if name.startswith("snr_"):  # no quadrature: the group changes no bit
-                    assert np.array_equal(np.moveaxis(together, -1, 0)[j], alone), name
+                alone = np.ravel(call(ghd, theta, RATIOS))
+                np.testing.assert_allclose(together[i, :, j], alone, rtol=1e-12, atol=0.0,
+                                           err_msg=f"{name} theta={theta}")
+                if name.startswith("snr_"):  # no quadrature: the call changes no bit
+                    assert np.array_equal(together[i, :, j], alone), name
 
 
-@pytest.mark.parametrize("ghd", RD_SCALES)
+@pytest.mark.parametrize("ghd", RD_SCALES.ravel().tolist())
 @pytest.mark.parametrize("m", [1, 3])
 def test_rd_hop_one_theta_sequence_is_the_scalar_call_bit_for_bit(ghd, m):
-    for name, call in _rd_hop_calls(ghd, m).items():
+    for name, call in _rd_hop_calls(m).items():
         for theta in (-1.0, 0.0, 0.3):
-            alone = call(theta)
+            alone = call(ghd, theta, RATIOS.ravel())
             assert isinstance(alone, float) or alone.shape == (3,), name
-            one = call([theta])
-            assert np.array_equal(np.moveaxis(one, -1, 0)[0], alone), f"{name} theta={theta}"
+            one = call(ghd, [theta], RATIOS)
+            assert np.array_equal(one[..., 0], alone), f"{name} theta={theta}"
 
 
 def _spoil_column(monkeypatch, module, j):
@@ -490,22 +494,15 @@ def test_rd_hop_guard_names_the_failing_theta_of_a_group(monkeypatch, name, mess
     _spoil_column(monkeypatch, specfun_mod, 1)
     _spoil_column(monkeypatch, product_dist_mod, 1)
     with pytest.raises(QuadratureError, match=message):
-        _rd_hop_calls(6.5625, 2)[name]((-1.0, 0.25, 1.0))
+        _rd_hop_calls(2)[name](6.5625, (-1.0, 0.25, 1.0), RATIOS)
 
 
 def test_closed_form_guard_names_the_failing_theta_of_a_group():
     # At m = 3 and y = 1e-200 a Bessel term overflows where theta != 0, but
     # theta = 0 leaves those terms out and gives the survival 1.
-    models = [closed_form_model(6.5625, 3, fgm_copula(t)) for t in (0.0, 0.5)]
-    assert snr_survival_closed(models[:1], 1e-200).tolist() == [1.0]
+    assert snr_survival_closed(6.5625, 3, [0.0], 1e-200).tolist() == [1.0]
     with pytest.raises(ClosedFormRangeError, match=r"\(theta = 0.5\) at y = 1e-200 escapes"):
-        snr_survival_closed(models, 1e-200)
-
-
-def test_a_group_of_models_may_differ_only_in_theta():
-    with pytest.raises(ValueError, match="differ only in theta"):
-        snr_survival_closed([closed_form_model(1.0, 2, fgm_copula(0.5)),
-                             closed_form_model(2.0, 2, fgm_copula(0.5))], 1.0)
+        snr_survival_closed(6.5625, 3, (0.0, 0.5), 1e-200)
 
 
 @pytest.mark.parametrize("outage", [outage_probability, outage_probability_quadrature,
@@ -532,10 +529,14 @@ def test_outage_of_a_system_group_equals_each_system_alone(outage):
                        replace(BASE, ps_factor=0.7, fading_m=2, theta=-1.0),
                        replace(BASE, ps_factor=0.7, theta=1.0)]
     queries = [OutageQuery(t) for t in (0.5, 1.0, 2.0, 0.5, 1.0, 3.0, 0.25)]
-    together = outage(mixed, queries)
-    assert len(together) == len(mixed)
-    for sys, query, value in zip(mixed, queries, together):
-        if outage is outage_probability_quadrature:
-            assert value == pytest.approx(outage(sys, query), rel=1e-12, abs=0.0)
-        else:
-            assert value == outage(sys, query)
+    # Two gamma_hat_d at one m, theta and t: each system's survival is taken
+    # at its own scale (taken at the first one's, the second moved by 5.8e-14).
+    pair = [replace(BASE, fading_m=2, theta=0.5), replace(BASE, noise_power=1e-3, fading_m=2, theta=0.5)]
+    for group, group_queries in ((mixed, queries), (pair, [OutageQuery(1.0)] * 2)):
+        together = outage(group, group_queries)
+        assert len(together) == len(group)
+        for sys, query, value in zip(group, group_queries, together):
+            if outage is outage_probability_quadrature:
+                assert value == pytest.approx(outage(sys, query), rel=1e-12, abs=0.0)
+            else:
+                assert value == outage(sys, query)

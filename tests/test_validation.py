@@ -32,8 +32,9 @@ def test_each_quadrature_and_the_outage_law_draw_run_once(monkeypatch):
     # adjudication's SR quadrature (the cells' SR capacities), its two SR
     # contour readings, its RD quadrature and contour at theta = 0.5, then one
     # RD quadrature over every (m, theta) cell.  Per m, one product-CDF call
-    # takes every cell's theta, and the quadrature outage composes that
-    # call's CDF at the threshold; one outage-law call scores all cells.
+    # and one closed-CDF call take every cell's theta, and the quadrature
+    # outage composes the product-CDF call's CDF at the threshold; one
+    # outage-law call scores all cells.
     calls = []
 
     def count(module, name):
@@ -49,6 +50,7 @@ def test_each_quadrature_and_the_outage_law_draw_run_once(monkeypatch):
         count(swipt_metrics, name)
     count(validation, "ergodic_capacity_rd")
     count(validation, "product_cdf_general")
+    count(validation, "snr_cdf_closed")
     count(validation, "simulate_outage_survival_law")
     ms, thetas = (1, 2), (0.5, -1.0)
     report = validation.run_validation(ms=ms, thetas=thetas, samples=4_000, grid_points=4)
@@ -63,10 +65,10 @@ def test_each_quadrature_and_the_outage_law_draw_run_once(monkeypatch):
     assert [args[2] for _, args in capacities[3:5]] == [0.5, 0.5]
     (_, cells), = capacities[5:]
     assert np.shape(cells[1]) == (len(ms), 1) and tuple(cells[2]) == thetas
-    cdf_calls = [args for name, args in calls if name == "product_cdf_general"]
-    assert [[model.copula.theta for model in models] for models, _ in cdf_calls] == [
-        list(thetas)] * 2
-    assert [len(y) for _, y in cdf_calls] == [4 + 1] * 2
+    for cdf, points in (("product_cdf_general", 4 + 1), ("snr_cdf_closed", 4)):
+        cdf_calls = [args for name, args in calls if name == cdf]
+        assert [(m, tuple(theta), np.shape(y)) for _, m, theta, y in cdf_calls] == [
+            (m, thetas, (points, 1)) for m in ms], cdf
     assert "outage_probability_quadrature" not in names
     assert names.count("simulate_outage_survival_law") == 1
     (systems, queries, _, cdfs), = [args for name, args in calls
