@@ -18,8 +18,8 @@ combination.  ``simulate_metrics`` scores any list of systems and decides
 itself what shares a draw: each batch makes one base draw per fading m,
 every m starting from the batch's sub-stream start, so an m's estimates
 do not depend on which other m are scored with it.  Every theta of an m
-reuses its Gamma pair and uniforms, and only the partner Gammas of each
-theta's dependent share are drawn for that theta.  ``simulate_outage_survival_law``
+reuses its Gamma pair and uniforms, and only the partner Gammas of the
+dependent share are drawn, once per distinct |theta|.  ``simulate_outage_survival_law``
 likewise scores a list of cells, any m and theta, on each batch's one draw
 of uniforms.
 """
@@ -149,9 +149,11 @@ def sample_fgm_powers(thetas, marg: NakagamiPower, rng: np.random.Generator, siz
     inversion; 2 + 2|theta| Gamma draws and one uniform per pair.
 
     All thetas share one base draw from ``rng``: the (2, size) Gamma pair,
-    then the ``size`` uniforms.  Each theta re-reads its partner Gammas from
-    the generator state saved after the uniforms, so the ``(g1, g2)`` it
-    yields is, bit for bit, what a one-theta call on a fresh ``rng`` gives.
+    then the ``size`` uniforms.  Each distinct |theta| draws its partner
+    Gammas once, from the generator state saved after the uniforms, and its
+    thetas (theta and -theta) take their own order statistics from them; so
+    the ``(g1, g2)`` a theta yields is, bit for bit, what a one-theta call on
+    a fresh ``rng`` gives.  A |theta|'s draw is freed after its last theta.
     g1 is the same array for every theta and must not be written to; each
     g2 is its own copy.
     """
@@ -159,23 +161,28 @@ def sample_fgm_powers(thetas, marg: NakagamiPower, rng: np.random.Generator, siz
     scale = marg.mean_power / marg.m
     g = rng.gamma(marg.m, scale, size=(2, size))
     u = rng.random(size)
-    shares = [u < abs(theta) for theta in thetas]
+    shares = {a: u < a for a in dict.fromkeys(abs(theta) for theta in thetas)}
     del u
     after_uniforms = rng.bit_generator.state
+    last = {abs(theta): i for i, theta in enumerate(thetas)}  # each |theta|'s last theta
+    partners = {}  # per |theta| drawn: its dependent pairs, whether g1 beats its partner, g2's partner
     g1, g2 = g
-    for theta, share in zip(thetas, shares):
-        rng.bit_generator.state = after_uniforms
-        dep = np.flatnonzero(share)  # integer indexing is far faster than a mask
-        # The rows of a (2, k) partner draw, read one after the other.  g1 is
-        # the max of its pair exactly when it beats its partner; g2 must be
-        # the same order statistic of its pair (theta > 0) or the other one.
-        want_max2 = (g1[dep] > rng.gamma(marg.m, scale, dep.size)) == (theta > 0.0)
-        partner = rng.gamma(marg.m, scale, dep.size)
+    for i, theta in enumerate(thetas):
+        a = abs(theta)
+        if a not in partners:
+            # The rows of a (2, k) partner draw, read one after the other.  g1
+            # is the max of its pair exactly when it beats its partner.
+            rng.bit_generator.state = after_uniforms
+            dep = np.flatnonzero(shares.pop(a))  # integer indexing is far faster than a mask
+            beats = g1[dep] > rng.gamma(marg.m, scale, dep.size)
+            partners[a] = dep, beats, rng.gamma(marg.m, scale, dep.size)
+        dep, beats, partner = partners.pop(a) if i == last[a] else partners[a]
+        # g2 must be the same order statistic of its pair (theta > 0) or the other one.
+        want_max2 = beats == (theta > 0.0)
         own = g2[dep]
-        np.copyto(partner, own, where=(own > partner) == want_max2)
         g2_theta = g2.copy()
-        g2_theta[dep] = partner
-        del dep, want_max2, partner, own  # free them while the caller scores the pair
+        g2_theta[dep] = np.where((own > partner) == want_max2, own, partner)
+        del dep, beats, partner, want_max2, own  # free them while the caller scores the pair
         yield g1, g2_theta
 
 

@@ -164,11 +164,15 @@ def ergodic_capacity_sr(gamma_hat_r, m) -> float | np.ndarray:
         return (np.log1p(np.multiply.outer(u, s)) / norm.ravel() * weight[:, column]).reshape(
             len(v), *ms.shape)
 
-    # Between the gains' 1e-17 quantiles, split at the modes v = ln m; the
-    # mass left out costs at most 1e-17 of each column.
+    # Between the gains' 1e-17 quantiles, split at the modes v = ln m and at
+    # v = ln m +- 2^k, k = -2 .. 5, which fit the panels to the Gamma mass of
+    # width about 1 / sqrt(m) and its tails; the mass left out costs at most
+    # 1e-17 of each column.
+    offsets = [0.0, *(sign * 2.0 ** k for k in range(-2, 6) for sign in (-1.0, 1.0))]
     val, err = specfun.gauss_kronrod(integrand, math.log(gammaincinv(m_values, 1e-17).min()),
                                      math.log(gammainccinv(m_values, 1e-17).max()),
-                                     epsabs=0.0, epsrel=1e-11, limit=300, points=np.log(m_values))
+                                     epsabs=0.0, epsrel=1e-11, limit=300,
+                                     points=[math.log(mj) + d for mj in distinct for d in offsets])
     for g, mj, v, e in zip(ghrs.flat, ms.flat, np.ravel(val), np.ravel(err)):
         if not e <= 1e-8 * v:
             raise specfun.QuadratureError(
@@ -221,11 +225,12 @@ def ergodic_capacity_rd(gamma_hat_d, m, theta) -> float | np.ndarray:
             out[:, cols] *= snr_pdf_closed(1.0, mj, distinct, x[:, None])[:, theta_column]
         return out.reshape(len(s), *ms.shape)
 
-    # f_1 has its mass at s ~ 1 at every scale; the interval ends where both
-    # hop gains pass their 1e-17 upper quantile.
+    # f_1 has its mass at s ~ 1 at every scale, so the panels start at the
+    # dyadic s = 2^k, k = -3 .. 5; the interval ends where both hop gains pass
+    # their 1e-17 upper quantile.
     hi = max(float(gammainccinv(mj, 1e-17)) / mj for mj in dict.fromkeys(m_flat))
     val, err = specfun.gauss_kronrod(integrand, 0.0, hi, epsabs=0.0, epsrel=1e-10, limit=400,
-                                     points=[1.0])
+                                     points=2.0 ** np.arange(-3, 6))
     for g, mj, t, v, e in zip(ghds.flat, m_flat, theta_flat, np.ravel(val), np.ravel(err)):
         if not e <= 1e-7 * v:
             raise specfun.QuadratureError(f"RD capacity quadrature error {e:.2e} at theta = {t:.6g}, "

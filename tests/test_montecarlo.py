@@ -153,6 +153,29 @@ def test_multi_theta_draw_equals_one_theta_draws(m):
             assert np.array_equal(g1, one[0]) and np.array_equal(g2, one[1])
 
 
+class _CountingGammas:
+    """A generator that counts its ``gamma`` calls and passes everything else on."""
+
+    def __init__(self, rng):
+        self.rng, self.gamma_calls = rng, 0
+
+    def gamma(self, *args, **kwargs):
+        self.gamma_calls += 1
+        return self.rng.gamma(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_equal_magnitude_thetas_share_one_partner_draw():
+    # theta and -theta take the same dependent share and the same partner
+    # Gammas; only their order statistics differ.
+    rng = _CountingGammas(batch_stream(67, 3))
+    for _ in sample_fgm_powers((-0.7, 0.7), NakagamiPower(2), rng, 1000):
+        pass
+    assert rng.gamma_calls == 3  # the base pair, then the two rows of one partner draw
+
+
 def test_fgm_powers_agree_with_conditional_inversion():
     n = 1_000_000
     marg = NakagamiPower(2.5)

@@ -11,6 +11,7 @@ suite's relay-CDF oracle).
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -119,24 +120,45 @@ def test_bessel_k_scaled_deep_tail_finite():
 
 
 def test_bessel_k_scaled_matches_mpmath():
+    # Every order to 12 and a spread up to 199, the highest the closed forms
+    # reach (m = 100), so the forward recurrence is checked over its whole run.
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(30):
-        for v in range(-12, 13):
+    with mpmath.workdps(40):
+        for v in (*range(13), 20, 49, 99, 150, 199):
             for x in np.geomspace(1e-3, 5e3, 25):
                 x = float(x)
                 exact = mpmath.besselk(v, x) * mpmath.exp(x)
-                assert bessel_k_scaled(v, x) == pytest.approx(float(exact), rel=1e-13)
+                if exact > sys.float_info.max:
+                    continue
+                for order in (v, -v):
+                    assert bessel_k_scaled(order, x) == pytest.approx(float(exact), rel=1e-13)
+
+
+def test_bessel_k_recurrence_overflows_quietly_near_zero():
+    # Tier-1 turns a RuntimeWarning into an error: the overflow must stay quiet.
+    grid = bessel_k_scaled(np.arange(200)[:, None], np.array([1e-3, 1e-310]))
+    assert np.isfinite(grid[0]).all() and (grid[-1] == math.inf).all()
 
 
 def test_bessel_k_domain():
     for x in (0.0, -2.0, math.nan):
         with pytest.raises(DomainError):
             bessel_k_scaled(1.0, x)
-    # scipy's kve is nan from x = 2**30 on; that is refused, not passed on.
-    assert math.isfinite(bessel_k_scaled(3.0, 2.0**30 - 1.0))
+    for v in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite order"):
+            bessel_k_scaled(v, 1.0)
+    # scipy's kve is nan from x = 2**30 on; a fractional order, which starts
+    # from kve, is refused there, not passed on.
+    assert math.isfinite(bessel_k_scaled(3.5, 2.0**30 - 1.0))
     for x in (2.0**30, 1e20, math.inf):
         with pytest.raises(NumericalGuardError, match="nan"):
-            bessel_k_scaled(3.0, x)
+            bessel_k_scaled(3.5, x)
+    # Whole orders start from k0e and k1e, which hold there: the leading
+    # asymptotics sqrt(pi / 2x) (1 + (4 v^2 - 1) / 8x).
+    for v in (0, 1, 3, 12):
+        for x in (2.0**30, 1e20, 1e300, math.inf):
+            expected = math.sqrt(math.pi / (2.0 * x)) * (1.0 + (4.0 * v * v - 1.0) / (8.0 * x))
+            assert bessel_k_scaled(v, x) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_bessel_k_scaled_broadcasts_and_names_the_first_bad_argument():
@@ -144,10 +166,14 @@ def test_bessel_k_scaled_broadcasts_and_names_the_first_bad_argument():
     grid = bessel_k_scaled(orders[:, None], xs)
     assert grid.shape == (7, 9)
     assert grid.tolist() == [[bessel_k_scaled(v, x) for x in xs] for v in orders.tolist()]
+    # Whole and fractional orders in one call: each element is its scalar call.
+    mixed = np.array([-2.5, -1.0, 0.0, 0.25, 3.0, 4.25])
+    assert bessel_k_scaled(mixed, xs[:, None]).tolist() == [
+        [bessel_k_scaled(v, x) for v in mixed.tolist()] for x in xs.tolist()]
     with pytest.raises(DomainError, match="got -1.0"):
         bessel_k_scaled(orders[:, None], np.array([1.0, -1.0, 0.0]))
-    with pytest.raises(NumericalGuardError, match="nan at v=-3, x=1.07374e"):
-        bessel_k_scaled(orders[:, None], np.array([1.0, 2.0**30, 1e20]))
+    with pytest.raises(NumericalGuardError, match="nan at v=-2.5, x=1.07374e"):
+        bessel_k_scaled(orders[:, None] + 0.5, np.array([1.0, 2.0**30, 1e20]))
 
 
 def test_bessel_integral_identity_grid():
@@ -270,8 +296,10 @@ CAPPED_CALLERS = {
 def test_gauss_kronrod_limit_exhausted_makes_caller_raise(monkeypatch, caller):
     # With at most two panels no integral of the package reaches its
     # tolerance; each caller must refuse the returned error estimate.
+    # The starting partitions the callers pass would already hold more
+    # panels than that, so the cap drops them too.
     def capped(f, a, b, epsabs, epsrel, limit, points=()):
-        return gauss_kronrod(f, a, b, epsabs, epsrel, min(limit, 2), points)
+        return gauss_kronrod(f, a, b, epsabs, epsrel, min(limit, 2), points=())
 
     monkeypatch.setattr(specfun, "gauss_kronrod", capped)
     monkeypatch.setattr(product_dist, "gauss_kronrod", capped)
