@@ -6,25 +6,25 @@ against each other:
 
 * ``product_cdf_general`` — numerical integral of the copula-weighted
   product CDF; valid for any theta and any real m >= 0.5.  It integrates
-  every threshold in one vector Gauss-Kronrod quadrature over s, where
+  every threshold and m in one vector Gauss-Kronrod quadrature over s, where
   g_sr = sqrt(y / snr_scale) e^s, between bounds set by the SR marginal's
   far quantiles.  It uses the incomplete gamma function and no Bessel term,
   so it stays the closed forms' oracle.
 * ``snr_survival_closed`` / ``snr_cdf_closed`` / ``snr_pdf_closed`` —
   Bessel-K closed forms for an integer m in [1, 100].
 
-Each takes ``(snr_scale, m, theta, y)``: m is a scalar, and snr_scale, theta
-and y broadcast under numpy rules (scalars give a float, arrays an array of
-the broadcast shape).  theta enters only through the FGM weight, so the
-terms free of it (the Bessel sums; the incomplete gammas and weight at each
-node) are evaluated once per point of the broadcast of (snr_scale, y), and
-theta only in the final product.  A call with snr_scale and y of shape
-(p, 1) and theta of shape (k,) thus evaluates p points and returns (p, k).
-The closed forms evaluate terms by points: every element equals its own
-scalar call bit for bit, and every guard holds per element, its error
-naming the first offending y (and theta).  The quadrature integrates every
-point at every theta of the call and shares its panels over them, so its
-values move with the call at the rounding level.
+Each takes ``(snr_scale, m, theta, y)``, broadcast under numpy rules
+(scalars give a float, arrays an array of the broadcast shape).  theta
+enters only through the FGM weight, so the terms free of it (the Bessel
+sums; the incomplete gammas and weight at each node) are evaluated once per
+point of the broadcast of (snr_scale, m, y), and theta only in the final
+product.  A call with snr_scale, m and y of shape (p, 1) and theta of shape
+(k,) thus evaluates p points and returns (p, k).  The closed forms evaluate
+terms by points, each distinct m's points together: every element equals
+its own scalar call bit for bit, and every guard holds per element, its
+error naming the first offending y (and theta).  The quadrature integrates
+every point at every theta of the call, whatever its m, and shares its
+panels over them, so its values move with the call at the rounding level.
 
 The printed closed forms weigh Bessel terms by powers of snr_scale that all
 cancel: they depend on y only through z = zeta sqrt(y), zeta = 2m / sqrt(snr_scale).
@@ -111,7 +111,7 @@ def _result(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
-def product_cdf_general(snr_scale, m: float, theta, y):
+def product_cdf_general(snr_scale, m, theta, y):
     """CDF of the scaled product by one vector quadrature over the SR power.
 
     F(y) = int_0^inf f_sr(g) C_{2|1}(F_rd(y'/g) | F_sr(g)) dg with
@@ -119,12 +119,12 @@ def product_cdf_general(snr_scale, m: float, theta, y):
     the FGM conditional CDF.  Valid for any theta and any real m >= 0.5.
 
     The substitution g = sqrt(y') e^s puts every threshold's split point
-    g = sqrt(y') at s = 0, so all points of (snr_scale, y) share one
+    g = sqrt(y') at s = 0, so all points of (snr_scale, m, y) share one
     ``gauss_kronrod`` call, which evaluates nodes by points by thetas as one
-    array.  The s range runs from the SR marginal's ``_TAIL`` lower quantile
-    at the largest y' to its ``_TAIL`` upper quantile at the smallest, so
-    each point leaves at most 2 * ``_TAIL`` of the SR mass out, at any scale
-    of y'.
+    array.  The s range runs from the lowest of the points' SR ``_TAIL``
+    lower quantiles at their y' to the highest of their ``_TAIL`` upper
+    quantiles, so each point leaves at most 2 * ``_TAIL`` of the SR mass out,
+    at any scale of y' and any m.
 
     The arguments broadcast (module docstring).  y' = 0 maps to 0, and a y'
     that overflows to the limit 1.  A scale that is not finite and
@@ -133,47 +133,51 @@ def product_cdf_general(snr_scale, m: float, theta, y):
     point ``QuadratureError`` naming its theta.
     """
     th = _thetas(theta)
-    marginal = NakagamiPower(m)
-    scale, ys = np.broadcast_arrays(np.asarray(snr_scale, dtype=float), np.asarray(y, dtype=float))
+    scale, ms, ys = np.broadcast_arrays(np.asarray(snr_scale, dtype=float), np.asarray(m),
+                                        np.asarray(y, dtype=float))
+    for mj in dict.fromkeys(ms.ravel().tolist()):
+        NakagamiPower(mj)  # the marginal owns the m range
     _check((scale > 0.0) & (scale < math.inf), ValueError,
            "snr_scale must be finite and positive, got {:.6g}", scale)
     _check((ys >= 0.0) & (ys < math.inf), ValueError,
            "SNR threshold must be finite and non-negative, got y = {:.6g}", ys)
     with np.errstate(over="ignore"):
         yp = (ys / scale).ravel()
-    # Rows the points of (snr_scale, y), columns every theta of the call.
+    # Rows the points of (snr_scale, m, y), columns every theta of the call.
     cdf = np.where(yp > 0.0, 1.0, 0.0)[:, None].repeat(th.size, axis=1)
     inner = (yp > 0.0) & (yp < math.inf)
     if inner.any():
-        cdf[inner] = _integrate_cdf(marginal, th.ravel(), yp[inner])
+        cdf[inner] = _integrate_cdf(ms.ravel()[inner].astype(float), th.ravel(), yp[inner])
     shape = np.broadcast_shapes(scale.shape, th.shape)
     return _result(cdf[np.broadcast_to(np.arange(yp.size).reshape(scale.shape), shape),
                        np.broadcast_to(np.arange(th.size).reshape(th.shape), shape)])
 
 
-def _integrate_cdf(marginal: NakagamiPower, thetas: np.ndarray, yp: np.ndarray) -> np.ndarray:
-    """The CDF at positive, finite scaled thresholds ``yp`` (1-D): rows thresholds, columns ``thetas``."""
-    m, r = marginal.m, marginal.rate
+def _integrate_cdf(m: np.ndarray, thetas: np.ndarray, yp: np.ndarray) -> np.ndarray:
+    """The CDF at positive, finite scaled thresholds ``yp`` (1-D), each with
+    its SR shape in ``m`` (unit mean, so the rate is m): rows thresholds,
+    columns ``thetas``."""
+    # Per distinct m by math.log: the bits of a call with that m alone.
+    by_m = {mj: (mj * math.log(mj) - gammaln(mj), math.log(gammaincinv(mj, _TAIL) / mj),
+                 math.log(gammainccinv(mj, _TAIL) / mj)) for mj in dict.fromkeys(m.tolist())}
+    ln_norm, ln_lo, ln_hi = np.array([by_m[mj] for mj in m.tolist()]).T
     half = 0.5 * np.log(yp)
-    ln_norm = m * math.log(r) - gammaln(m)
 
     def integrand(s: np.ndarray) -> np.ndarray:
         # f_sr(g) dg = g f_sr(g) ds, with g = sqrt(y') e^s and y'/g = sqrt(y') e^-s;
         # axes are nodes s, thresholds, thetas: only the last product takes theta.
         ln_g = half + s[:, None]
         g = np.exp(ln_g)
-        u1 = gammainc(m, r * g)
-        u2 = gammainc(m, r * np.exp(half - s[:, None]))
-        weight = np.exp(ln_norm + m * ln_g - r * g)
+        u1 = gammainc(m, m * g)
+        u2 = gammainc(m, m * np.exp(half - s[:, None]))
+        weight = np.exp(ln_norm + m * ln_g - m * g)
         return (weight * u2)[..., None] * (1.0 + thetas * (1.0 - 2.0 * u1)[..., None]
                                            * (1.0 - u2)[..., None])
 
-    lo = math.log(gammaincinv(m, _TAIL) / r) - half.max()
-    hi = math.log(gammainccinv(m, _TAIL) / r) - half.min()
     # exp(half + s) may overflow at the far end of a wide threshold range: inf
     # gives a zero weight and u = 1, both correct limits (gauss_kronrod is quiet).
-    val, err = gauss_kronrod(integrand, lo, hi, epsabs=5e-11, epsrel=1e-10, limit=10000,
-                             points=(0.0,))
+    val, err = gauss_kronrod(integrand, float((ln_lo - half).min()), float((ln_hi - half).max()),
+                             epsabs=5e-11, epsrel=1e-10, limit=10000, points=(0.0,))
     _check(err <= 1e-6, QuadratureError,
            "product CDF quadrature error estimate {:.2e} too large at theta = {:.6g}", err, thetas)
     return np.clip(val, 0.0, 1.0)
@@ -217,21 +221,28 @@ def _bessel_sum(weights: np.ndarray, first_order: int, x: np.ndarray) -> np.ndar
     return out
 
 
-def _closed_points(snr_scale, m, ys: np.ndarray, *by_scale):
-    """What the closed forms share before theta: m; the mask of the live
-    points of the broadcast of (snr_scale, y) (y > 0 and e^-z > 0; elsewhere
-    the forms take their limits) and z = zeta sqrt(y) at them; and each
-    ``by_scale(coefficients)`` over snr_scale.  One
-    ``ClosedFormCoefficients.build`` per distinct scale checks m and the scale.
+def _closed_points(snr_scale, m, ys: np.ndarray, *by_coefficients):
+    """What the closed forms share before theta, over the broadcast of
+    (snr_scale, m, y): the mask of the live points (y > 0 and e^-z > 0;
+    elsewhere the forms take their limits) and z = zeta sqrt(y) at them; per
+    distinct m, its live points as indices into z; and each
+    ``by_coefficients(coefficients)`` over the broadcast.  One
+    ``ClosedFormCoefficients.build`` per distinct (m, snr_scale) checks m and
+    the scale.
     """
-    scales = np.asarray(snr_scale, dtype=float)
-    flat = scales.ravel().tolist()
-    coeffs = {s: ClosedFormCoefficients.build(m, s) for s in dict.fromkeys(flat)}
-    z = np.array([coeffs[s].zeta for s in flat]).reshape(scales.shape) * np.sqrt(ys)
+    ms, scales = np.broadcast_arrays(np.asarray(m), np.asarray(snr_scale, dtype=float))
+    keys = list(zip(ms.ravel().tolist(), scales.ravel().tolist()))
+    coeffs = {key: ClosedFormCoefficients.build(*key) for key in dict.fromkeys(keys)}
+
+    def per_key(f):
+        return np.reshape([f(coeffs[key]) for key in keys], ms.shape)
+
+    z = per_key(lambda cf: cf.zeta) * np.sqrt(ys)
     # exp(-z) == 0 is z > 745: the survival is below 1e-124 for every m <= 100
     live = (ys > 0.0) & (_exp_neg(z.ravel()) > 0.0).reshape(z.shape)
-    return int(m), live, z[live], [np.array([f(coeffs[s]) for s in flat]).reshape(scales.shape)
-                                   for f in by_scale]
+    m_live = np.broadcast_to(per_key(lambda cf: cf.m), z.shape)[live]
+    groups = [(mj, np.flatnonzero(m_live == mj)) for mj in dict.fromkeys(m_live.tolist())]
+    return live, z[live], groups, [per_key(f) for f in by_coefficients]
 
 
 def _at_live(live: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -241,7 +252,7 @@ def _at_live(live: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def snr_survival_closed(snr_scale, m: int, theta, y):
+def snr_survival_closed(snr_scale, m, theta, y):
     """Survival 1 - F(y) by the Bessel sums of the module docstring; y = 0 maps to 1.
 
     The arguments broadcast (module docstring).  A negative or nan y, a
@@ -252,19 +263,25 @@ def snr_survival_closed(snr_scale, m: int, theta, y):
     th = _thetas(theta)
     ys = np.asarray(y, dtype=float)
     _check(ys >= 0.0, ValueError, "SNR threshold must be non-negative, got y = {:.6g}", ys)
-    m, live, z, _ = _closed_points(snr_scale, m, ys)
+    live, z, groups, (b_factor,) = _closed_points(snr_scale, m, ys, lambda cf: 2.0 ** (cf.m / 2.0 + 1.0))
+    dependent = (th != 0.0).any()  # theta = 0 leaves the dependence terms out, as they may be inf
+    # Rows the front 2 (z/2)^m / Gamma(m) = z alpha_{m-1} and the a, b and c sums.
+    terms = np.zeros((4, len(z)))
     # Tiny z may overflow a Bessel term and give inf or nan: the range check refuses it.
     with np.errstate(over="ignore", invalid="ignore"):
-        alpha = _series(0.5 * z, m)
-        front = _at_live(live, z * alpha[-1])  # 2 (z/2)^m / Gamma(m) = z alpha_{m-1}
-        bracket = (1.0 + th) * _at_live(live, _bessel_sum(alpha, -m, z))
-        if (th != 0.0).any():  # theta = 0 leaves the dependence terms out, as they may be inf
-            beta = _series(z / (2.0 * _SQRT2), m)
-            b = _at_live(live, _bessel_sum(_product(beta, beta), -m, _SQRT2 * z))
-            c = _at_live(live, _bessel_sum(_product(_product(alpha, alpha), alpha[::-1]), 1 - 2 * m,
-                                           2.0 * z))
-            bracket = np.where(th != 0.0, bracket - th * 2.0 ** (m / 2.0 + 1.0) * b + 2.0 * th * c,
-                               bracket)
+        for mj, at in groups:
+            zj = z[at]
+            alpha = _series(0.5 * zj, mj)
+            terms[:2, at] = zj * alpha[-1], _bessel_sum(alpha, -mj, zj)
+            if dependent:
+                beta = _series(zj / (2.0 * _SQRT2), mj)
+                terms[2:, at] = (_bessel_sum(_product(beta, beta), -mj, _SQRT2 * zj),
+                                 _bessel_sum(_product(_product(alpha, alpha), alpha[::-1]), 1 - 2 * mj,
+                                             2.0 * zj))
+        front, a, b, c = (_at_live(live, row) for row in terms)
+        bracket = (1.0 + th) * a
+        if dependent:
+            bracket = np.where(th != 0.0, bracket - th * b_factor * b + 2.0 * th * c, bracket)
         val = front * bracket
     _check((val >= -1e-9) & (val <= 1.0 + 1e-9), ClosedFormRangeError,
            "closed-form survival {:.6g} (theta = {:.6g}) at y = {:.6g} escapes [0, 1] beyond slack",
@@ -272,12 +289,12 @@ def snr_survival_closed(snr_scale, m: int, theta, y):
     return _result(np.where(live, np.clip(val, 0.0, 1.0), ys == 0.0))
 
 
-def snr_cdf_closed(snr_scale, m: int, theta, y):
+def snr_cdf_closed(snr_scale, m, theta, y):
     """Closed-form CDF of the end-to-end SNR (FGM, integer m)."""
     return 1.0 - snr_survival_closed(snr_scale, m, theta, y)
 
 
-def snr_pdf_closed(snr_scale, m: int, theta, y):
+def snr_pdf_closed(snr_scale, m, theta, y):
     """Density by the Bessel sums of the module docstring.
 
     The arguments broadcast (module docstring).  A y <= 0 or nan, a theta
@@ -288,19 +305,27 @@ def snr_pdf_closed(snr_scale, m: int, theta, y):
     ys = np.asarray(y, dtype=float)
     _check(ys > 0.0, ValueError, "density defined for y > 0, got y = {:.6g}", ys)
     # (2/y) ((z/2)^m / Gamma(m))^2 = (zeta^2 / 2) alpha_{m-1}^2, free of 1/y
-    m, live, z, (half_zeta_sq,) = _closed_points(snr_scale, m, ys, lambda cf: 0.5 * cf.zeta**2)
+    live, z, groups, (half_zeta_sq,) = _closed_points(snr_scale, m, ys, lambda cf: 0.5 * cf.zeta**2)
+    dependent = (th != 0.0).any()
+    # Rows alpha_{m-1}^2 and the a, b and c sums.
+    terms = np.zeros((4, len(z)))
     with np.errstate(over="ignore", invalid="ignore"):
-        alpha = _series(0.5 * z, m)
-        front = half_zeta_sq * _at_live(live, alpha[-1] ** 2)
-        bracket = (1.0 + th) * _at_live(live, _bessel_sum(np.ones((1, len(z))), 0, z))
-        if (th != 0.0).any():
-            b = _at_live(live, _bessel_sum(_series(z / (2.0 * _SQRT2), m), 0, _SQRT2 * z))
-            c = _at_live(live, _bessel_sum(_product(alpha, alpha[::-1]), 1 - m, 2.0 * z))
+        for mj, at in groups:
+            zj = z[at]
+            alpha = _series(0.5 * zj, mj)
+            terms[:2, at] = alpha[-1] ** 2, _bessel_sum(np.ones((1, len(zj))), 0, zj)
+            if dependent:
+                terms[2:, at] = (_bessel_sum(_series(zj / (2.0 * _SQRT2), mj), 0, _SQRT2 * zj),
+                                 _bessel_sum(_product(alpha, alpha[::-1]), 1 - mj, 2.0 * zj))
+        alpha_sq, a, b, c = (_at_live(live, row) for row in terms)
+        front = half_zeta_sq * alpha_sq
+        bracket = (1.0 + th) * a
+        if dependent:
             bracket = np.where(th != 0.0, bracket - 4.0 * th * b + 4.0 * th * c, bracket)
         val = front * bracket
     _check(np.isfinite(val), ClosedFormRangeError,
            "closed-form density {} (theta = {:.6g}) at y = {:.6g} is not finite at m = {}",
-           val, th, ys, m)
+           val, th, ys, np.asarray(m))
     return _result(np.maximum(val, 0.0))
 
 

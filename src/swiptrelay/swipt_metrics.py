@@ -11,13 +11,15 @@ array of the broadcast shape.  The hop capacities work at unit scale, so
 the scale is one more axis: (gamma_hat_r, m) for SR, (gamma_hat_d, m,
 theta) for RD.  One quadrature or contour serves all columns, its nodes
 evaluating the unit-scale terms once (the SR Gamma weight per m, the unit
-density f_1 in one ``snr_pdf_closed(1.0, m, thetas, x)`` call per m, the
-contours' log-gammas).  A scale enters only its column, as
-ln(1 + gamma_hat x) or a contour's -s ln x, divided by ln(1 + gamma_hat)
-so that the panels, chosen on the largest error over the columns, give
-each relative accuracy.  More than one column moves a value at the
-rounding level; every guard names its column.  The outage functions take
-one system or any systems, and one destination-survival call per m, on
+density f_1 in one ``snr_pdf_closed(1.0, m, thetas, x)`` call per round
+for every m and theta, the contours' log-gammas).  A scale enters only its
+column.  In a quadrature it enters as ln(1 + gamma_hat x), divided by
+ln(1 + gamma_hat) so that the panels, chosen on the largest error over the
+columns, give each relative accuracy; more than one column moves a value
+at the rounding level.  In a contour it enters as -s ln x, and each column
+takes its own trapezoidal steps, so it keeps the bits of a call for it
+alone.  Every guard names its column.  The outage functions take one
+system or any systems, and one destination-survival call, on
 ``product_dist``'s (snr_scale, m, theta, y), serves them all (``_outage``).
 """
 
@@ -180,6 +182,15 @@ def ergodic_capacity_sr(gamma_hat_r, m) -> float | np.ndarray:
     return _in_bits(val * norm)
 
 
+def _ln_reflection(s: np.ndarray) -> np.ndarray:
+    """ln of Gamma(1+s) Gamma(-s)^2 / Gamma(1-s), the factor both capacity
+    kernels share: by Gamma(1+s) Gamma(-s) = -pi / sin(pi s) and
+    Gamma(1-s) = -s Gamma(-s) it is pi / (s sin(pi s)), taken as
+    ln(-2 pi i / s) + i pi s - ln(1 - e^(2 i pi s)) so that no term
+    overflows up the line (Im s >= 0)."""
+    return np.log(-2j * math.pi / s) + 1j * math.pi * s - np.log(1.0 - np.exp(2j * math.pi * s))
+
+
 def capacity_sr_meijer(gamma_hat_r, m, printed_variant: bool = False) -> float | np.ndarray:
     """SR capacity G^{1,3}_{3,2}(a1, 1, 1; 1, 0 | gamma_hat_r / m) / (2 Gamma(m) ln 2),
     one Mellin-Barnes contour at Re s = -1/2 for every (gamma_hat_r, m) column
@@ -188,20 +199,19 @@ def capacity_sr_meijer(gamma_hat_r, m, printed_variant: bool = False) -> float |
     The default reading uses upper parameter a1 = 1-m, which matches
     quadrature; ``printed_variant=True`` evaluates the 1 - m/gamma_hat_r reading.
     """
-    (ghrs, ms), norm = _unit_scale(gamma_hat_r, "gamma_hat_r", m)
+    (ghrs, ms), _ = _unit_scale(gamma_hat_r, "gamma_hat_r", m)
     x = ghrs / ms
     b = ms / ghrs if printed_variant else ms  # 1 - a1
     distinct, column = _distinct(b.flat)
-    b_values = np.array(distinct)
-    ln_x, ln_gamma_m = np.array([math.log(v) for v in x.flat]), gammaln(ms).ravel()
+    b_values, ln_gamma_m = np.array(distinct), gammaln(ms).ravel()
 
-    def ln_integrand(s: np.ndarray) -> np.ndarray:
-        return ((_loggamma(1.0 + s) + 2.0 * _loggamma(-s) - _loggamma(1.0 - s))[:, None]
-                + _loggamma(b_values - s[:, None])[:, column] - ln_gamma_m
-                - s[:, None] * ln_x).reshape(len(s), *ms.shape)
+    def ln_kernel(s: np.ndarray) -> np.ndarray:
+        return (_ln_reflection(s)[:, None] + _loggamma(b_values - s[:, None])[:, column]
+                - ln_gamma_m).reshape(len(s), *ms.shape)
 
     names = [f"Meijer G (1, 3, 3, 2) at x={v:.6g}, m={mj}" for v, mj in zip(x.flat, ms.flat)]
-    return _in_bits(specfun.mellin_barnes(ln_integrand, -0.5, names, norm))
+    ln_x = np.reshape([math.log(v) for v in x.flat], x.shape)
+    return _in_bits(specfun.mellin_barnes(ln_kernel, -0.5, ln_x, names))
 
 
 def ergodic_capacity_rd(gamma_hat_d, m, theta) -> float | np.ndarray:
@@ -209,26 +219,22 @@ def ergodic_capacity_rd(gamma_hat_d, m, theta) -> float | np.ndarray:
     unit-scale product density f_1, one quadrature for every (gamma_hat_d, m,
     theta) column (module docstring)."""
     (ghds, ms, thetas), norm = _unit_scale(gamma_hat_d, "gamma_hat_d", m, theta)
-    # Per m: its columns, its distinct thetas, each column's theta among them.
-    groups = []
     m_flat, theta_flat = ms.ravel().tolist(), thetas.ravel().tolist()
-    for mj in dict.fromkeys(m_flat):
-        cols = [c for c, mc in enumerate(m_flat) if mc == mj]
-        distinct, theta_column = _distinct(theta_flat[c] for c in cols)
-        groups.append((cols, mj, distinct, theta_column))
+    m_values, m_column = _distinct(m_flat)
+    theta_values, theta_column = _distinct(theta_flat)
 
     def integrand(s: np.ndarray) -> np.ndarray:
-        # x = s^2 smooths the sqrt(x) Bessel arguments; one density call per m and round.
+        # x = s^2 smooths the sqrt(x) Bessel arguments; one density call per round
+        # gives f_1 at every (m, theta) of the columns.
         x = s * s
-        out = 2.0 * s[:, None] * np.log1p(np.multiply.outer(x, ghds.ravel())) / norm.ravel()
-        for cols, mj, distinct, theta_column in groups:
-            out[:, cols] *= snr_pdf_closed(1.0, mj, distinct, x[:, None])[:, theta_column]
-        return out.reshape(len(s), *ms.shape)
+        density = snr_pdf_closed(1.0, np.reshape(m_values, (-1, 1)), theta_values, x[:, None, None])
+        return (2.0 * s[:, None] * np.log1p(np.multiply.outer(x, ghds.ravel())) / norm.ravel()
+                * density[:, m_column, theta_column]).reshape(len(s), *ms.shape)
 
     # f_1 has its mass at s ~ 1 at every scale, so the panels start at the
     # dyadic s = 2^k, k = -3 .. 5; the interval ends where both hop gains pass
     # their 1e-17 upper quantile.
-    hi = max(float(gammainccinv(mj, 1e-17)) / mj for mj in dict.fromkeys(m_flat))
+    hi = max(float(gammainccinv(mj, 1e-17)) / mj for mj in m_values)
     val, err = specfun.gauss_kronrod(integrand, 0.0, hi, epsabs=0.0, epsrel=1e-10, limit=400,
                                      points=2.0 ** np.arange(-3, 6))
     for g, mj, t, v, e in zip(ghds.flat, m_flat, theta_flat, np.ravel(val), np.ravel(err)):
@@ -258,29 +264,32 @@ def capacity_rd_meijer(gamma_hat_d, m, theta) -> float | np.ndarray:
     to m = 100.  No power of gamma_hat_d is formed.  Every (gamma_hat_d, m,
     theta) column shares one contour quadrature (module docstring).
     """
-    (ghds, ms, thetas), norm = _unit_scale(gamma_hat_d, "gamma_hat_d", m, theta)
-    distinct, column = _distinct(ms.flat)
-    ln_x = np.array([math.log(g / (mj * mj)) for g, mj in zip(ghds.flat, ms.flat)])
+    (ghds, ms, thetas), _ = _unit_scale(gamma_hat_d, "gamma_hat_d", m, theta)
+    # The kernel once per distinct (m, theta) pair, its front once per distinct m.
+    pairs, column = _distinct(zip(ms.ravel().tolist(), thetas.flat))
+    m_values, m_column = _distinct(mj for mj, _ in pairs)
+    pair_thetas = np.array([t for _, t in pairs])
 
-    def ln_integrand(s: np.ndarray) -> np.ndarray:
-        front, back = _loggamma(1.0 + s) + 2.0 * _loggamma(-s), _loggamma(1.0 - s)
-        ln_kernel, u = [], []
-        for mj in distinct:
+    def ln_kernel(s: np.ndarray) -> np.ndarray:
+        reflection, two_s = _ln_reflection(s), np.exp(_LN2 * s)
+        ln_front, u = [], []
+        for mj in m_values:
             q, term = 0.0, 1.0
             for k in range(mj):
                 q += term
                 term *= (mj + k - s) / (2.0 * k + 2.0)
-            u.append((1.0 - 2.0 ** (1 - mj + s) * q) ** 2)
-            ln_kernel.append(front + 2.0 * _loggamma(mj - s) - back - 2.0 * float(gammaln(mj)))
+            u.append((1.0 - 2.0 ** (1 - mj) * two_s * q) ** 2)
+            ln_front.append(reflection + 2.0 * _loggamma(mj - s) - 2.0 * float(gammaln(mj)))
         # For theta < 0 the weight vanishes at u = 1 +- 1/sqrt(-theta); its log is -inf there.
         with np.errstate(divide="ignore"):
-            ln_weight = np.log(1.0 + thetas.ravel() * np.stack(u, axis=1)[:, column])
-        return (np.stack(ln_kernel, axis=1)[:, column] - s[:, None] * ln_x
-                + ln_weight).reshape(len(s), *ms.shape)
+            ln_weight = np.log(1.0 + pair_thetas * np.stack(u, axis=1)[:, m_column])
+        return (np.stack(ln_front, axis=1)[:, m_column] + ln_weight)[:, column].reshape(
+            len(s), *ms.shape)
 
     names = [f"RD capacity contour (m={mj}, theta={t:.6g}) at x={g / (mj * mj):.6g}"
              for g, mj, t in zip(ghds.flat, ms.ravel().tolist(), thetas.flat)]
-    return _in_bits(specfun.mellin_barnes(ln_integrand, -0.5, names, norm))
+    ln_x = np.reshape([math.log(g / (mj * mj)) for g, mj in zip(ghds.flat, ms.flat)], ms.shape)
+    return _in_bits(specfun.mellin_barnes(ln_kernel, -0.5, ln_x, names))
 
 
 def _outage(sys, q, relay_cdf, destination_survival):
@@ -289,28 +298,22 @@ def _outage(sys, q, relay_cdf, destination_survival):
 
     ``sys`` is one system (a float) or a sequence (a list), ``q`` one query
     for all or one per system.  One ``destination_survival(gamma_hat_d, m,
-    theta, t)`` call per m serves all its systems: its distinct
-    (gamma_hat_d, t) as rows (two (p, 1) columns) and its distinct thetas as
-    columns, so each system gets the bits, and its guards name the
-    threshold, of a call for it alone.
+    theta, t)`` call serves all systems: their distinct (gamma_hat_d, m, t)
+    as rows (three (p, 1) columns) and their distinct thetas as columns, so
+    each system gets the bits, and its guards name the threshold, of a call
+    for it alone.
     """
     systems = [sys] if isinstance(sys, SwiptSystem) else list(sys)
     thresholds = [c.threshold for c in ([q] * len(systems) if isinstance(q, OutageQuery) else q)]
     scales = [derive_snr_scales(s) for s in systems]
     surv_r = [1.0 - relay_cdf(sc.gamma_hat_r, s.fading_m, t)
               for s, sc, t in zip(systems, scales, thresholds)]
-    surv_d = [0.0] * len(systems)
-    m_values, m_column = _distinct(s.fading_m for s in systems)
-    for j, m in enumerate(m_values):
-        members = [i for i, c in enumerate(m_column) if c == j]
-        rows, row = _distinct((scales[i].gamma_hat_d, thresholds[i]) for i in members)
-        thetas, theta_column = _distinct(systems[i].theta for i in members)
-        ghds, ts = np.array(rows).T[:, :, None]
-        values = destination_survival(ghds, m, thetas, ts)
-        for i, a, b in zip(members, row, theta_column):
-            surv_d[i] = values[a, b]
-    outages = [1.0 - copula_cdf(fgm_copula(s.theta), r, d)
-               for s, r, d in zip(systems, surv_r, surv_d)]
+    rows, row = _distinct((sc.gamma_hat_d, s.fading_m, t) for s, sc, t in zip(systems, scales, thresholds))
+    thetas, theta_column = _distinct(s.theta for s in systems)
+    ghds, ms, ts = (np.array(axis)[:, None] for axis in zip(*rows))
+    values = destination_survival(ghds, ms, thetas, ts)
+    outages = [1.0 - copula_cdf(fgm_copula(s.theta), r, values[a, b])
+               for s, r, a, b in zip(systems, surv_r, row, theta_column)]
     return outages[0] if isinstance(sys, SwiptSystem) else outages
 
 

@@ -125,16 +125,15 @@ def run_validation(
         # One RD quadrature serves every (m, theta) cell.
         cell = f"m={','.join(str(m) for m in ms)},theta={','.join(fmt(t) for t in thetas)}"
         rd_quads = ergodic_capacity_rd(scales.gamma_hat_d, np.reshape(ms, (-1, 1)), thetas)
-        for i, m in enumerate(ms):
-            # One vector quadrature per m serves every cell's product CDF: on
-            # the grid and, last, at the outage threshold; one closed-form
-            # call per m gives every cell's CDF on the grid.  Rows are
-            # thresholds, columns thetas.
-            cell = f"m={m},theta={','.join(fmt(theta) for theta in thetas)}"
-            grid = _threshold_grid(scales.gamma_hat_d, grid_points)
-            quad_cdfs = product_cdf_general(scales.gamma_hat_d, m, thetas,
+        # One vector quadrature serves every cell's product CDF: on the grid
+        # and, last, at the outage threshold; one closed-form call gives every
+        # cell's CDF on the grid.  Axes are m, thresholds and thetas.
+        grid = _threshold_grid(scales.gamma_hat_d, grid_points)
+        m_axis = np.reshape(ms, (-1, 1, 1))
+        all_quad_cdfs = product_cdf_general(scales.gamma_hat_d, m_axis, thetas,
                                             np.append(grid, OUTAGE_THRESHOLD)[:, None])
-            closed_cdfs = err_factor * snr_cdf_closed(scales.gamma_hat_d, m, thetas, grid[:, None])
+        all_closed_cdfs = err_factor * snr_cdf_closed(scales.gamma_hat_d, m_axis, thetas, grid[:, None])
+        for i, (m, quad_cdfs, closed_cdfs) in enumerate(zip(ms, all_quad_cdfs, all_closed_cdfs)):
             # One seeded exact draw per m from the order-statistic sampler:
             # every theta cell reuses its base Gammas and uniforms, and each
             # cell's pair is what a draw for that theta alone gives.  It

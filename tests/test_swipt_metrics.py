@@ -149,10 +149,11 @@ def test_sr_capacity_rayleigh_identity():
 
 def _scale_axis_bound(capacity, scale: float) -> float:
     """How far a column of a call over many SNR scales may lie from its
-    one-column call: 1e-11, but 2e-11 for a contour at 1e-8.  Alone, such a
-    contour stops at its own tolerance, about 1e-14 of the integrand's peak,
-    and lies up to 7e-12 off the exact series (m = 1 to 3); among larger
-    scales it converges further, to within 5e-12 on the other side."""
+    one-column call: 1e-11, but 2e-11 for a contour at 1e-8.  A quadrature
+    column moves with the panels it shares.  A contour column keeps its bits
+    (test_contour_columns_equal_their_one_column_calls); the wider bound
+    dates from an adaptive contour rule, whose shared panels moved a column
+    at 1e-8 by up to 1.2e-11."""
     return 2e-11 if capacity in (capacity_sr_meijer, capacity_rd_meijer) and scale < 1e-7 else 1e-11
 
 
@@ -263,6 +264,59 @@ def test_rd_capacity_at_large_scale_and_large_m(m, ghd, theta):
     assert capacity_rd_meijer(ghd, m, theta) == pytest.approx(
         ergodic_capacity_rd(ghd, m, theta), rel=1e-9
     )
+
+
+def test_contours_match_quadrature_on_a_wide_grid():
+    # One call per route over twelve decades of scale, m and theta.  Each
+    # contour column takes its own trapezoidal step, fine enough for its own
+    # e^(-it ln x); one fixed step of 0.1 for every column was 1.1e-6 off here.
+    scales, ms = np.geomspace(1e-3, 1e9, 25)[:, None, None], np.array([[1], [3], [20]])
+    thetas = np.array([-1.0, 0.0, 1.0])
+    np.testing.assert_allclose(capacity_sr_meijer(scales[..., 0], ms[:, 0]),
+                               ergodic_capacity_sr(scales[..., 0], ms[:, 0]), rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(capacity_rd_meijer(scales, ms, thetas),
+                               ergodic_capacity_rd(scales, ms, thetas), rtol=1e-9, atol=0.0)
+
+
+def test_contour_columns_equal_their_one_column_calls():
+    # Each contour column takes its own truncation height and trapezoidal
+    # steps, so a call over many scales, m and theta changes none of its bits.
+    scales, ms, thetas = np.geomspace(1e-8, 1e12, 6)[:, None, None], np.array([[1], [3], [20]]), (-1.0, 0.5)
+    for (i, j, k), value in np.ndenumerate(capacity_rd_meijer(scales, ms, thetas)):
+        assert value == capacity_rd_meijer(float(scales[i, 0, 0]), int(ms[j, 0]), thetas[k])
+    for (i, j), value in np.ndenumerate(capacity_sr_meijer(scales[..., 0], ms[:, 0])):
+        assert value == capacity_sr_meijer(float(scales[i, 0, 0]), int(ms[j, 0]))
+
+
+def _rising(m: int, k: int) -> int:
+    return math.prod(range(m, m + k))
+
+
+def _unit_product_moment(m: int, k: int, theta: float) -> float:
+    """E[(g_sr g_rd)^k] for unit-mean Gamma(m, 1/m) powers under the FGM copula:
+    E[X^k]^2 + theta (E[X^k] - 2 E[X^k F(X)])^2, where for whole m
+    F(x) = 1 - e^-mx sum_{j<m} (mx)^j / j! gives E[X^k F(X)] in closed form."""
+    ex = _rising(m, k) / m**k
+    exf = (_rising(m, k) - sum(math.factorial(k + m + j - 1) / (math.factorial(m - 1) * math.factorial(j)
+                                                               * 2 ** (k + m + j)) for j in range(m))) / m**k
+    return ex * ex + theta * (ex - 2.0 * exf) ** 2
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_contours_at_small_scale_match_the_moment_series(m):
+    # At gamma_hat = 1e-8 the contour integrand's peak is about 1.7e4 times
+    # its value, so rounding limits the contours; E ln(1 + g P) is
+    # g E[P] - g^2 E[P^2] / 2 + g^3 E[P^3] / 3 to far below double precision.
+    g = 1e-8
+
+    def series(moment):
+        return (g * moment(1) - g**2 * moment(2) / 2 + g**3 * moment(3) / 3) / (2 * math.log(2))
+
+    assert capacity_sr_meijer(g, m) == pytest.approx(
+        series(lambda k: _rising(m, k) / m**k), rel=1e-11, abs=0.0)
+    for theta in (-1.0, 0.0, 0.5, 1.0):
+        assert capacity_rd_meijer(g, m, theta) == pytest.approx(
+            series(lambda k: _unit_product_moment(m, k, theta)), rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize("m, ghr", [(1, 1e-14), (2, 1e-12), (7, 7.8e-14)])
@@ -440,20 +494,17 @@ def test_rd_hop_theta_group_agrees_with_one_theta_calls(ghd, m):
     # and a theta group (axis 2).  theta enters only the FGM weight: the
     # theta-free terms are evaluated once per point, and the row of ghd moves
     # by rounding at most from the one-scale, one-theta calls (the
-    # quadratures share their panels over the call).  The contour spans ghd
-    # alone: across scales it moves by up to 1.2e-11, within the bounds of
-    # test_rd_capacity_meijer_matches_quadrature.
+    # quadratures share their panels over the call).
+    i = RD_SCALES.ravel().tolist().index(ghd)
     for name, call in _rd_hop_calls(m).items():
-        scales = np.full((1, 1, 1), ghd) if name == "capacity_rd_meijer" else RD_SCALES[:, None]
-        i = scales.ravel().tolist().index(ghd)
         for group in THETA_GROUPS:
-            together = call(scales, group, RATIOS)
-            assert together.shape in ((len(scales), 1, len(group)), (3, 3, len(group))), name
+            together = call(RD_SCALES[:, None], group, RATIOS)
+            assert together.shape in ((3, 1, len(group)), (3, 3, len(group))), name
             for j, theta in enumerate(group):
                 alone = np.ravel(call(ghd, theta, RATIOS))
                 np.testing.assert_allclose(together[i, :, j], alone, rtol=1e-12, atol=0.0,
                                            err_msg=f"{name} theta={theta}")
-                if name.startswith("snr_"):  # no quadrature: the call changes no bit
+                if name not in ("ergodic_capacity_rd", "product_cdf_general"):  # no bit moves
                     assert np.array_equal(together[i, :, j], alone), name
 
 
@@ -468,9 +519,28 @@ def test_rd_hop_one_theta_sequence_is_the_scalar_call_bit_for_bit(ghd, m):
             assert np.array_equal(one[..., 0], alone), f"{name} theta={theta}"
 
 
-def _spoil_column(monkeypatch, module, j):
-    """Let ``module``'s gauss_kronrod report a large error for column j only."""
-    real = module.gauss_kronrod
+@pytest.mark.parametrize("call", [snr_survival_closed, snr_pdf_closed, product_cdf_general])
+def test_product_law_m_group_agrees_with_one_m_calls(call):
+    # m is one more axis of the product law: one call over unsorted, repeated
+    # m (axis 0), the RD_SCALES (axis 1), three y per scale (axis 2) and a
+    # theta group (axis 3).  The closed forms take each m's points apart and
+    # change no bit; the quadrature shares its panels over every m.
+    ms = np.array([3, 1, 8, 1, 2]).reshape(-1, 1, 1)
+    scales, ratios, thetas = RD_SCALES[None], RATIOS.T[None], np.array([-1.0, 0.0, 0.3, 1.0])
+    together = call(scales[..., None], ms[..., None], thetas, (scales * ratios)[..., None])
+    assert together.shape == (5, 3, 3, 4)
+    for (i, j, k, l), value in np.ndenumerate(together):
+        ghd = float(scales[0, j, 0])
+        alone = call(ghd, int(ms[i, 0, 0]), thetas[l], ghd * float(ratios[0, 0, k]))
+        if call is not product_cdf_general:
+            assert value == alone, (i, j, k, l)
+        else:
+            assert value == pytest.approx(alone, rel=1e-12, abs=0.0), (i, j, k, l)
+
+
+def _spoil_column(monkeypatch, module, rule, j):
+    """Let ``module``'s quadrature ``rule`` report a large error for column j only."""
+    real = getattr(module, rule)
 
     def spoiled(*args, **kwargs):
         val, err = real(*args, **kwargs)
@@ -478,7 +548,7 @@ def _spoil_column(monkeypatch, module, j):
         np.moveaxis(err, -1, 0)[j] = 0.5
         return val, err
 
-    monkeypatch.setattr(module, "gauss_kronrod", spoiled)
+    monkeypatch.setattr(module, rule, spoiled)
 
 
 @pytest.mark.parametrize("name, message", [
@@ -491,8 +561,10 @@ def test_rd_hop_guard_names_the_failing_theta_of_a_group(monkeypatch, name, mess
     import swiptrelay.product_dist as product_dist_mod
     import swiptrelay.specfun as specfun_mod
 
-    _spoil_column(monkeypatch, specfun_mod, 1)
-    _spoil_column(monkeypatch, product_dist_mod, 1)
+    # The RD quadrature, the contour's trapezoidal rule and the product CDF.
+    _spoil_column(monkeypatch, specfun_mod, "gauss_kronrod", 1)
+    _spoil_column(monkeypatch, specfun_mod, "_trapezoid", 1)
+    _spoil_column(monkeypatch, product_dist_mod, "gauss_kronrod", 1)
     with pytest.raises(QuadratureError, match=message):
         _rd_hop_calls(2)[name](6.5625, (-1.0, 0.25, 1.0), RATIOS)
 
@@ -522,7 +594,7 @@ def test_outage_of_a_system_group_equals_each_system_alone(outage):
     for sys, value in zip(systems, together):
         assert value == outage(sys, q)
     # Any systems, each with its own query: gamma_hat_d, m and the threshold
-    # differ, and one destination survival call per m serves them all.  The
+    # differ, and one destination survival call serves them all.  The
     # closed forms change no bit; the quadrature shares its panels over the
     # group's thresholds.
     mixed = systems + [replace(BASE, noise_power=1e-3, fading_m=2, theta=0.5),

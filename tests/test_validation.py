@@ -31,8 +31,8 @@ def test_each_quadrature_and_the_outage_law_draw_run_once(monkeypatch):
     # One call per capacity route and contour reading takes every m: the
     # adjudication's SR quadrature (the cells' SR capacities), its two SR
     # contour readings, its RD quadrature and contour at theta = 0.5, then one
-    # RD quadrature over every (m, theta) cell.  Per m, one product-CDF call
-    # and one closed-CDF call take every cell's theta, and the quadrature
+    # RD quadrature over every (m, theta) cell.  One product-CDF call and one
+    # closed-CDF call take every cell's m and theta, and the quadrature
     # outage composes the product-CDF call's CDF at the threshold; one
     # outage-law call scores all cells.
     calls = []
@@ -66,9 +66,9 @@ def test_each_quadrature_and_the_outage_law_draw_run_once(monkeypatch):
     (_, cells), = capacities[5:]
     assert np.shape(cells[1]) == (len(ms), 1) and tuple(cells[2]) == thetas
     for cdf, points in (("product_cdf_general", 4 + 1), ("snr_cdf_closed", 4)):
-        cdf_calls = [args for name, args in calls if name == cdf]
-        assert [(m, tuple(theta), np.shape(y)) for _, m, theta, y in cdf_calls] == [
-            (m, thetas, (points, 1)) for m in ms], cdf
+        (_, m, theta, y), = [args for name, args in calls if name == cdf]
+        assert (np.shape(m), np.ravel(m).tolist(), tuple(theta), np.shape(y)) == (
+            (len(ms), 1, 1), list(ms), thetas, (points, 1)), cdf
     assert "outage_probability_quadrature" not in names
     assert names.count("simulate_outage_survival_law") == 1
     (systems, queries, _, cdfs), = [args for name, args in calls
