@@ -49,7 +49,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import beta, gammainc, gammaincinv, gammainccinv, gammaln
+from scipy.special import gammainc, gammaincinv, gammainccinv, gammaln
 
 from .copula import CopulaModel
 from .fading import NakagamiPower
@@ -79,15 +79,21 @@ class ClosedFormCoefficients:
 
     @classmethod
     def build(cls, m: float, snr_scale: float) -> "ClosedFormCoefficients":
-        """The one check of the closed forms' region: integer m in [1, 100], finite positive scale."""
-        if m < 1 or m != int(m):
-            raise UnsupportedClosedFormError(
-                f"closed forms need an integer shape m >= 1, got {m}; use product_cdf_general instead")
+        """The one check of the closed forms' region: ``closed_form_m`` and a finite positive scale."""
+        m = closed_form_m(m)
         if not 0.0 < snr_scale < math.inf:
             raise ValueError(f"snr_scale must be finite and positive, got {snr_scale}")
-        if m > 100:  # checked against quadrature up to here; beyond, the terms leave double range
-            raise ClosedFormRangeError(f"m = {m}: the closed forms are evaluated for m <= 100 only")
-        return cls(m=int(m), snr_scale=snr_scale, zeta=2.0 * m / math.sqrt(snr_scale))
+        return cls(m=m, snr_scale=snr_scale, zeta=2.0 * m / math.sqrt(snr_scale))
+
+
+def closed_form_m(m) -> int:
+    """m as an int, checked to be a whole number in [1, 100] (nan and inf fail)."""
+    if not (m >= 1 and float(m).is_integer()):
+        raise UnsupportedClosedFormError(
+            f"closed forms need an integer shape m >= 1, got {m}; use product_cdf_general instead")
+    if m > 100:  # checked against quadrature up to here; beyond, the terms leave double range
+        raise ClosedFormRangeError(f"m = {m}: the closed forms are evaluated for m <= 100 only")
+    return int(m)
 
 
 def _check(ok: np.ndarray, error: type, message: str, *columns: np.ndarray) -> None:
@@ -99,7 +105,7 @@ def _check(ok: np.ndarray, error: type, message: str, *columns: np.ndarray) -> N
         raise error(message.format(*(np.broadcast_to(c, ok.shape).flat[i] for c in columns)))
 
 
-def _thetas(theta) -> np.ndarray:
+def fgm_thetas(theta) -> np.ndarray:
     """theta as an array, each element checked to lie in [-1, 1] (nan fails)."""
     th = np.asarray(theta, dtype=float)
     _check((th >= -1.0) & (th <= 1.0), ValueError, "FGM theta must lie in [-1, 1], got {:.6g}", th)
@@ -132,7 +138,7 @@ def product_cdf_general(snr_scale, m, theta, y):
     below 0.5 raises ``ValueError``; an error estimate above 1e-6 at any
     point ``QuadratureError`` naming its theta.
     """
-    th = _thetas(theta)
+    th = fgm_thetas(theta)
     scale, ms, ys = np.broadcast_arrays(np.asarray(snr_scale, dtype=float), np.asarray(m),
                                         np.asarray(y, dtype=float))
     for mj in dict.fromkeys(ms.ravel().tolist()):
@@ -260,7 +266,7 @@ def snr_survival_closed(snr_scale, m, theta, y):
     ``ValueError``, a value off [0, 1] beyond 1e-9 (nan included)
     ``ClosedFormRangeError``.
     """
-    th = _thetas(theta)
+    th = fgm_thetas(theta)
     ys = np.asarray(y, dtype=float)
     _check(ys >= 0.0, ValueError, "SNR threshold must be non-negative, got y = {:.6g}", ys)
     live, z, groups, (b_factor,) = _closed_points(snr_scale, m, ys, lambda cf: 2.0 ** (cf.m / 2.0 + 1.0))
@@ -301,7 +307,7 @@ def snr_pdf_closed(snr_scale, m, theta, y):
     off [-1, 1] or a scale that is not finite and positive raises
     ``ValueError``, a non-finite value ``ClosedFormRangeError``.
     """
-    th = _thetas(theta)
+    th = fgm_thetas(theta)
     ys = np.asarray(y, dtype=float)
     _check(ys > 0.0, ValueError, "density defined for y > 0, got y = {:.6g}", ys)
     # (2/y) ((z/2)^m / Gamma(m))^2 = (zeta^2 / 2) alpha_{m-1}^2, free of 1/y
@@ -329,11 +335,18 @@ def snr_pdf_closed(snr_scale, m, theta, y):
     return _result(np.maximum(val, 0.0))
 
 
+def fgm_mellin_sum(m: int, s):
+    """Q(s) = sum_{k<m} (m - s)_k / (2^k k!) at an integer m and a scalar or array s: with
+    u = 2^(1-m+s) Q(s), E[(g_sr g_rd)^-s] = (Gamma(m - s) m^s / Gamma(m))^2 (1 + theta (1 - u)^2)."""
+    q, term = 0.0, 1.0
+    for k in range(m):
+        q += term
+        term *= (m + k - s) / (2.0 * k + 2.0)
+    return q
+
+
 def mean_snr_factor(m: int, theta: float) -> float:
-    """E{g_sr g_rd} under FGM dependence: 1 + theta (1 - h)^2; h^2 is the FGM double sum."""
-    if m < 1 or m != int(m):
-        raise ValueError(f"integer m >= 1 required, got {m}")
+    """E{g_sr g_rd} under FGM dependence: 1 + theta (1 - 2^-m Q(-1))^2 (``fgm_mellin_sum``)."""
+    m = closed_form_m(m)
     CopulaModel(theta)  # the copula owns the theta range
-    m = int(m)
-    h = sum(2.0 ** (-(m + k)) / (m * beta(m, k + 1)) for k in range(m))
-    return float(1.0 + theta * (1.0 - h) ** 2)
+    return float(1.0 + theta * (1.0 - 2.0 ** -m * fgm_mellin_sum(m, -1.0)) ** 2)

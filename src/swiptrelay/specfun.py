@@ -5,12 +5,12 @@ Everything here is reentrant and free of global state.  ``bessel_k_scaled``
 is exp(x) K_v(x): per x, scipy's ``k0e`` and ``k1e`` (or ``kve`` at the two
 lowest orders of a fractional class), then the forward recurrence for every
 higher order, with a domain check and a guard where a value is nan.  The
-closed forms sum whole orders only.  scipy has no Meijer G, so ``meijer_g``
-integrates the Mellin-Barnes contour of the one family the capacities use,
-G^{1,p}_{p,2}(a; 1, 0 | x), through ``mellin_barnes``; both capacity
-closed forms call that contour quadrature directly.  It sums the
-trapezoidal rule on the line, halving each column's step until its sum
-settles.  ``gauss_kronrod`` is QUADPACK's 21-point Gauss-Kronrod rule with
+closed forms sum whole orders only.  ``mellin_barnes`` sums the
+trapezoidal rule on the Mellin-Barnes line Re s = -1/2, halving each
+column's step until its sum settles; both capacity closed forms call it
+directly.  scipy has no Meijer G, so ``meijer_g`` gives
+G^{1,p}_{p,2}(a; 1, 0 | x) through it, for the adjudication's printed SR
+reading.  ``gauss_kronrod`` is QUADPACK's 21-point Gauss-Kronrod rule with
 global adaptive bisection, vectorized over panels and over vector-valued
 integrands; both capacity quadratures and the product CDF call it, each
 starting on panels fitted to its integrand through ``points``.  The
@@ -118,21 +118,19 @@ _EPS50 = 50.0 * sys.float_info.epsilon
 
 
 def _error(diff, resabs, resasc):
-    """QUADPACK's error estimate, raised to the rounding floor 50 eps resabs,
-    and whether it sits at that floor."""
+    """QUADPACK's error estimate, raised to the rounding floor 50 eps resabs."""
     err = np.where((resasc != 0.0) & (diff != 0.0),
                    resasc * np.minimum(1.0, 200.0 * diff / resasc) ** 1.5, diff)
     floor = np.where(resabs > sys.float_info.min / _EPS50, _EPS50 * resabs, 0.0)
-    return np.maximum(err, floor), err <= floor
+    return np.maximum(err, floor)
 
 
 def _gk21(f, lo: np.ndarray, hi: np.ndarray):
     """The 21-point rule on every panel [lo, hi] with one call of ``f``.
 
     Returns the panel integrals (shape (panels,) or (panels, *k)), each
-    column's own error estimate (same shape), QUADPACK's error estimate of
-    the max norm over the columns, and whether that estimate sits at the
-    rounding floor 50 eps int |f|, which bisection cannot lower.
+    column's own error estimate (same shape) and QUADPACK's error estimate
+    of the max norm over the columns.
     """
     centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     fx = np.asarray(f((centre[:, None] + half[:, None] * _NODES).ravel()), dtype=float)
@@ -144,10 +142,10 @@ def _gk21(f, lo: np.ndarray, hi: np.ndarray):
     resabs = (np.abs(fx) @ _KRONROD) * width
     resasc = (np.abs(fx - 0.5 * resk[:, :, None]) @ _KRONROD) * width
     # One _error call: column 0 is the max norm over the columns, the rest each column's own.
-    err, floor = _error(*(np.concatenate((r.max(axis=1, keepdims=True), r), axis=1)
-                          for r in (diff, resabs, resasc)))
+    err = _error(*(np.concatenate((r.max(axis=1, keepdims=True), r), axis=1)
+                   for r in (diff, resabs, resasc)))
     val = (resk * half[:, None]).reshape(len(lo), *shape)
-    return val, err[:, 1:].reshape(len(lo), *shape), err[:, 0], floor[:, 0]
+    return val, err[:, 1:].reshape(len(lo), *shape), err[:, 0]
 
 
 def gauss_kronrod(f, a: float, b: float, epsabs: float, epsrel: float, limit: int,
@@ -161,41 +159,31 @@ def gauss_kronrod(f, a: float, b: float, epsabs: float, epsrel: float, limit: in
     the columns: each round bisects the panels with the largest errors, as
     many as hold the excess of the summed error over
     max(epsabs, epsrel max |value|), and evaluates all their nodes in one
-    call of ``f``.  A panel whose error sits at the rounding floor is
-    bisected once more, and its halves are retired if they sit there too:
-    kept, but never bisected again.  ``limit`` caps the panel count; the
-    caller checks the returned error.
+    call of ``f``.  ``limit`` caps the panel count; the caller checks the
+    returned error.
     """
     edges = np.array([a, *sorted({p for p in points if a < p < b}), b], dtype=float)
     lo, hi = edges[:-1], edges[1:]
     # f and the rule share one error state: a non-finite f gives a nan value and error, no warning.
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        val, column_err, err, floor = _gk21(f, lo, hi)
-        done = np.zeros(len(lo), dtype=bool)
+        val, column_err, err = _gk21(f, lo, hi)
         while True:
             total, total_err = val.sum(axis=0), float(err.sum())
             excess = total_err - max(epsabs, epsrel * float(np.abs(total).max()))
             if not excess > 0.0:  # converged, or a nan error for the caller to refuse
                 break
-            live = np.flatnonzero(~done)
-            live = live[np.argsort(-err[live], kind="stable")]
-            count = min(int(np.searchsorted(np.cumsum(err[live]), excess)) + 1, len(live),
-                        limit - len(lo))
+            order = np.argsort(-err, kind="stable")
+            count = min(int(np.searchsorted(np.cumsum(err[order]), excess)) + 1, limit - len(lo))
             if count <= 0:
                 break
-            split, keep = live[:count], np.ones(len(lo), dtype=bool)
+            split, keep = order[:count], np.ones(len(lo), dtype=bool)
             keep[split] = False
             mid = 0.5 * (lo[split] + hi[split])
             new_lo, new_hi = np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split]))
-            new_val, new_column_err, new_err, new_floor = _gk21(f, new_lo, new_hi)
+            new_val, new_column_err, new_err = _gk21(f, new_lo, new_hi)
             lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))
             val, err = np.concatenate((val[keep], new_val)), np.concatenate((err[keep], new_err))
             column_err = np.concatenate((column_err[keep], new_column_err))
-            # The extra bisection averages the integrand's own rounding over twice
-            # the nodes: on Mellin-Barnes contours that cancel 400-fold it took
-            # the error from 8e-13 to 1.5e-13, against 30-digit mpmath.
-            done = np.concatenate((done[keep], new_floor & np.concatenate((floor[split],) * 2)))
-            floor = np.concatenate((floor[keep], new_floor))
     total_err = column_err.sum(axis=0)
     return (float(total), float(total_err)) if total.ndim == 0 else (total, total_err)
 
@@ -255,8 +243,8 @@ def _trapezoid(f, t_hi: np.ndarray, start: np.ndarray):
     return val, np.where(done, err, np.inf)
 
 
-def mellin_barnes(ln_kernel, c: float, ln_x, names):
-    """(1 / 2 pi i) times the integrals of exp(ln_kernel(s)) x^-s up the line Re s = c.
+def mellin_barnes(ln_kernel, ln_x, names):
+    """(1 / 2 pi i) times the integrals of exp(ln_kernel(s)) x^-s up the line Re s = c = -1/2.
 
     ``ln_x`` holds ln x, one per integrand (any shape; the value has its
     shape, a float for a scalar), and ``ln_kernel`` maps a complex array of
@@ -278,7 +266,7 @@ def mellin_barnes(ln_kernel, c: float, ln_x, names):
     value fails ``MEIJER_G_ROUNDOFF_TOL``: its last change, or the error inf
     where it did not converge, and its rounding floor, epsilon times the peak.
     """
-    ln_x = np.asarray(ln_x, dtype=float)
+    ln_x, c = np.asarray(ln_x, dtype=float), -0.5  # c lies between poles at s <= -1 and s >= 0
     # The truncation height: the first of 4 * 2^(k/4), k = 0 .. 40 (4 to 4096)
     # where the kernel is 40 nats below its value at t = 0 (x^-s has modulus x^-c).
     heights = np.concatenate(([0.0], 4.0 * 2.0 ** (0.25 * np.arange(41))))
@@ -309,14 +297,14 @@ def mellin_barnes(ln_kernel, c: float, ln_x, names):
 def meijer_g(a: tuple[float, ...], x: float) -> float:
     """G^{1,p}_{p,2}(a; 1, 0 | x) with p = len(a), by ``mellin_barnes``.
 
-    The capacity kernels use p = 3 and 4 (p = 2 with a = (1, 1) is ln(1 + x)).
-    ``DomainError`` unless x > 0, 2 <= p <= 4 and every a_j < 2, so that a
-    vertical contour separates the left poles of Gamma(1 + s), s = -1, -2, ...,
-    from the right poles of Gamma(1 - a_j - s), s = 1 - a_j + k; it is placed
-    midway between the nearest two.
+    ``adjudicate_closed_forms`` takes the printed SR reading from it, with
+    p = 3 (p = 2 with a = (1, 1) is ln(1 + x)).  ``DomainError`` unless
+    x > 0, 2 <= p <= 4 and every a_j <= 1, so that the poles of
+    Gamma(1 - a_j - s), s = 1 - a_j + k >= 0, lie right of the contour's
+    line Re s = -1/2 and those of Gamma(1 + s), s = -1, -2, ..., left of it.
     """
-    if not (x > 0.0 and 2 <= len(a) <= 4 and max(a) < 2.0):
-        raise DomainError(f"meijer_g needs x > 0 and 2 to 4 parameters a_j < 2, got a={a}, x={x}")
+    if not (x > 0.0 and 2 <= len(a) <= 4 and max(a) <= 1.0):
+        raise DomainError(f"meijer_g needs x > 0 and 2 to 4 parameters a_j <= 1, got a={a}, x={x}")
 
     def ln_kernel(s: np.ndarray) -> np.ndarray:
         val = _loggamma_complex(1.0 + s) - _loggamma_complex(1.0 - s)
@@ -324,5 +312,5 @@ def meijer_g(a: tuple[float, ...], x: float) -> float:
             val += _loggamma_complex(1.0 - aj - s)
         return val
 
-    return float(mellin_barnes(ln_kernel, 0.5 * (-1.0 + min(1.0 - aj for aj in a)), math.log(x),
+    return float(mellin_barnes(ln_kernel, math.log(x),
                                [f"Meijer G {(1, len(a), len(a), 2)} at x={x:.6g}"]))

@@ -35,7 +35,8 @@ from scipy.special import loggamma as _loggamma
 from . import specfun
 from .copula import copula_cdf, fgm_copula
 from .fading import NakagamiPower, power_cdf
-from .product_dist import product_cdf_general, snr_pdf_closed, snr_survival_closed
+from .product_dist import (closed_form_m, fgm_mellin_sum, fgm_thetas, product_cdf_general,
+                           snr_pdf_closed, snr_survival_closed)
 
 _LN2 = math.log(2.0)
 
@@ -130,13 +131,14 @@ def _distinct(values) -> tuple[list, list[int]]:
     return list(first), index
 
 
-def _unit_scale(gamma_hat, name: str, *axes):
-    """The broadcast columns (scale, *axes) of a hop route, and ln(1 + scale) in
-    their shape, by ``math.log1p`` so no digit depends on numpy's SIMD log."""
+def _unit_scale(gamma_hat, name: str, *axes) -> tuple[np.ndarray, ...]:
+    """The broadcast columns (scale, *axes) of a hop route, each scale checked
+    to be finite and positive (nan fails)."""
     columns = np.broadcast_arrays(np.asarray(gamma_hat, dtype=float), *axes)
-    if not (columns[0] > 0.0).all():
-        raise ValueError(f"{name} must be positive")
-    return columns, np.reshape([math.log1p(g) for g in columns[0].flat], columns[0].shape)
+    for g in columns[0].flat:
+        if not 0.0 < g < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {g:.6g}")
+    return columns
 
 
 def _in_bits(val) -> float | np.ndarray:
@@ -153,9 +155,11 @@ def ergodic_capacity_sr(gamma_hat_r, m) -> float | np.ndarray:
     with g ~ Gamma(m, 1/m), one quadrature at unit scale for every
     (gamma_hat_r, m) column (module docstring).
     """
-    (ghrs, ms), norm = _unit_scale(gamma_hat_r, "gamma_hat_r", m)
+    ghrs, ms = _unit_scale(gamma_hat_r, "gamma_hat_r", m)
     distinct, column = _distinct(ms.flat)
-    m_values, s = np.array(distinct), (ghrs / ms).ravel()
+    m_values = np.array([NakagamiPower(mj).m for mj in distinct])  # the marginal owns the m range
+    s = (ghrs / ms).ravel()
+    norm = np.reshape([math.log1p(g) for g in ghrs.flat], ghrs.shape)  # by libm, not numpy's SIMD log
 
     def integrand(v: np.ndarray) -> np.ndarray:
         # Over v = ln u, u = m g ~ Gamma(m, 1), where the kink of ln(1 + s u) near
@@ -191,36 +195,37 @@ def _ln_reflection(s: np.ndarray) -> np.ndarray:
     return np.log(-2j * math.pi / s) + 1j * math.pi * s - np.log(1.0 - np.exp(2j * math.pi * s))
 
 
-def capacity_sr_meijer(gamma_hat_r, m, printed_variant: bool = False) -> float | np.ndarray:
-    """SR capacity G^{1,3}_{3,2}(a1, 1, 1; 1, 0 | gamma_hat_r / m) / (2 Gamma(m) ln 2),
+def capacity_sr_meijer(gamma_hat_r, m) -> float | np.ndarray:
+    """SR capacity G^{1,3}_{3,2}(1 - m, 1, 1; 1, 0 | gamma_hat_r / m) / (2 Gamma(m) ln 2),
     one Mellin-Barnes contour at Re s = -1/2 for every (gamma_hat_r, m) column
     (module docstring).
 
-    The default reading uses upper parameter a1 = 1-m, which matches
-    quadrature; ``printed_variant=True`` evaluates the 1 - m/gamma_hat_r reading.
+    The upper parameter a1 = 1 - m matches quadrature; the printed
+    a1 = 1 - m/gamma_hat_r is ``adjudicate_closed_forms``' reading.
     """
-    (ghrs, ms), _ = _unit_scale(gamma_hat_r, "gamma_hat_r", m)
-    x = ghrs / ms
-    b = ms / ghrs if printed_variant else ms  # 1 - a1
-    distinct, column = _distinct(b.flat)
-    b_values, ln_gamma_m = np.array(distinct), gammaln(ms).ravel()
+    ghrs, ms = _unit_scale(gamma_hat_r, "gamma_hat_r", m)
+    distinct, column = _distinct(ms.flat)
+    m_values = np.array([NakagamiPower(mj).m for mj in distinct])  # the marginal owns the m range
+    x, ln_gamma_m = ghrs / ms, gammaln(ms).ravel()
 
     def ln_kernel(s: np.ndarray) -> np.ndarray:
-        return (_ln_reflection(s)[:, None] + _loggamma(b_values - s[:, None])[:, column]
+        return (_ln_reflection(s)[:, None] + _loggamma(m_values - s[:, None])[:, column]
                 - ln_gamma_m).reshape(len(s), *ms.shape)
 
     names = [f"Meijer G (1, 3, 3, 2) at x={v:.6g}, m={mj}" for v, mj in zip(x.flat, ms.flat)]
     ln_x = np.reshape([math.log(v) for v in x.flat], x.shape)
-    return _in_bits(specfun.mellin_barnes(ln_kernel, -0.5, ln_x, names))
+    return _in_bits(specfun.mellin_barnes(ln_kernel, ln_x, names))
 
 
 def ergodic_capacity_rd(gamma_hat_d, m, theta) -> float | np.ndarray:
     """RD-hop ergodic capacity by quadrature of ln(1 + gamma_hat_d x) against the
     unit-scale product density f_1, one quadrature for every (gamma_hat_d, m,
     theta) column (module docstring)."""
-    (ghds, ms, thetas), norm = _unit_scale(gamma_hat_d, "gamma_hat_d", m, theta)
+    ghds, ms, thetas = _unit_scale(gamma_hat_d, "gamma_hat_d", m, fgm_thetas(theta))
+    norm = np.reshape([math.log1p(g) for g in ghds.flat], ghds.shape)  # by libm, not numpy's SIMD log
     m_flat, theta_flat = ms.ravel().tolist(), thetas.ravel().tolist()
     m_values, m_column = _distinct(m_flat)
+    m_values = [closed_form_m(mj) for mj in m_values]  # the density's m rule, checked first
     theta_values, theta_column = _distinct(theta_flat)
 
     def integrand(s: np.ndarray) -> np.ndarray:
@@ -254,8 +259,9 @@ def capacity_rd_meijer(gamma_hat_d, m, theta) -> float | np.ndarray:
     x/2 by -theta 2^(2-m-k)/k! and at x/4 by theta 2^(2-2m-k-n)/(k! n!); the
     prefactor is 1 / (2 Gamma(m)^2 ln 2).  The terms share one Mellin-Barnes
     kernel, as Gamma(m+k-s) = Gamma(m-s) (m-s)_k and the weights factor in k
-    and n: with Q(s) = sum_{k<m} (m-s)_k / (2^k k!) and u = 2^(1-m+s) Q(s),
-    the 1 + m + m^2 terms are one contour integral at s = -1/2 + it,
+    and n: with Q(s) = sum_{k<m} (m-s)_k / (2^k k!) (``fgm_mellin_sum``) and
+    u = 2^(1-m+s) Q(s), the 1 + m + m^2 terms are one contour integral at
+    s = -1/2 + it,
 
       C = 1 / (2 pi ln 2) int_0^inf Re[Gamma(1+s) Gamma(-s)^2 Gamma(m-s)^2
           / (Gamma(m)^2 Gamma(1-s)) x^-s (1 + theta (1 - u)^2)] dt,
@@ -264,21 +270,18 @@ def capacity_rd_meijer(gamma_hat_d, m, theta) -> float | np.ndarray:
     to m = 100.  No power of gamma_hat_d is formed.  Every (gamma_hat_d, m,
     theta) column shares one contour quadrature (module docstring).
     """
-    (ghds, ms, thetas), _ = _unit_scale(gamma_hat_d, "gamma_hat_d", m, theta)
+    ghds, ms, thetas = _unit_scale(gamma_hat_d, "gamma_hat_d", m, fgm_thetas(theta))
     # The kernel once per distinct (m, theta) pair, its front once per distinct m.
     pairs, column = _distinct(zip(ms.ravel().tolist(), thetas.flat))
     m_values, m_column = _distinct(mj for mj, _ in pairs)
+    m_values = [closed_form_m(mj) for mj in m_values]
     pair_thetas = np.array([t for _, t in pairs])
 
     def ln_kernel(s: np.ndarray) -> np.ndarray:
         reflection, two_s = _ln_reflection(s), np.exp(_LN2 * s)
         ln_front, u = [], []
         for mj in m_values:
-            q, term = 0.0, 1.0
-            for k in range(mj):
-                q += term
-                term *= (mj + k - s) / (2.0 * k + 2.0)
-            u.append((1.0 - 2.0 ** (1 - mj) * two_s * q) ** 2)
+            u.append((1.0 - 2.0 ** (1 - mj) * two_s * fgm_mellin_sum(mj, s)) ** 2)
             ln_front.append(reflection + 2.0 * _loggamma(mj - s) - 2.0 * float(gammaln(mj)))
         # For theta < 0 the weight vanishes at u = 1 +- 1/sqrt(-theta); its log is -inf there.
         with np.errstate(divide="ignore"):
@@ -289,7 +292,7 @@ def capacity_rd_meijer(gamma_hat_d, m, theta) -> float | np.ndarray:
     names = [f"RD capacity contour (m={mj}, theta={t:.6g}) at x={g / (mj * mj):.6g}"
              for g, mj, t in zip(ghds.flat, ms.ravel().tolist(), thetas.flat)]
     ln_x = np.reshape([math.log(g / (mj * mj)) for g, mj in zip(ghds.flat, ms.flat)], ms.shape)
-    return _in_bits(specfun.mellin_barnes(ln_kernel, -0.5, ln_x, names))
+    return _in_bits(specfun.mellin_barnes(ln_kernel, ln_x, names))
 
 
 def _outage(sys, q, relay_cdf, destination_survival):
@@ -337,9 +340,9 @@ def asymptotic_capacity_sr(gamma_hat_r, m) -> float | np.ndarray:
     implemented.  The log is ``math.log`` per element, so no digit depends on
     numpy's SIMD log.
     """
-    ghrs, ms = np.broadcast_arrays(np.asarray(gamma_hat_r, dtype=float), m)
-    if not (ghrs > 0.0).all():
-        raise ValueError("gamma_hat_r must be positive")
+    ghrs, ms = _unit_scale(gamma_hat_r, "gamma_hat_r", m)
+    for mj in set(ms.flat):
+        NakagamiPower(mj)  # the marginal owns the m range
     return _in_bits(psi(ms) + np.reshape([math.log(g / mj) for g, mj in zip(ghrs.flat, ms.flat)],
                                          ms.shape))
 
@@ -370,7 +373,9 @@ def adjudicate_closed_forms(gamma_hat_r: float, gamma_hat_d: float, m, theta: fl
 
     Returns the absolute discrepancies and the name of the matching convention
     for the SR-capacity upper parameter and the RD-capacity prefactor: a dict,
-    or one per m of a sequence (one call per route and reading for all m).
+    or one per m of a sequence.  One call per route takes every m; the printed
+    SR reading G^{1,3}_{3,2}(1 - m/gamma_hat_r, 1, 1; 1, 0 | gamma_hat_r / m)
+    / (2 Gamma(m) ln 2) is one ``specfun.meijer_g`` per m.
     """
     ms = np.atleast_1d(m)
     reports = [{
@@ -388,6 +393,7 @@ def adjudicate_closed_forms(gamma_hat_r: float, gamma_hat_d: float, m, theta: fl
         "rd_match_abs_error": abs(rd_no_pi - rd_quad),
     } for sr_quad, sr_std, sr_printed, rd_quad, rd_no_pi in zip(*(values.tolist() for values in (
         ergodic_capacity_sr(gamma_hat_r, ms), capacity_sr_meijer(gamma_hat_r, ms),
-        capacity_sr_meijer(gamma_hat_r, ms, printed_variant=True),
+        _in_bits(np.array([specfun.meijer_g((1.0 - mj / gamma_hat_r, 1.0, 1.0), gamma_hat_r / mj)
+                           / math.gamma(mj) for mj in ms.tolist()])),
         ergodic_capacity_rd(gamma_hat_d, ms, theta), capacity_rd_meijer(gamma_hat_d, ms, theta))))]
     return reports[0] if np.ndim(m) == 0 else reports

@@ -15,13 +15,11 @@ Gauss-Kronrod rule, not scipy's QUADPACK, so their digits depend on scipy
 only through ``scipy.special``; those and the sampler's draws still depend on
 the scipy and numpy versions, so a toolchain change can move digits.  CI
 pins the versions the files were written with.
-
-The ``validate_small`` bytes also assume numpy's AVX-512 kernels: with
-``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` (or on a CPU
-without AVX-512) ``np.exp`` and ``np.log`` round differently on a few
-percent of arguments, and rounding-level statistics of that report move.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,17 +50,26 @@ def test_sweep_matches_golden_csv(tmp_path, name):
 
 # One small validate matrix, pinned the same way: the printed report (its
 # "wrote ..." line names the output path, so it is left out) and the CSV.
-# The .txt/.csv names keep these files out of the *.cfg glob above; a
-# deliberate change regenerates them by running VALIDATE_ARGS with
-# "-o tests/data/validate_small.csv" and saving the report without that line.
+# The .txt/.csv names keep these files out of the *.cfg glob above.  Its
+# rounding-level statistics take np.exp and np.log, whose AVX-512 kernels
+# round differently from the others on a few percent of arguments, so the
+# run switches them off, as on a CPU without AVX-512.  A deliberate change
+# regenerates the files by running VALIDATE_ARGS under VALIDATE_ENV with
+# "-o tests/data/validate_small.csv" and saving the report without that
+# line.
 VALIDATE_ARGS = ["validate", "--m", "1,2", "--theta=-0.6,1", "--samples", "20000",
                  "--grid-points", "6"]
+VALIDATE_ENV = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 
 
-def test_validate_matches_golden_report_and_csv(tmp_path, capsys):
+def test_validate_matches_golden_report_and_csv(tmp_path):
     out = tmp_path / "validate_small.csv"
-    assert main(VALIDATE_ARGS + ["-o", str(out)]) == 0
-    lines = [line for line in capsys.readouterr().out.splitlines(keepends=True)
-             if not line.startswith("wrote ")]
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "swiptrelay.cli", *VALIDATE_ARGS,
+         "-o", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(src), **VALIDATE_ENV), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    lines = [line for line in done.stdout.splitlines(keepends=True) if not line.startswith("wrote ")]
     assert "".join(lines) == (DATA / "validate_small.txt").read_text()
     assert out.read_bytes() == (DATA / "validate_small.csv").read_bytes()

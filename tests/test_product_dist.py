@@ -479,6 +479,17 @@ def test_mean_snr_factor_vs_quadrature_identity():
         assert mean_snr_factor(m, 1.0) == pytest.approx(expected, rel=1e-10)
 
 
+@pytest.mark.parametrize("m", [20, 50, 100])
+@pytest.mark.parametrize("theta", [-1.0, 0.5, 1.0])
+def test_mean_snr_factor_at_large_m_matches_mpmath(m, theta):
+    # h = sum_k 2^-(m+k) / (m B(m, k+1)) at 50 digits; the beta-function
+    # series in doubles was 4.6e-15 off at m = 100.
+    with mp.workdps(50):
+        h = mp.fsum(mp.mpf(2) ** -(m + k) / (m * mp.beta(m, k + 1)) for k in range(m))
+        exact = 1 + theta * (1 - h) ** 2
+        assert abs(mean_snr_factor(m, theta) / exact - 1) <= 2e-16
+
+
 def test_mean_snr_factor_domain():
     with pytest.raises(ValueError):
         mean_snr_factor(0, 0.5)

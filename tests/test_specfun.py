@@ -28,7 +28,7 @@ from swiptrelay.specfun import (
     gauss_kronrod,
     meijer_g,
 )
-from swiptrelay.swipt_metrics import capacity_sr_meijer, ergodic_capacity_rd, ergodic_capacity_sr
+from swiptrelay.swipt_metrics import ergodic_capacity_rd, ergodic_capacity_sr
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -216,9 +216,10 @@ def test_meijer_g_large_error_estimate_raises(monkeypatch):
 
 @pytest.mark.parametrize("gamma_hat_r", [1e-4, 1e-3])
 def test_meijer_g_peak_overflow_raises(gamma_hat_r):
-    # The printed SR reading 1 - m/gamma_hat_r puts the contour's peak past double range.
+    # The printed SR reading a1 = 1 - m/gamma_hat_r (here m = 1) puts the
+    # contour's peak past double range.
     with pytest.raises(QuadratureError, match=r"\(1, 3, 3, 2\) at x=0\.00"):
-        capacity_sr_meijer(gamma_hat_r, 1, printed_variant=True)
+        meijer_g((1.0 - 1.0 / gamma_hat_r, 1.0, 1.0), gamma_hat_r)
 
 
 @pytest.mark.parametrize("x", [1e-25, 1e30, 1e40])
@@ -230,9 +231,9 @@ def test_meijer_g_cancellation_raises(x):
 
 
 def test_meijer_g_spec_validation():
-    # Only G^{1,p}_{p,2}(a; 1, 0 | x) with 2 <= p <= 4, and every a_j < 2 so
-    # that a vertical contour separates the left and right poles.
-    for a in ((1.0,), (1.0, 1.0, 1.0, 1.0, 1.0), (2.0, 1.0), (0.0, 1.0, 3.5)):
+    # Only G^{1,p}_{p,2}(a; 1, 0 | x) with 2 <= p <= 4, and every a_j <= 1 so
+    # that the line Re s = -1/2 separates the left and right poles.
+    for a in ((1.0,), (1.0, 1.0, 1.0, 1.0, 1.0), (2.0, 1.0), (0.0, 1.0, 3.5), (1.5, 1.0)):
         with pytest.raises(DomainError):
             meijer_g(a, 1.0)
 

@@ -12,6 +12,7 @@ from swiptrelay.copula import copula_cdf, fgm_copula, sample_pair
 from swiptrelay.fading import NakagamiPower, power_quantile
 from swiptrelay.product_dist import (
     ClosedFormRangeError,
+    UnsupportedClosedFormError,
     product_cdf_general,
     snr_pdf_closed,
     snr_survival_closed,
@@ -92,6 +93,47 @@ def test_meijer_capacities_refuse_cancellation_noise(scale):
         capacity_sr_meijer(scale, 1)
     with pytest.raises(QuadratureError):
         capacity_rd_meijer(scale, 2, 1.0)
+
+
+# The five hop routes as calls of (scale, m, theta); the SR routes take no theta.
+HOP_ROUTES = {
+    "ergodic_capacity_sr": lambda g, m, theta: ergodic_capacity_sr(g, m),
+    "capacity_sr_meijer": lambda g, m, theta: capacity_sr_meijer(g, m),
+    "asymptotic_capacity_sr": lambda g, m, theta: asymptotic_capacity_sr(g, m),
+    "ergodic_capacity_rd": ergodic_capacity_rd,
+    "capacity_rd_meijer": capacity_rd_meijer,
+}
+
+
+@pytest.mark.parametrize("route", sorted(HOP_ROUTES))
+@pytest.mark.parametrize("scale", [math.inf, math.nan, 0.0, -1.0])
+def test_hop_routes_refuse_a_scale_that_is_not_finite_and_positive(route, scale):
+    # inf once raised a raw OverflowError in the contours, a QuadratureError on
+    # a nan error estimate in the quadratures, and gave inf in the asymptote.
+    with pytest.raises(ValueError, match=r"gamma_hat_[rd] must be finite and positive, got"):
+        HOP_ROUTES[route](np.array([10.0, scale]), 2, 0.5)
+
+
+@pytest.mark.parametrize("route", ["ergodic_capacity_sr", "capacity_sr_meijer", "asymptotic_capacity_sr"])
+def test_sr_routes_refuse_an_m_off_the_nakagami_range(route):
+    # m = 0.2 once gave a value below the Nakagami m >= 0.5, and nan a nan or a raw error.
+    for m in (0.2, 0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="shape m must be finite and >= 0.5"):
+            HOP_ROUTES[route](10.0, m, 0.0)
+
+
+@pytest.mark.parametrize("route", ["ergodic_capacity_rd", "capacity_rd_meijer"])
+def test_rd_routes_refuse_m_and_theta_off_the_closed_forms(route):
+    # The contour once gave values at theta = 2 and -3 and at m = 101, a
+    # TypeError at m = 1.5; the quadrature a ZeroDivisionError at m = 0.
+    for m in (1.5, 0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(UnsupportedClosedFormError, match="integer shape m >= 1"):
+            HOP_ROUTES[route](10.0, m, 0.5)
+    with pytest.raises(ClosedFormRangeError, match="m <= 100"):
+        HOP_ROUTES[route](10.0, 101, 0.5)
+    for theta in (2.0, -3.0, math.nan):
+        with pytest.raises(ValueError, match=r"FGM theta must lie in \[-1, 1\]"):
+            HOP_ROUTES[route](10.0, 2, np.array([0.5, theta]))
 
 
 def test_rd_quadrature_refuses_nan_error_estimate(monkeypatch):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import swiptrelay.specfun as specfun
 import swiptrelay.swipt_metrics as swipt_metrics
 import swiptrelay.validation as validation
 from swiptrelay.montecarlo import sample_fgm_powers
@@ -28,13 +29,13 @@ def test_stochastic_checks_fail_a_draw_at_the_wrong_theta(monkeypatch):
 
 
 def test_each_quadrature_and_the_outage_law_draw_run_once(monkeypatch):
-    # One call per capacity route and contour reading takes every m: the
-    # adjudication's SR quadrature (the cells' SR capacities), its two SR
-    # contour readings, its RD quadrature and contour at theta = 0.5, then one
-    # RD quadrature over every (m, theta) cell.  One product-CDF call and one
-    # closed-CDF call take every cell's m and theta, and the quadrature
-    # outage composes the product-CDF call's CDF at the threshold; one
-    # outage-law call scores all cells.
+    # One call per capacity route takes every m: the adjudication's SR
+    # quadrature (the cells' SR capacities) and SR contour, one meijer_g per
+    # m for the printed SR reading, its RD quadrature and contour at
+    # theta = 0.5, then one RD quadrature over every (m, theta) cell.  One
+    # product-CDF call and one closed-CDF call take every cell's m and theta,
+    # and the quadrature outage composes the product-CDF call's CDF at the
+    # threshold; one outage-law call scores all cells.
     calls = []
 
     def count(module, name):
@@ -49,6 +50,7 @@ def test_each_quadrature_and_the_outage_law_draw_run_once(monkeypatch):
                  "capacity_rd_meijer", "outage_probability_quadrature"):
         count(swipt_metrics, name)
     count(validation, "ergodic_capacity_rd")
+    count(specfun, "meijer_g")
     count(validation, "product_cdf_general")
     count(validation, "snr_cdf_closed")
     count(validation, "simulate_outage_survival_law")
@@ -56,14 +58,17 @@ def test_each_quadrature_and_the_outage_law_draw_run_once(monkeypatch):
     report = validation.run_validation(ms=ms, thetas=thetas, samples=4_000, grid_points=4)
     assert report.passed
     names = [name for name, _ in calls]
-    capacities = [(name, args) for name, args in calls if "capacity" in name]
+    capacities = [(name, args) for name, args in calls if "capacity" in name or name == "meijer_g"]
     assert [name for name, _ in capacities] == [
-        "ergodic_capacity_sr", "capacity_sr_meijer", "capacity_sr_meijer",
+        "ergodic_capacity_sr", "capacity_sr_meijer", "meijer_g", "meijer_g",
         "ergodic_capacity_rd", "capacity_rd_meijer", "ergodic_capacity_rd"]
-    for _, args in capacities:
+    gamma_hat_r = swipt_metrics.derive_snr_scales(swipt_metrics.BASELINE).gamma_hat_r
+    assert [args for _, args in capacities[2:4]] == [
+        ((1.0 - m / gamma_hat_r, 1.0, 1.0), gamma_hat_r / m) for m in ms]
+    for _, args in capacities[:2] + capacities[4:]:
         assert np.ravel(args[1]).tolist() == list(ms)
-    assert [args[2] for _, args in capacities[3:5]] == [0.5, 0.5]
-    (_, cells), = capacities[5:]
+    assert [args[2] for _, args in capacities[4:6]] == [0.5, 0.5]
+    (_, cells), = capacities[6:]
     assert np.shape(cells[1]) == (len(ms), 1) and tuple(cells[2]) == thetas
     for cdf, points in (("product_cdf_general", 4 + 1), ("snr_cdf_closed", 4)):
         (_, m, theta, y), = [args for name, args in calls if name == cdf]
