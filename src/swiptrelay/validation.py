@@ -111,9 +111,8 @@ def run_validation(
     # Every cell has the baseline's SNR scales: m and theta change no link budget.
     scales = derive_snr_scales(BASELINE)
     q = OutageQuery(OUTAGE_THRESHOLD)
-    # Per (m, theta) cell: its name, its checks but the outage-law one and its
-    # closed-form outage; and the system and quadrature destination CDF at q
-    # that the outage-law simulation takes.
+    # Per (m, theta) cell: its name, its checks but the outage ones; and the
+    # system and quadrature destination CDF at q that the outage checks take.
     cells, systems, destination_cdfs = [], [], []
 
     try:
@@ -123,7 +122,7 @@ def run_validation(
         cell = f"adjudication,m={','.join(str(m) for m in ms)}"
         adjudications = adjudicate_closed_forms(scales.gamma_hat_r, scales.gamma_hat_d, ms, 0.5)
         # One RD quadrature serves every (m, theta) cell.
-        cell = f"m={','.join(str(m) for m in ms)},theta={','.join(fmt(t) for t in thetas)}"
+        cell = every_cell = f"m={','.join(str(m) for m in ms)},theta={','.join(fmt(t) for t in thetas)}"
         rd_quads = ergodic_capacity_rd(scales.gamma_hat_d, np.reshape(ms, (-1, 1)), thetas)
         # One vector quadrature serves every cell's product CDF: on the grid
         # and, last, at the outage threshold; one closed-form call gives every
@@ -172,20 +171,24 @@ def run_validation(
                                    (analytic - mean) / stderr, 3.0))
                 # Release the draw before the next theta's (or m's) is made.
                 del g1, g2, snr
-
-                p_closed = err_factor * outage_probability(sys, q)
-                # The quadrature outage composes the grid call's CDF at q.
-                p_quad = _outage(sys, q, relay_snr_cdf, lambda *args: 1.0 - quad_cdf[-1:, None])
-                checks.append(("outage_closed_vs_quadrature", p_closed - p_quad, QUAD_OUTAGE_TOL))
-                cells.append((cell, checks, p_closed))
+                cells.append((cell, checks))
                 systems.append(sys)
                 destination_cdfs.append(quad_cdf[-1])
+
+        # One closed-form outage call serves every cell, each with the bits of
+        # a call for it alone.
+        cell = every_cell
+        p_closeds = [err_factor * p for p in outage_probability(systems, q)]
+        for (cell, checks), sys, u_d, p_closed in zip(cells, systems, destination_cdfs, p_closeds):
+            # The quadrature outage composes the grid call's CDF at q.
+            p_quad = _outage(sys, q, relay_snr_cdf, lambda *args: np.full((1, 1), 1.0 - u_d))
+            checks.append(("outage_closed_vs_quadrature", p_closed - p_quad, QUAD_OUTAGE_TOL))
     except NumericalGuardError as exc:
         raise type(exc)(f"validate cell {cell}: {exc}") from None
 
     # The outage-law simulation scores every cell on one draw per batch.
     mc = simulate_outage_survival_law(systems, [q] * len(systems), cfg, destination_cdfs)
-    for (cell, checks, p_closed), est in zip(cells, mc):
+    for (cell, checks), p_closed, est in zip(cells, p_closeds, mc):
         for check in checks:
             report.add(cell, *check)
         report.add(cell, "outage_closed_vs_mc_stderr_units",

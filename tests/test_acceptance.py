@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
-from scipy.special import exp1, gammaincc
+from scipy.special import exp1, gammainc, gammaincc
 
 from swiptrelay import specfun
 from swiptrelay.copula import (
@@ -137,6 +137,17 @@ def test_criterion_3_distribution_equivalence():
                    "for all 15 (m, theta) cells")
 
 
+def _sr_draw(rng, m: int, n: int):
+    """n unit-mean Nakagami-m powers g1 drawn directly, their CDF values
+    u1 = P(m, m g1), and n uniforms w for the conditional inversion of g2.
+
+    Only g2 is inverted (``conditional_quantile``, then ``power_quantile``),
+    so the oracle shares no code with ``sample_fgm_powers``.
+    """
+    g1 = rng.gamma(m, 1.0 / m, n)
+    return g1, gammainc(m, m * g1), rng.random(n)
+
+
 def test_criterion_4_mean_snr_factor():
     n = 10_000_000
     ok = True
@@ -145,12 +156,9 @@ def test_criterion_4_mean_snr_factor():
     assert mean_snr_factor(1, -1.0) == pytest.approx(0.75, rel=1e-14)
     for m in (1, 2, 3, 4):
         marg = NakagamiPower(float(m))
-        rng = batch_stream(271828, m)
-        u = rng.random((2, n))
-        u1 = np.nextafter(u[0], 1.0)
-        g1 = power_quantile(marg, u1)
+        g1, u1, w = _sr_draw(batch_stream(271828, m), m, n)
         for theta in (-1.0, 0.0, 1.0):
-            u2 = conditional_quantile(fgm_copula(theta), u[1], u1)
+            u2 = conditional_quantile(fgm_copula(theta), w, u1)
             g2 = power_quantile(marg, np.asarray(u2))
             prod = g1 * g2
             stderr = prod.std(ddof=1) / math.sqrt(n)
@@ -176,11 +184,8 @@ def test_criterion_5_capacity_agreement():
     for i, sys in enumerate(cells):
         scales = derive_snr_scales(sys)
         marg = NakagamiPower(float(sys.fading_m))
-        rng = batch_stream(1618, i)
-        u = rng.random((2, n))
-        u1 = np.nextafter(u[0], 1.0)
-        g1 = power_quantile(marg, u1)
-        u2 = conditional_quantile(fgm_copula(sys.theta), u[1], u1)
+        g1, u1, w = _sr_draw(batch_stream(1618, i), sys.fading_m, n)
+        u2 = conditional_quantile(fgm_copula(sys.theta), w, u1)
         g2 = power_quantile(marg, np.asarray(u2))
         cap_sr = 0.5 * np.log2(1.0 + scales.gamma_hat_r * g1)
         cap_rd = 0.5 * np.log2(1.0 + scales.gamma_hat_d * g1 * g2)

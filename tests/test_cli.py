@@ -208,6 +208,20 @@ def test_validate_quadrature_error_exits_2_naming_the_cell(tmp_path, capsys, mon
     assert not out.exists()
 
 
+def test_validate_outage_error_names_every_cell(tmp_path, capsys, monkeypatch):
+    import swiptrelay.validation as validation_mod
+
+    out = tmp_path / "v.csv"
+    # One closed-form outage call serves every cell, so its error names them all.
+    monkeypatch.setattr(validation_mod, "outage_probability", _raise_quadrature_error)
+    argv = ["validate", "--m", "1,2", "--theta=-0.5,1", "--samples", "1000", "--grid-points", "2",
+            "-o", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: validate cell m=1,2,theta=-0.5,1: RD capacity quadrature error 1.00e-03\n")
+    assert not out.exists()
+
+
 def test_validate_adjudication_error_names_the_adjudication(tmp_path, capsys, monkeypatch):
     import swiptrelay.swipt_metrics as swipt_metrics_mod
 

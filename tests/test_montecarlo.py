@@ -390,6 +390,16 @@ def test_batch_streams_are_independent():
     assert not np.array_equal(x, y)
 
 
+def test_whole_seed_and_batch_index_reach_the_stream():
+    # Seeds 0 and 2**64 agree in their low 64 bits, 2**128 - 1 sets every bit:
+    # a seed cut to 64 bits, or a dropped index, makes two of these draws equal.
+    keys = [(s, i) for s in (0, 2**64, 2**128 - 1) for i in (0, 1, 2)]
+    first = {key: batch_stream(*key).random(2) for key in keys}
+    for key in keys:
+        assert np.array_equal(batch_stream(*key).random(2), first[key])
+    assert len({tuple(draw) for draw in first.values()}) == len(keys)
+
+
 def test_stderr_scales_with_samples():
     q = OutageQuery(1.0)
     small = simulate_metrics([FIG8], [q], McConfig(samples=100_000, seed=13))[0]

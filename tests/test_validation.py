@@ -35,7 +35,8 @@ def test_each_quadrature_and_the_outage_law_draw_run_once(monkeypatch):
     # theta = 0.5, then one RD quadrature over every (m, theta) cell.  One
     # product-CDF call and one closed-CDF call take every cell's m and theta,
     # and the quadrature outage composes the product-CDF call's CDF at the
-    # threshold; one outage-law call scores all cells.
+    # threshold; one closed-form outage call and one outage-law call take
+    # all cells.
     calls = []
 
     def count(module, name):
@@ -54,6 +55,7 @@ def test_each_quadrature_and_the_outage_law_draw_run_once(monkeypatch):
     count(validation, "product_cdf_general")
     count(validation, "snr_cdf_closed")
     count(validation, "simulate_outage_survival_law")
+    count(validation, "outage_probability")
     ms, thetas = (1, 2), (0.5, -1.0)
     report = validation.run_validation(ms=ms, thetas=thetas, samples=4_000, grid_points=4)
     assert report.passed
@@ -80,6 +82,8 @@ def test_each_quadrature_and_the_outage_law_draw_run_once(monkeypatch):
                                     if name == "simulate_outage_survival_law"]
     assert [(s.fading_m, s.theta) for s in systems] == [(1, 0.5), (1, -1.0), (2, 0.5), (2, -1.0)]
     assert len(queries) == len(cdfs) == 4
+    (closed_systems, _), = [args for name, args in calls if name == "outage_probability"]
+    assert closed_systems == systems
 
 
 @pytest.mark.parametrize("ms, thetas", [((), (0.5,)), ((1,), ())])
